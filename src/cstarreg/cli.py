@@ -30,7 +30,6 @@ class RunConfig:
     input: str | None = None
     delta: float | None = None
     gamma: float = 0.0
-    epsilon: float = 0.01
     grid_n: int = DEFAULT_GRID_N
     tol: float = DEFAULT_TOL
     seed: int = 0
@@ -38,13 +37,6 @@ class RunConfig:
     deltas: list | None = None
     out_path: str | None = None
     fmt: str = "json"
-
-
-def worker_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CSTARREG_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def seeded_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -211,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float)
     p.add_argument("--deltas", help="comma-separated cut levels for theorem")
     p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--gridN", dest="grid_n", type=int, default=DEFAULT_GRID_N)
     p.add_argument("--n", type=int, default=8, help="matrix size for lemma3")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -235,7 +226,7 @@ def config_from_args(args) -> RunConfig:
     return RunConfig(
         command=args.command,
         input=args.input or args.input_gallery,
-        delta=args.delta, gamma=args.gamma, epsilon=args.epsilon,
+        delta=args.delta, gamma=args.gamma,
         grid_n=args.grid_n, tol=args.tol, seed=args.seed, n=args.n,
         deltas=deltas, out_path=args.out_path, fmt=args.fmt)
 

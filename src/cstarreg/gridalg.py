@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import opcore
 from .errors import PhaseUnwrapAliasing, SpectralCollision
-from .opcore import as_matrix
 
 ALIAS_GUARD = np.pi / 2  # max tolerated adjacent-point phase jump
 
@@ -59,14 +58,6 @@ class GridDomain:
         radii = (np.arange(self.n_radial) + 1.0) / self.n_radial
         angles = 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
         return radii, angles
-
-    def flat_index(self, j: int, m: int) -> int:
-        return j * self.n_angular + m
-
-    def edges(self):
-        """Adjacent node pairs with their geometric spacing."""
-        left, right, spacing = _edge_arrays(self)
-        return list(zip(left.tolist(), right.tolist(), spacing.tolist()))
 
     def edge_arrays(self):
         return _edge_arrays(self)
@@ -114,10 +105,16 @@ def disk_domain(n_radial: int, n_angular: int) -> GridDomain:
 @dataclass
 class GridElement:
     """An element of C(X, M_d) sampled on a grid: one d x d matrix per node
-    (flat node order), with an empirical continuity modulus."""
+    (flat node order), with an empirical continuity modulus.
+
+    Immutable by convention: `values` is never reassigned or written to
+    after construction, because `spectrum()` keeps the factorization of the
+    values it first saw. Build a new element for new values.
+    """
 
     domain: GridDomain
     values: np.ndarray  # shape (num_points, d, d)
+    _svd: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -143,8 +140,42 @@ class GridElement:
             return float(np.abs(diffs).max())
         return float(np.linalg.svd(diffs, compute_uv=False).max())
 
+    def spectrum(self):
+        """Pointwise SVD (u, s, vh), shapes (n, d, d), (n, d), (n, d, d),
+        with each row of s descending: the one factorization of the element
+        that every grid routine shares.
+
+        d > 1: one batched LAPACK SVD, computed on first use and kept.
+        d = 1: s = |f|, u = f/|f| (1 where f = 0) and vh = 1, which is what
+        LAPACK returns for a 1 x 1 matrix. The real and imaginary parts are
+        divided separately so that a real positive sample has phase exactly
+        1. Not kept: rebuilding it costs about as much as a lookup, and
+        keeping it would hold three more arrays per element.
+        """
+        if self.dim == 1:
+            f = self.values[:, 0, 0]
+            s = np.abs(f)
+            nz = s > 0
+            u = np.ones(f.shape, dtype=np.complex128)
+            np.divide(f.real, s, out=u.real, where=nz)
+            np.divide(f.imag, s, out=u.imag, where=nz)
+            vh = np.broadcast_to(np.ones((1, 1, 1), dtype=np.complex128), self.values.shape)
+            return u.reshape(-1, 1, 1), s.reshape(-1, 1), vh
+        if self._svd is None:
+            self._svd = np.linalg.svd(self.values)
+        return self._svd
+
     def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.values, compute_uv=False)
+        """The s of `spectrum()`. When d > 1 and no spectrum is kept yet,
+        only the values are computed, and not kept: a one-off element such
+        as a residual never needs its singular vectors, and computing them
+        too makes the batched SVD 1.5-2.5x slower for d = 2, 3 (128 nodes,
+        one OpenBLAS thread)."""
+        if self.dim == 1:
+            return np.abs(self.values[:, :, 0])
+        if self._svd is None:
+            return np.linalg.svd(self.values, compute_uv=False)
+        return self._svd[1]
 
 
 @dataclass
@@ -161,28 +192,18 @@ def sup_norm(ge: GridElement) -> float:
     return float(s.max()) if s.size else 0.0
 
 
-def lift(op, ge: GridElement) -> GridElement:
-    """Pointwise application of a matrix -> matrix operation."""
-    out = np.empty_like(ge.values)
-    for k in range(ge.values.shape[0]):
-        try:
-            out[k] = as_matrix(op(ge.values[k]))
-        except Exception as exc:
-            exc.args = (f"at grid point {k}: {exc}",) + exc.args[1:]
-            raise
-    return GridElement(domain=ge.domain, values=out)
+def guard_band(ge: GridElement) -> float:
+    """Half-width of the band around a cut level inside which a pointwise
+    singular value collides with the cut."""
+    return opcore.ETA_SEP_BASE * (1.0 + sup_norm(ge))
 
 
 def lift_cutdown(ge: GridElement, delta: float) -> GridElement:
     # batched equivalent of the pointwise opcore.cutdown
-    u, s, vh = np.linalg.svd(ge.values)
+    u, s, vh = ge.spectrum()
     shaved = np.maximum(s - delta, 0.0)
     out = np.einsum("kij,kj,kjl->kil", u, shaved, vh)
     return GridElement(domain=ge.domain, values=out)
-
-
-def lift_abs(ge: GridElement) -> GridElement:
-    return lift(opcore.abs_of, ge)
 
 
 def uniform_gap_regular(ge: GridElement, zero_tol: float | None = None,
@@ -238,15 +259,32 @@ def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
     """
     if ge.domain.kind != "interval-1d":
         raise ValueError("polar_extension_1d needs an interval domain")
-    vals = ge.values
-    npts, d, _ = vals.shape
-    u_all, s_all, vh_all = np.linalg.svd(vals)
-    eta = opcore.ETA_SEP_BASE * (1.0 + sup_norm(ge))
-    _check_separation(s_all.ravel(), delta, eta)
+    u_all, s_all, vh_all = ge.spectrum()
+    _check_separation(s_all.ravel(), delta, guard_band(ge))
     keeps = s_all > delta
+    if ge.is_scalar:
+        # vh = 1 for d = 1, so the polar part v is the phase u
+        w = _transport_scalar(u_all[:, 0, 0], keeps[:, 0]).reshape(-1, 1, 1)
+    else:
+        w = _transport_frames(u_all, vh_all, keeps)
+
+    witness = GridElement(domain=ge.domain, values=w)
+    mod = witness.modulus()
+    bound = _modulus_bound(ge, delta)
+    exists = mod <= bound + 1e-9
+    obstruction = None if exists else {"kind": "frame-transport", "modulus": mod}
+    return ExtensionReport(exists=exists, witness=witness if exists else None,
+                           obstruction=obstruction, witness_modulus=mod,
+                           modulus_bound=bound)
+
+
+def _transport_frames(u_all: np.ndarray, vh_all: np.ndarray,
+                      keeps: np.ndarray) -> np.ndarray:
+    """Per-node Procrustes transport of a unitary frame (d > 1)."""
+    npts, d, _ = u_all.shape
 
     def step(k, w_prev):
-        u, s, vh = u_all[k], s_all[k], vh_all[k]
+        u, vh = u_all[k], vh_all[k]
         keep = keeps[k]
         fixed = u[:, keep] @ vh[keep, :]
         bp = vh[~keep, :].conj().T  # basis of ker e_delta
@@ -262,29 +300,44 @@ def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
                 free = np.zeros((d, d), dtype=np.complex128)
         return fixed + free
 
-    w = np.empty_like(vals)
+    w = np.empty_like(u_all)
     supported = keeps.any(axis=1)
     if not supported.any():
         w[:] = step(0, None)
-    else:
-        # transport outward from the first supported node so leading free
-        # nodes continue the support frame instead of an arbitrary one
-        k0 = int(np.argmax(supported))
-        w[k0] = step(k0, None)
-        for k in range(k0 + 1, npts):
-            w[k] = step(k, w[k - 1])
-        for k in range(k0 - 1, -1, -1):
-            w[k] = step(k, w[k + 1])
-        _bridge_free_runs(w, supported)
+        return w
+    # transport outward from the first supported node so leading free
+    # nodes continue the support frame instead of an arbitrary one
+    k0 = int(np.argmax(supported))
+    w[k0] = step(k0, None)
+    for k in range(k0 + 1, npts):
+        w[k] = step(k, w[k - 1])
+    for k in range(k0 - 1, -1, -1):
+        w[k] = step(k, w[k + 1])
+    _bridge_free_runs(w, supported)
+    return w
 
-    witness = GridElement(domain=ge.domain, values=w)
-    mod = witness.modulus()
-    bound = _modulus_bound(ge, delta)
-    exists = mod <= bound + 1e-9
-    obstruction = None if exists else {"kind": "frame-transport", "modulus": mod}
-    return ExtensionReport(exists=exists, witness=witness if exists else None,
-                           obstruction=obstruction, witness_modulus=mod,
-                           modulus_bound=bound)
+
+def _transport_scalar(phase: np.ndarray, supported: np.ndarray) -> np.ndarray:
+    """The frame transport for d = 1, as an index fill.
+
+    A 1 x 1 Procrustes step copies the neighbour's phase, so every free node
+    takes the phase of the last supported node before it, and the leading
+    free run that of the first supported node. Interior free runs are then
+    bridged phase-linearly, which is the 1 x 1 unitary geodesic.
+    """
+    npts = len(phase)
+    if not supported.any():
+        return np.full(npts, phase[0])
+    idx = np.arange(npts)
+    k0 = int(np.argmax(supported))
+    left = np.maximum.accumulate(np.where(supported, idx, k0))
+    right = np.minimum.accumulate(np.where(supported, idx, npts)[::-1])[::-1]
+    w = phase[left]
+    bridged = (idx > left) & (right < npts)
+    lo, hi = left[bridged], right[bridged]
+    frac = (idx[bridged] - lo) / (hi - lo)
+    w[bridged] = phase[lo] * np.exp(1j * frac * np.angle(phase[lo].conj() * phase[hi]))
+    return w
 
 
 def _unitary_geodesic(w1: np.ndarray, w2: np.ndarray, count: int) -> np.ndarray:
@@ -352,8 +405,7 @@ def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
     dom = ge.domain
     f = ge.values[:, 0, 0]
     mags = np.abs(f)
-    eta = opcore.ETA_SEP_BASE * (1.0 + sup_norm(ge))
-    _check_separation(mags, delta, eta)
+    _check_separation(mags, delta, guard_band(ge))
     support = mags > delta
 
     if not support.any():
@@ -432,7 +484,7 @@ def polar_extension(ge: GridElement, delta: float) -> ExtensionReport:
 def decide_extension(ge: GridElement, delta: float, retries: int = 50) -> ExtensionReport:
     """polar_extension with automatic perturbation of delta away from
     spectral collisions."""
-    eta = opcore.ETA_SEP_BASE * (1.0 + sup_norm(ge))
+    eta = guard_band(ge)
     for _ in range(retries):
         try:
             return polar_extension(ge, delta)
@@ -449,9 +501,7 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     explicit regular approximant. Returns (lower, upper); the interval never
     collapses to a point because grid error is irreducible.
     """
-    total = sup_norm(ge)
-    eta = opcore.ETA_SEP_BASE * (1.0 + total)
-    hi = total + max(tol_bisect, 10.0 * eta)
+    hi = sup_norm(ge) + max(tol_bisect, 10.0 * guard_band(ge))
     if not decide_extension(ge, hi).exists:
         raise SpectralCollision("extension unexpectedly failed above the norm")
     lo = 0.0

@@ -11,13 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import opcore
 from .errors import NoWitness
 from .gridalg import (
     ExtensionReport,
     GridElement,
     decide_extension,
     dist_to_regular,
+    guard_band,
     lift_cutdown,
     sup_norm,
     uniform_gap_regular,
@@ -71,11 +71,11 @@ def _ramp_fn(delta: float, slope: float, plateau: float):
     return f
 
 
-def _reshape_v_f(ge: GridElement, f) -> GridElement:
-    """Pointwise v f(|a|): u diag(f(s)) vh per node (f vanishes at 0, so the
-    kernel columns are irrelevant)."""
-    u, s, vh = np.linalg.svd(ge.values)
-    out = np.einsum("kij,kj,kjl->kil", u, f(s), vh)
+def _reshape_v_f(ge: GridElement, fs: np.ndarray) -> GridElement:
+    """Pointwise v f(|a|) = u diag(f(s)) vh, given fs = f(s) on the spectrum
+    of ge (f vanishes at 0, so the kernel columns are irrelevant)."""
+    u, _, vh = ge.spectrum()
+    out = np.einsum("kij,kj,kjl->kil", u, fs, vh)
     return GridElement(domain=ge.domain, values=out)
 
 
@@ -96,14 +96,6 @@ def _decide_polar_decomposable(ge: GridElement) -> ExtensionReport:
     return decide_extension(ge, m / 2.0)
 
 
-def check_condition2(ge: GridElement, delta: float) -> ConditionResult:
-    rep = decide_extension(ge, delta)
-    detail = {"modulus": rep.witness_modulus, "bound": rep.modulus_bound}
-    if rep.obstruction is not None:
-        detail["obstruction"] = rep.obstruction
-    return ConditionResult(delta=delta, holds=rep.exists, detail=detail)
-
-
 def check_condition3(ge: GridElement, delta: float,
                      cond2: ExtensionReport | None) -> ConditionResult:
     """Polar decomposability of v f(|a|) over the sampled ramp family.
@@ -113,7 +105,7 @@ def check_condition3(ge: GridElement, delta: float,
     Without a witness each reshaped element is decided independently.
     """
     max_residual = 0.0
-    u, s, vh = np.linalg.svd(ge.values)
+    _, s, vh = ge.spectrum()
     has_witness = cond2 is not None and cond2.exists and cond2.witness is not None
     shared_decision = None
     if not has_witness:
@@ -121,25 +113,26 @@ def check_condition3(ge: GridElement, delta: float,
         # positive beyond, so all reshaped elements share one support and
         # one extension decision
         f0 = _ramp_fn(delta, float(RAMP_SLOPES[0]), float(RAMP_PLATEAUS[-1]))
-        shared_decision = _decide_polar_decomposable(_reshape_v_f(ge, f0))
+        shared_decision = _decide_polar_decomposable(_reshape_v_f(ge, f0(s)))
         if not shared_decision.exists:
             return ConditionResult(
                 delta=delta, holds=False,
                 detail={"obstruction": shared_decision.obstruction})
     for slope in RAMP_SLOPES:
         for plateau in RAMP_PLATEAUS:
-            f = _ramp_fn(delta, slope, plateau)
-            reshaped = _reshape_v_f(ge, f)
+            fs = _ramp_fn(delta, slope, plateau)(s)
+            reshaped = _reshape_v_f(ge, fs)
             if has_witness:
                 w = cond2.witness.values
             else:
                 w = shared_decision.witness.values
-            fabs = np.einsum("kji,kj,kjl->kil", vh.conj(), f(s), vh)
+            fabs = np.einsum("kji,kj,kjl->kil", vh.conj(), fs, vh)
             prod = np.einsum("kij,kjl->kil", w, fabs)
             res = sup_norm(GridElement(domain=ge.domain,
                                        values=prod - reshaped.values))
             max_residual = max(max_residual, res)
-            if has_witness and res > RAMP_TOL * (1.0 + sup_norm(reshaped)):
+            # the singular values of the reshaped element are f(s)
+            if has_witness and res > RAMP_TOL * (1.0 + float(fs.max())):
                 return ConditionResult(delta=delta, holds=False,
                                        detail={"ramp_residual": res})
     return ConditionResult(delta=delta, holds=True,
@@ -156,7 +149,7 @@ def check_equivalences(ge: GridElement, gamma: float, delta_grid,
                        tol_bisect: float | None = None,
                        element_name: str = "element") -> EquivalenceReport:
     delta_grid = sorted(float(d) for d in delta_grid)
-    eta = opcore.ETA_SEP_BASE * (1.0 + sup_norm(ge))
+    eta = guard_band(ge)
     if any(d <= gamma + eta for d in delta_grid):
         raise ValueError("all probed deltas must exceed gamma")
     h = ge.domain.max_spacing()
@@ -209,7 +202,7 @@ def regular_approximant(ge: GridElement, delta: float, eps: float,
     if not witness.exists or witness.witness is None:
         raise NoWitness(f"no extension witness at delta={delta}")
     w = witness.witness.values
-    u, s, vh = np.linalg.svd(ge.values)
+    _, s, vh = ge.spectrum()
     shaved = np.maximum(s - delta, 0.0) + eps
     pos = np.einsum("kji,kj,kjl->kil", vh.conj(), shaved, vh)
     x_vals = np.einsum("kij,kjl->kil", w, pos)

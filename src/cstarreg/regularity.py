@@ -17,10 +17,11 @@ from .errors import (
     OffDiagonalNotZero,
     ShapeMismatch,
 )
-from .opcore import apply_function, as_matrix, hermitian_eig, op_norm, polar, pseudoinverse_g
+from .opcore import apply_function, as_matrix, op_norm, polar, pseudoinverse_g
 
-# eigenvalues of a*a below zero_tol count as zero; default squares the
-# polar rank tolerance
+# eigenvalues of a*a below zero_tol count as zero; the default squares the
+# polar rank cut TAU_RANK * ||a||, so the certificate and polar agree on
+# the rank
 DEFAULT_ZERO_TOL_REL = opcore.TAU_RANK
 COND_LIMIT = 1e6
 
@@ -43,12 +44,15 @@ class RegularityReport:
 
 
 def gap_certificate(a, zero_tol: float | None = None) -> GapCertificate:
+    """Read off the singular values s of a: the eigenvalues of a*a are s^2
+    (plus zeros when a is wide), without forming a*a, which would square
+    the condition number."""
     a = as_matrix(a)
+    s = np.linalg.svd(a, compute_uv=False)  # descending
     if zero_tol is None:
-        zero_tol = DEFAULT_ZERO_TOL_REL * op_norm(a) ** 2
-    evals = hermitian_eig(a.conj().T @ a).values
-    above = evals[evals > zero_tol]
-    eps = math.sqrt(float(above[0])) if above.size else math.inf
+        zero_tol = (DEFAULT_ZERO_TOL_REL * (s[0] if s.size else 0.0)) ** 2
+    above = s[s * s > zero_tol]
+    eps = float(above[-1]) if above.size else math.inf
     return GapCertificate(epsilon=eps, zero_tol=zero_tol)
 
 

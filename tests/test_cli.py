@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cstarreg import gallery, serialize
-from cstarreg.cli import main, worker_threads
+from cstarreg.cli import main
 from cstarreg.errors import InputParse
 from cstarreg.gridalg import GridElement, interval_domain
 from cstarreg.opcore import op_norm
@@ -156,9 +156,3 @@ class TestCliCommands:
         assert main(["dist", "--input", str(f), "--tol", "0.05"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["cond1"]["lower"] == 0.0
-
-    def test_worker_threads_env(self, monkeypatch):
-        monkeypatch.setenv("CSTARREG_THREADS", "4")
-        assert worker_threads() == 4
-        monkeypatch.setenv("CSTARREG_THREADS", "bogus")
-        assert worker_threads() == 1

@@ -22,6 +22,16 @@ from cstarreg.regularity import (
 
 from conftest import random_complex, random_projection, random_with_condition
 
+# spectra with singular values between the polar rank cut (1e-9 ||a||) and
+# 3.2e-5 ||a||: a cut at 1e-9 ||a||^2 on the eigenvalues of a*a drops them
+BAND_SPECTRA = [
+    (1.0, 1e-5),
+    tuple(np.geomspace(1.0, 1e-5, 8)),
+    tuple(np.geomspace(1.0, 1e-7, 8)),
+    tuple(np.geomspace(1.0, 1e-8, 8)),
+    (1.0, 1e-4, 1e-8, 1e-12),
+]
+
 
 class TestIsRegular:
     def test_projection(self, rng):
@@ -57,6 +67,19 @@ class TestMoorePenrose:
     def test_rank_deficient_matches_pinv(self, rng):
         a = random_complex(rng, 6, 2) @ random_complex(rng, 2, 6)
         assert op_norm(moore_penrose(a) - np.linalg.pinv(a)) <= 1e-8
+
+    @pytest.mark.parametrize("spectrum", BAND_SPECTRA, ids=lambda s: f"n{len(s)}-{min(s):.0e}")
+    def test_band_spectra_match_pinv_at_rank_cut(self, rng, spectrum):
+        n = len(spectrum)
+        q1, _ = np.linalg.qr(random_complex(rng, n))
+        q2, _ = np.linalg.qr(random_complex(rng, n))
+        a = (q1 * np.asarray(spectrum)) @ q2.conj().T
+        mp = moore_penrose(a)
+        oracle = np.linalg.pinv(a, 1e-9)  # the polar rank cut, relative to ||a||
+        # fixed bounds: forming |a| costs about eps * kappa <= 2e-8 here,
+        # while a dropped singular value gives errors of order 1 in both
+        assert op_norm(mp - oracle) <= 1e-6 * op_norm(oracle)
+        assert op_norm(a @ mp - a @ oracle) <= 1e-6
 
     def test_lives_in_generated_algebra(self, rng):
         """The MP inverse lies in the *-algebra generated by a: project it
