@@ -13,10 +13,6 @@ class NotHermitian(CstarRegError):
     pass
 
 
-class MissingGapCertificate(CstarRegError):
-    pass
-
-
 class EigenvalueTooCloseToCut(CstarRegError):
     """An eigenvalue sits inside the guard band around the cut level.
 

@@ -23,6 +23,7 @@ from . import opcore
 from .errors import PhaseUnwrapAliasing, SpectralCollision
 
 ALIAS_GUARD = np.pi / 2  # max tolerated adjacent-point phase jump
+MAX_NUDGES = 50  # cut-level moves off the grid spectrum before decide_extension gives up
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def sup_norm(ge: GridElement) -> float:
 def guard_band(ge: GridElement) -> float:
     """Half-width of the band around a cut level inside which a pointwise
     singular value collides with the cut."""
-    return opcore.ETA_SEP_BASE * (1.0 + sup_norm(ge))
+    return opcore.eta_sep(sup_norm(ge))
 
 
 def lift_cutdown(ge: GridElement, delta: float) -> GridElement:
@@ -217,7 +218,7 @@ def uniform_gap_regular(ge: GridElement, zero_tol: float | None = None,
     """
     s = ge.singular_values().ravel()
     if zero_tol is None:
-        zero_tol = 1e-9 * (sup_norm(ge) + 1.0)
+        zero_tol = opcore.TAU_RANK * (sup_norm(ge) + 1.0)
     if gap_min is None:
         gap_min = 2.0 * ge.domain.max_spacing()
     above = s[s > zero_tol]
@@ -271,7 +272,7 @@ def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
     witness = GridElement(domain=ge.domain, values=w)
     mod = witness.modulus()
     bound = _modulus_bound(ge, delta)
-    exists = mod <= bound + 1e-9
+    exists = mod <= bound + opcore.MODULUS_SLACK
     obstruction = None if exists else {"kind": "frame-transport", "modulus": mod}
     return ExtensionReport(exists=exists, witness=witness if exists else None,
                            obstruction=obstruction, witness_modulus=mod,
@@ -468,7 +469,7 @@ def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
     w[support] = f[support] / mags[support]  # exact phase on the support
     witness = GridElement(domain=dom, values=w.reshape(-1, 1, 1))
     mod = witness.modulus()
-    exists = mod <= bound + 1e-9
+    exists = mod <= bound + opcore.MODULUS_SLACK
     obstruction = None if exists else {"kind": "modulus", "modulus": mod}
     return ExtensionReport(exists=exists, witness=witness if exists else None,
                            obstruction=obstruction, witness_modulus=mod,
@@ -481,11 +482,11 @@ def polar_extension(ge: GridElement, delta: float) -> ExtensionReport:
     return polar_extension_2d_scalar(ge, delta)
 
 
-def decide_extension(ge: GridElement, delta: float, retries: int = 50) -> ExtensionReport:
+def decide_extension(ge: GridElement, delta: float) -> ExtensionReport:
     """polar_extension with automatic perturbation of delta away from
-    spectral collisions."""
+    spectral collisions, at most MAX_NUDGES times."""
     eta = guard_band(ge)
-    for _ in range(retries):
+    for _ in range(MAX_NUDGES):
         try:
             return polar_extension(ge, delta)
         except SpectralCollision:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import opcore
 from .errors import NoWitness
 from .gridalg import (
     ExtensionReport,
@@ -81,7 +82,7 @@ def _reshape_v_f(ge: GridElement, fs: np.ndarray) -> GridElement:
 
 def _min_positive_singular(ge: GridElement) -> float:
     s = ge.singular_values().ravel()
-    pos = s[s > 1e-13 * (1.0 + s.max(initial=0.0))]
+    pos = s[s > opcore.TAU_NONZERO * (1.0 + s.max(initial=0.0))]
     return float(pos.min()) if pos.size else 0.0
 
 

@@ -12,15 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadOrdering, EigenvalueTooCloseToCut, MissingGapCertificate, NotHermitian
+from .errors import BadOrdering, EigenvalueTooCloseToCut, NotHermitian
 
 # Tolerances (relative, see module notes):
-#   TAU_RANK   decides which singular values count as zero in polar parts
-#   TAU_HERM   hermiticity acceptance for inputs built from products a*a
-#   ETA_SEP    guard band separating spectral-projection cuts from eigenvalues
+#   TAU_RANK      singular values at or below it count as zero (polar parts, grid gap test)
+#   TAU_HERM      hermiticity acceptance for inputs built from products a*a
+#   ETA_SEP       guard band separating spectral-projection cuts from eigenvalues
+#   TAU_NONZERO   below it (x (1 + largest)) a singular value is rounding noise of a zero
+#   MODULUS_SLACK a witness modulus over its bound by less is rounding, not a failure
 TAU_RANK = 1e-9
 TAU_HERM = 1e-8
 ETA_SEP_BASE = 1e-8
+TAU_NONZERO = 1e-13
+MODULUS_SLACK = 1e-9
 
 
 def as_matrix(a) -> np.ndarray:
@@ -43,8 +47,9 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def eta_sep(h) -> float:
-    return ETA_SEP_BASE * (1.0 + op_norm(h))
+def eta_sep(norm: float) -> float:
+    """Guard band around a cut level for an operand of the given norm."""
+    return ETA_SEP_BASE * (1.0 + norm)
 
 
 @dataclass(frozen=True)
@@ -76,21 +81,10 @@ class ScalarFunction:
     tag: str
     params: tuple = ()
 
-    @property
-    def needs_gap(self) -> bool:
-        return self.tag == "pseudoinverse-g"
-
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
         if self.tag == "identity":
             return t
-        if self.tag == "pseudoinverse-g":
-            # 0 at 0, 1/t for t > 0; only valid on a gapped spectrum.
-            zero_level = self.params[0] if self.params else 0.0
-            out = np.zeros_like(t)
-            pos = t > zero_level
-            out[pos] = 1.0 / t[pos]
-            return out
         if self.tag == "proof-f":
             (gamma,) = self.params
             return np.where(t <= gamma, 1.0 / gamma, 1.0 / np.maximum(t, gamma))
@@ -121,10 +115,6 @@ def identity_fn() -> ScalarFunction:
     return ScalarFunction("identity")
 
 
-def pseudoinverse_g(zero_level: float = 0.0) -> ScalarFunction:
-    return ScalarFunction("pseudoinverse-g", (zero_level,))
-
-
 def proof_f(gamma: float) -> ScalarFunction:
     return ScalarFunction("proof-f", (gamma,))
 
@@ -145,12 +135,12 @@ def fn_product(f: ScalarFunction, g: ScalarFunction) -> ScalarFunction:
     return ScalarFunction("product", (f, g))
 
 
-def check_hermitian(h, tau: float = TAU_HERM) -> np.ndarray:
+def check_hermitian(h) -> np.ndarray:
     h = as_matrix(h)
     scale = 1.0 + op_norm(h)
     dev = op_norm(h - h.conj().T)
-    if dev > tau * scale:
-        raise NotHermitian(f"||h - h*|| = {dev:.3g} exceeds {tau:.1g}*(1+||h||)")
+    if dev > TAU_HERM * scale:
+        raise NotHermitian(f"||h - h*|| = {dev:.3g} exceeds {TAU_HERM:.1g}*(1+||h||)")
     return 0.5 * (h + h.conj().T)
 
 
@@ -165,60 +155,80 @@ def hermitian_eig(h) -> SpectralData:
     return SpectralData(values=values, frame=frame)
 
 
-def abs_of(a) -> np.ndarray:
-    """|a| = (a* a)^(1/2), a positive semidefinite square matrix of size cols."""
-    a = as_matrix(a)
-    sd = hermitian_eig(a.conj().T @ a)
-    roots = np.sqrt(np.maximum(sd.values, 0.0))
-    return (sd.frame * roots) @ sd.frame.conj().T
-
-
 def svd(a):
     a = as_matrix(a)
     u, s, vh = np.linalg.svd(a)
     return u, s, vh
 
 
-def polar(a, rank_tol: float = TAU_RANK) -> PolarParts:
-    """Canonical polar decomposition a = v |a|.
+@dataclass(frozen=True)
+class SVDFrame:
+    """One SVD a = u diag(s) vh (u, vh square unitaries, s descending, of
+    length min(m, n)), from which every spectral object of a is read. Reading
+    |a| off s, not off eigh(a*a), keeps the condition number of a unsquared."""
 
-    v is the partial isometry summing u_i w_i* over singular triples whose
-    singular value exceeds rank_tol * ||a||, so v vanishes on ker |a| and
-    v*v, vv* are the support projections of |a| and |a*|.
-    """
-    a = as_matrix(a)
-    m, n = a.shape
-    u, s, vh = svd(a)
-    k = len(s)
-    cut = rank_tol * (s[0] if k else 0.0)
-    keep = s > cut
-    ur = u[:, :k][:, keep]
-    wr = vh[:k, :][keep].conj().T
-    v = ur @ wr.conj().T
-    s_full = np.zeros(n)
-    s_full[:k] = s
-    abs_a = (vh.conj().T * s_full) @ vh
-    supp_right = wr @ wr.conj().T
-    supp_left = ur @ ur.conj().T
-    return PolarParts(v=v, abs_a=abs_a, supp_right=supp_right, supp_left=supp_left)
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+
+    @classmethod
+    def of(cls, a) -> SVDFrame:
+        return cls(*svd(a))
+
+    @property
+    def norm(self) -> float:
+        return float(self.s[0]) if self.s.size else 0.0
+
+    def _padded(self, size: int) -> np.ndarray:
+        # |a| is n x n and |a*| is m x m; the missing singular values are 0,
+        # where f need not vanish (1/gamma for proof-f, 1 for the bumps)
+        out = np.zeros(size)
+        out[: self.s.size] = self.s
+        return out
+
+    def fn_abs(self, fn) -> np.ndarray:
+        """f(|a|) = V diag(f(s)) V*."""
+        vh = self.vh
+        return (vh.conj().T * fn(self._padded(vh.shape[0]))) @ vh
+
+    def fn_abs_star(self, fn) -> np.ndarray:
+        """f(|a*|) = U diag(f(s)) U*."""
+        u = self.u
+        return (u * fn(self._padded(u.shape[0]))) @ u.conj().T
+
+    def above(self, level: float):
+        """(U_r, s_r, W_r): the left and right singular bases with s > level,
+        paired column by column (a W_r = U_r diag(s_r)), and their values."""
+        k = self.s.size
+        keep = self.s > level
+        return self.u[:, :k][:, keep], self.s[keep], self.vh[:k][keep].conj().T
+
+    def polar(self) -> PolarParts:
+        """Canonical polar decomposition at the rank cut: v sums u_i w_i*
+        over the singular triples above it, so v vanishes on ker |a| and
+        v*v, vv* are the support projections of |a| and |a*|."""
+        ur, _, wr = self.above(TAU_RANK * self.norm)
+        return PolarParts(v=ur @ wr.conj().T, abs_a=self.fn_abs(identity_fn()),
+                          supp_right=wr @ wr.conj().T, supp_left=ur @ ur.conj().T)
+
+    def cutdown(self, delta: float) -> np.ndarray:
+        """v (|a| - delta)_+ = U diag((s - delta)_+) V*."""
+        k = self.s.size
+        return (self.u[:, :k] * np.maximum(self.s - delta, 0.0)) @ self.vh[:k, :]
 
 
-def apply_function(h, fn: ScalarFunction, gap=None) -> np.ndarray:
-    """Functional calculus: frame * diag(fn(values)) * frame^*.
+def abs_of(a) -> np.ndarray:
+    """|a| = (a* a)^(1/2), a positive semidefinite square matrix of size cols."""
+    return SVDFrame.of(a).fn_abs(identity_fn())
 
-    The discontinuous pseudoinverse function requires a spectral gap
-    certificate (see regularity.GapCertificate) and is applied with the
-    certificate's zero threshold.
-    """
-    if fn.needs_gap:
-        if gap is None:
-            raise MissingGapCertificate(
-                "pseudoinverse-g needs a spectral gap certificate"
-            )
-        sd = hermitian_eig(h)
-        zero_level = float(np.sqrt(max(gap.zero_tol, 0.0)))
-        vals = pseudoinverse_g(zero_level)(sd.values)
-        return (sd.frame * vals) @ sd.frame.conj().T
+
+def polar(a) -> PolarParts:
+    """Canonical polar decomposition a = v |a| (see SVDFrame.polar)."""
+    return SVDFrame.of(a).polar()
+
+
+def apply_function(h, fn: ScalarFunction) -> np.ndarray:
+    """Functional calculus of a Hermitian h: frame * diag(fn(values)) * frame^*."""
     sd = hermitian_eig(h)
     return (sd.frame * fn(sd.values)) @ sd.frame.conj().T
 
@@ -231,7 +241,7 @@ def spectral_projection(h, delta: float, eta: float | None = None) -> np.ndarray
     """
     sd = hermitian_eig(h)
     if eta is None:
-        eta = eta_sep(h)
+        eta = eta_sep(op_norm(h))
     close = np.abs(sd.values - delta) <= eta
     if np.any(close):
         bad = float(sd.values[close][0])
@@ -245,11 +255,7 @@ def cutdown(a, delta: float) -> np.ndarray:
     """delta-cut-down v (|a| - delta)_+ using the canonical polar part."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    a = as_matrix(a)
-    u, s, vh = svd(a)
-    k = len(s)
-    shaved = np.maximum(s - delta, 0.0)
-    return (u[:, :k] * shaved) @ vh[:k, :]
+    return SVDFrame.of(a).cutdown(delta)
 
 
 def make_h_pair(gamma: float, mu1: float, delta: float):

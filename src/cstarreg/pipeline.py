@@ -16,11 +16,10 @@ import numpy as np
 from . import opcore
 from .errors import SpectralCollision, TooFar, XNotRegular
 from .opcore import (
-    ScalarFunction,
+    SVDFrame,
     abs_of,
-    adjoint,
-    apply_function,
     as_matrix,
+    identity_fn,
     make_h_pair,
     op_norm,
     polar,
@@ -53,16 +52,12 @@ class PipelineTrace:
         return max(self.checks.values()) if self.checks else 0.0
 
 
-def _svd_projections(a, level, eta):
-    """Left/right spectral projections of |a*| and |a| above `level`, built
-    from one SVD so the left/right frames stay paired."""
-    u, s, vh = np.linalg.svd(as_matrix(a))
-    k = len(s)
-    if np.any(np.abs(s - level) <= eta):
+def _svd_projections(frame: SVDFrame, level, eta):
+    """Left/right spectral projections of |a*| and |a| above `level`, read
+    from one SVD frame so the left/right bases stay paired."""
+    if np.any(np.abs(frame.s - level) <= eta):
         raise SpectralCollision(f"cut level {level} within {eta:.2g} of a singular value")
-    keep = s > level
-    ur = u[:, :k][:, keep]
-    wr = vh[:k, :][keep].conj().T
+    ur, _, wr = frame.above(level)
     e = wr @ wr.conj().T  # projection for |a|
     f = ur @ ur.conj().T  # projection for |a*|
     return e, f
@@ -80,12 +75,14 @@ def _nudge_off_spectrum(level, singulars, eta, lo, hi):
     raise SpectralCollision("could not separate cut level from spectrum")
 
 
-def construct_partial_isometry(a, x, delta: float, tol: float = 1e-7) -> PipelineTrace:
+def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
     """Run the full pipeline and record every intermediate residual.
 
     Raises TooFar when ||a - x|| >= delta, XNotRegular when x fails its
     regularity check, SpectralCollision when delta (or a nudged gamma)
-    cannot be separated from the singular spectrum of a.
+    cannot be separated from the singular spectrum of a. It factorizes
+    three operands once each, x (inside is_regular), a and c, and reads
+    every spectral object of a and c off their SVD frames.
     """
     a = as_matrix(a)
     x = as_matrix(x)
@@ -101,13 +98,13 @@ def construct_partial_isometry(a, x, delta: float, tol: float = 1e-7) -> Pipelin
     if not (rep.is_regular and verify_penrose(x, rep.mp_inverse)):
         raise XNotRegular("x failed the regularity check")
 
-    parts = polar(a)
+    frame_a = SVDFrame.of(a)
+    parts = frame_a.polar()
     v = parts.v
     abs_a = parts.abs_a
-    singulars = np.linalg.svd(a, compute_uv=False)
-    eta = opcore.eta_sep(abs_a)
+    eta = opcore.eta_sep(frame_a.norm)
 
-    e_delta, f_delta = _svd_projections(a, delta, eta)
+    e_delta, f_delta = _svd_projections(frame_a, delta, eta)
 
     checks: dict[str, float] = {}
 
@@ -126,15 +123,15 @@ def construct_partial_isometry(a, x, delta: float, tol: float = 1e-7) -> Pipelin
             short_circuit=True, checks=checks,
         )
 
-    gamma = _nudge_off_spectrum((beta + delta) / 2.0, singulars, eta, beta, delta)
-    e_gamma, f_gamma = _svd_projections(a, gamma, eta)
+    gamma = _nudge_off_spectrum((beta + delta) / 2.0, frame_a.s, eta, beta, delta)
+    e_gamma, f_gamma = _svd_projections(frame_a, gamma, eta)
 
     y = (x - a) / beta
     checks["y_unit_norm"] = abs(op_norm(y) - 1.0)
     checks["x_decomposition"] = op_norm(x - (a + beta * y))
 
-    g_abs = apply_function(abs_a, proof_g(gamma))
-    f_abs = apply_function(abs_a, proof_f(gamma))
+    g_abs = frame_a.fn_abs(proof_g(gamma))
+    f_abs = frame_a.fn_abs(proof_f(gamma))
 
     # sup |beta*g| over [0, inf) is beta/gamma < 1, so 1 + beta g(|a|) v* y
     # is invertible; the operator norm is only bounded by that sup
@@ -152,21 +149,19 @@ def construct_partial_isometry(a, x, delta: float, tol: float = 1e-7) -> Pipelin
 
     mu1 = (gamma + delta) / 2.0
     h1, h2 = make_h_pair(gamma, mu1, delta)
-    abs_astar = abs_of(adjoint(a))
-    h1_left = apply_function(abs_astar, h1)
-    h2_right = apply_function(abs_a, h2)
+    h1_left = frame_a.fn_abs_star(h1)
+    h2_right = frame_a.fn_abs(h2)
     c = b - h1_left @ b @ (eye - h2_right)
 
     checks.update(block_shape_residuals(
         c, b, v, h1_left, h2_right, e_delta, e_gamma, f_delta, f_gamma, eye))
 
-    abs_c = abs_of(c)
-    abs_cstar = abs_of(adjoint(c))
+    frame_c = SVDFrame.of(c)
     e1, f1 = e_delta, f_delta
-    checks["abs_c_e1"] = op_norm(abs_c @ e1 - e1)
-    checks["f1_abs_cstar"] = op_norm(f1 @ abs_cstar - f1)
+    checks["abs_c_e1"] = op_norm(frame_c.fn_abs(identity_fn()) @ e1 - e1)
+    checks["f1_abs_cstar"] = op_norm(f1 @ frame_c.fn_abs_star(identity_fn()) - f1)
 
-    w = polar(c).v
+    w = frame_c.polar().v
     checks["partial_isometry"] = op_norm(w @ w.conj().T @ w - w)
     checks["final_we_delta"] = op_norm(w @ e_delta - v @ e_delta)
     checks["final_f_delta_w"] = op_norm(f_delta @ w - f_delta @ v)

@@ -17,12 +17,8 @@ from .errors import (
     OffDiagonalNotZero,
     ShapeMismatch,
 )
-from .opcore import apply_function, as_matrix, op_norm, polar, pseudoinverse_g
+from .opcore import SVDFrame, as_matrix, op_norm
 
-# eigenvalues of a*a below zero_tol count as zero; the default squares the
-# polar rank cut TAU_RANK * ||a||, so the certificate and polar agree on
-# the rank
-DEFAULT_ZERO_TOL_REL = opcore.TAU_RANK
 COND_LIMIT = 1e6
 
 
@@ -44,61 +40,63 @@ class RegularityReport:
 
 
 def gap_certificate(a, zero_tol: float | None = None) -> GapCertificate:
-    """Read off the singular values s of a: the eigenvalues of a*a are s^2
-    (plus zeros when a is wide), without forming a*a, which would square
-    the condition number."""
-    a = as_matrix(a)
-    s = np.linalg.svd(a, compute_uv=False)  # descending
-    if zero_tol is None:
-        zero_tol = (DEFAULT_ZERO_TOL_REL * (s[0] if s.size else 0.0)) ** 2
-    above = s[s * s > zero_tol]
-    eps = float(above[-1]) if above.size else math.inf
-    return GapCertificate(epsilon=eps, zero_tol=zero_tol)
+    """The spectral gap certificate of a (see is_regular)."""
+    return is_regular(a, zero_tol).gap
 
 
-def moore_penrose(a, gap: GapCertificate | None = None) -> np.ndarray:
-    """a^+ = g(|a|) v* with g the pseudoinverse function 0 |-> 0, t |-> 1/t.
-
-    In a matrix algebra the spectrum of a*a is finite, so the gap
-    certificate is produced automatically when not supplied.
-    """
-    a = as_matrix(a)
-    if gap is None:
-        gap = gap_certificate(a)
-    parts = polar(a)
-    g_abs = apply_function(parts.abs_a, pseudoinverse_g(), gap=gap)
-    return g_abs @ parts.v.conj().T
+def moore_penrose(a) -> np.ndarray:
+    """a^+ = g(|a|) v* with g the pseudoinverse function 0 |-> 0, t |-> 1/t."""
+    return is_regular(a).mp_inverse
 
 
 def is_regular(a, zero_tol: float | None = None) -> RegularityReport:
     """Regularity report. In M_n 0 is automatically isolated in the finite
     spectrum of a*a, so every matrix is regular; the content is the gap
-    certificate and the canonical witness b = a^+."""
-    a = as_matrix(a)
-    gap = gap_certificate(a, zero_tol)
-    mp = moore_penrose(a, gap)
+    certificate and the canonical witness b = a^+, both read off one SVD.
+
+    The eigenvalues of a*a are s^2 (plus zeros when a is wide); those at or
+    below zero_tol count as zero. The default squares the polar rank cut
+    TAU_RANK ||a||, so a^+ = V diag(1/s) U* runs over the s above both
+    sqrt(zero_tol) and that cut, as g(|a|) v* does.
+    """
+    frame = SVDFrame.of(a)
+    rank_cut = opcore.TAU_RANK * frame.norm
+    if zero_tol is None:
+        zero_tol = rank_cut**2
+    above = frame.s[frame.s**2 > zero_tol]  # descending
+    gap = GapCertificate(epsilon=float(above[-1]) if above.size else math.inf,
+                         zero_tol=zero_tol)
+    ur, s, wr = frame.above(max(math.sqrt(zero_tol), rank_cut))
+    mp = (wr / s) @ ur.conj().T
     return RegularityReport(is_regular=True, gap=gap, witness=mp, mp_inverse=mp)
 
 
-def verify_penrose(a, b, tol: float = 1e-8) -> bool:
+def verify_penrose(a, b, tol: float = 1e-12) -> bool:
     """All four Penrose identities: aba = a, bab = b, ab and ba Hermitian
-    idempotents, each to tol scaled by 1 + ||a|| + ||b||."""
+    idempotents. Each residual is divided by the product of norms of its own
+    degree, ||aba - a|| by ||a||^2 ||b||, ||bab - b|| by ||a|| ||b||^2, the
+    Hermitian ones by ||a|| ||b|| and the idempotent ones by (||a|| ||b||)^2,
+    so rounding passes at any ||a^+|| and a dropped singular value fails.
+    b = 0 passes only for a = 0."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.T.shape:
         raise ShapeMismatch(f"incompatible shapes {a.shape} and {b.shape}")
-    scale = tol * (1.0 + op_norm(a) + op_norm(b))
+    na, nb = op_norm(a), op_norm(b)
+    if na == 0.0 or nb == 0.0:
+        return na == nb
     ab = a @ b
     ba = b @ a
+    nab = na * nb
     checks = [
-        op_norm(a @ ba - a),
-        op_norm(b @ ab - b),
-        op_norm(ab - ab.conj().T),
-        op_norm(ba - ba.conj().T),
-        op_norm(ab @ ab - ab),
-        op_norm(ba @ ba - ba),
+        op_norm(a @ ba - a) / (na * nab),
+        op_norm(b @ ab - b) / (nab * nb),
+        op_norm(ab - ab.conj().T) / nab,
+        op_norm(ba - ba.conj().T) / nab,
+        op_norm(ab @ ab - ab) / nab**2,
+        op_norm(ba @ ba - ba) / nab**2,
     ]
-    return max(checks) <= scale
+    return max(checks) <= tol
 
 
 def _cond(u) -> float:
@@ -120,13 +118,14 @@ def conjugate_regular_witness(a, b, u, u_inv, v, v_inv, tol: float = 1e-8) -> np
     eye_v = np.eye(v.shape[0])
     if op_norm(u @ u_inv - eye_u) > tol or op_norm(v @ v_inv - eye_v) > tol:
         raise NotInvertible("supplied inverses do not invert u, v to tolerance")
-    if _cond(u) > COND_LIMIT or _cond(v) > COND_LIMIT:
+    cond_u, cond_v = _cond(u), _cond(v)
+    if cond_u > COND_LIMIT or cond_v > COND_LIMIT:
         raise NotInvertible(f"condition number exceeds {COND_LIMIT:.0e}")
     if op_norm(a @ b @ a - a) > tol * (1.0 + op_norm(a)):
         raise NotAWitness("b is not a regularity witness for a")
     c = v_inv @ b @ u_inv
     uav = u @ a @ v
-    tol_prop = 1e-7 * _cond(u) * _cond(v)
+    tol_prop = 1e-7 * cond_u * cond_v
     if op_norm(uav @ c @ uav - uav) > tol_prop * (1.0 + op_norm(uav)):
         raise NotAWitness("propagated witness identity failed beyond tolerance")
     return c

@@ -24,3 +24,26 @@ def random_with_condition(rng, n, cond):
     q2, _ = np.linalg.qr(random_complex(rng, n))
     s = np.geomspace(1.0, 1.0 / cond, n)
     return (q1 * s) @ q2.conj().T
+
+
+def random_with_spectrum(rng, spectrum):
+    """(q1, q2, a) with a = q1 diag(spectrum) q2* for unitaries q1, q2 from
+    the QR of two complex Gaussian draws."""
+    n = len(spectrum)
+    q1, _ = np.linalg.qr(random_complex(rng, n))
+    q2, _ = np.linalg.qr(random_complex(rng, n))
+    return q1, q2, (q1 * np.asarray(spectrum, dtype=float)) @ q2.conj().T
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of np.linalg.svd and np.linalg.eigh calls made by the test.
+    np.linalg.norm(., 2) runs its SVD without looking up np.linalg.svd, so
+    the operator norms of residuals are not counted."""
+    counts = {"svd": 0, "eigh": 0}
+    for name in counts:
+        def counted(*args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from cstarreg import opcore
 from cstarreg.errors import BadOrdering, EigenvalueTooCloseToCut, NotHermitian
 from cstarreg.opcore import (
+    TAU_RANK,
+    SVDFrame,
     abs_of,
     adjoint,
     apply_function,
@@ -21,7 +23,7 @@ from cstarreg.opcore import (
     spectral_projection,
 )
 
-from conftest import random_complex
+from conftest import random_complex, random_with_spectrum
 
 
 def complex_matrices(n_min=2, n_max=6):
@@ -224,6 +226,78 @@ class TestCutdown:
         a = random_complex(rng, 4)
         dists = [op_norm(a - cutdown(a, d)) for d in (0.5, 0.25, 0.1, 0.01)]
         assert dists == sorted(dists, reverse=True)
+
+
+# geometric spectra down to 1e-12 (below the rank cut) and exact rank drops
+ILL_SPECTRA = [
+    tuple(np.geomspace(1.0, 1e-12, 8)),
+    tuple(np.geomspace(1.0, 1e-12, 4)),
+    (1.0, 0.5, 1e-3, 1e-6, 0.0, 0.0),
+    (1.0, 1e-2, 1e-4, 0.0),
+]
+
+
+def _gap_at(s, level):
+    """Distance between the nearest singular values either side of level."""
+    above, below = s[s > level], s[s <= level]
+    return above.min() - (below.max() if below.size else 0.0)
+
+
+@pytest.mark.parametrize("spectrum", ILL_SPECTRA, ids=lambda s: f"n{len(s)}-{min(s):.0e}")
+class TestSVDFrameIllConditioned:
+    """Readouts against the construction a = q1 diag(s) q2*. Functions of
+    |a| and the cut-down move with the backward error of one SVD, about
+    eps ||a|| (||a|| = 1 here); singular bases above a level move by
+    eps ||a|| / gap at that level (Wedin), so those bounds carry the gap."""
+
+    SEEDS = range(10)
+
+    def test_abs_of_and_abs_star(self, spectrum):
+        # eigh(a*a) was off by about 1e-8 here: the squared spectrum loses
+        # every singular value below sqrt(eps)
+        s = np.asarray(spectrum)
+        for seed in self.SEEDS:
+            q1, q2, a = random_with_spectrum(np.random.default_rng(seed), s)
+            assert op_norm(abs_of(a) - (q2 * s) @ q2.conj().T) <= 1e-13
+            abs_star = SVDFrame.of(a).fn_abs_star(identity_fn())
+            assert op_norm(abs_star - (q1 * s) @ q1.conj().T) <= 1e-13
+
+    def test_cutdown(self, spectrum):
+        s = np.asarray(spectrum)
+        for seed in self.SEEDS:
+            q1, q2, a = random_with_spectrum(np.random.default_rng(seed), s)
+            for delta in (0.0, 0.3 * s[1], 0.5 * (s[0] + s[1])):
+                exact = (q1 * np.maximum(s - delta, 0.0)) @ q2.conj().T
+                assert op_norm(cutdown(a, delta) - exact) <= 1e-13
+
+    def test_polar(self, spectrum):
+        s = np.asarray(spectrum)
+        keep = s > TAU_RANK * s[0]
+        bound = 1e-13 / _gap_at(s, TAU_RANK * s[0])
+        for seed in self.SEEDS:
+            q1, q2, a = random_with_spectrum(np.random.default_rng(seed), s)
+            parts = polar(a)
+            assert op_norm(parts.v - q1[:, keep] @ q2[:, keep].conj().T) <= bound
+            assert op_norm(parts.supp_right - q2[:, keep] @ q2[:, keep].conj().T) <= bound
+            assert op_norm(parts.supp_left - q1[:, keep] @ q1[:, keep].conj().T) <= bound
+
+    def test_projections_between_each_pair(self, spectrum):
+        s = np.asarray(spectrum)
+        for seed in self.SEEDS:
+            q1, q2, a = random_with_spectrum(np.random.default_rng(seed), s)
+            frame = SVDFrame.of(a)
+            for i in range(len(s) - 1):
+                if s[i + 1] == s[i]:
+                    continue
+                level = 0.5 * (s[i] + s[i + 1])
+                ur, sr, wr = frame.above(level)
+                bound = 1e-13 / _gap_at(s, level)
+                assert np.allclose(sr, s[: i + 1], rtol=0.0, atol=1e-15)
+                e, f = wr @ wr.conj().T, ur @ ur.conj().T
+                assert op_norm(e - q2[:, : i + 1] @ q2[:, : i + 1].conj().T) <= bound
+                assert op_norm(f - q1[:, : i + 1] @ q1[:, : i + 1].conj().T) <= bound
+                # the bases are paired: a maps W_r onto U_r diag(s_r)
+                assert op_norm(a @ wr - ur * sr) <= 1e-13
 
 
 class TestHPair:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cstarreg.errors import TooFar
-from cstarreg.opcore import abs_of, op_norm
+from cstarreg.errors import SpectralCollision, TooFar
+from cstarreg.opcore import abs_of, eta_sep, op_norm
 from cstarreg.pipeline import (
     approx_polar_from_pipeline,
     construct_partial_isometry,
@@ -90,6 +90,13 @@ class TestFailureModes:
         with pytest.raises(TooFar):
             construct_partial_isometry(a, x, 0.5)
 
+    @pytest.mark.parametrize("offset", (0.0, 0.5, -0.9))
+    def test_cut_inside_guard_band(self, offset):
+        a = np.diag([1.0, 0.4, 0.1]).astype(complex)
+        x = a + 0.05 * np.eye(3)
+        with pytest.raises(SpectralCollision):
+            construct_partial_isometry(a, x, 0.4 + offset * eta_sep(1.0))
+
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             construct_partial_isometry(random_complex(rng, 3), random_complex(rng, 4), 0.5)
@@ -111,3 +118,13 @@ class TestApproxPolar:
         # w is the exact polar part, so the error is just the cut tail
         assert err <= op_norm(a - w @ abs_of(a)) + 1e-12
         assert err <= 0.2 + 1e-9
+
+
+class TestFactorizations:
+    def test_one_svd_per_operand(self, linalg_calls):
+        """x (inside is_regular), a and c, each factorized once; every
+        function of |a|, |a*|, |c| and |c*| is read off those frames."""
+        a, x = _instance(5, 6, 0.5)
+        trace = construct_partial_isometry(a, x, 0.5)
+        assert not trace.short_circuit
+        assert linalg_calls == {"svd": 3, "eigh": 0}

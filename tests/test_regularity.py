@@ -20,7 +20,12 @@ from cstarreg.regularity import (
     verify_penrose,
 )
 
-from conftest import random_complex, random_projection, random_with_condition
+from conftest import (
+    random_complex,
+    random_projection,
+    random_with_condition,
+    random_with_spectrum,
+)
 
 # spectra with singular values between the polar rank cut (1e-9 ||a||) and
 # 3.2e-5 ||a||: a cut at 1e-9 ||a||^2 on the eigenvalues of a*a drops them
@@ -129,6 +134,49 @@ class TestVerifyPenrose:
             assert verify_penrose(a, b1, tol) and verify_penrose(a, b2, tol)
             bound = 100 * tol * (1 + op_norm(a)) * (1 + op_norm(b1) + op_norm(b2))
             assert op_norm(b1 - b2) <= bound
+
+
+class TestVerifyPenroseScaling:
+    """Each residual is scaled by the norms of its own degree, so the test
+    neither accepts an inverse that drops singular values in the band
+    between the rank cut and 3.2e-5 ||a||, nor rejects a correct inverse
+    because ||a^+|| is large."""
+
+    def test_accepts_mp_on_wide_spectrum(self):
+        # 11 of these 50 were rejected with one tolerance 1e-8 (1 + ||a|| + ||b||)
+        for seed in range(50):
+            _, _, a = random_with_spectrum(np.random.default_rng(seed), (1.0, 1e-4, 1e-8, 1e-12))
+            assert verify_penrose(a, moore_penrose(a)), seed
+
+    def test_accepts_mp_and_pinv_on_gaussians(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            a = random_complex(rng, 2 + seed % 15)
+            assert verify_penrose(a, moore_penrose(a)), seed
+            assert verify_penrose(a, np.linalg.pinv(a)), seed
+
+    @pytest.mark.parametrize("spectrum", BAND_SPECTRA[:4], ids=lambda s: f"n{len(s)}-{min(s):.0e}")
+    def test_rejects_inverse_truncated_in_band(self, rng, spectrum):
+        # the inverse that keeps only singular values above 3.2e-5 ||a||;
+        # three of these four were accepted before
+        _, _, a = random_with_spectrum(rng, spectrum)
+        assert not verify_penrose(a, np.linalg.pinv(a, 3.2e-5))
+        assert verify_penrose(a, moore_penrose(a))
+
+    def test_zero_pair(self):
+        z = np.zeros((3, 2))
+        assert verify_penrose(z, z.T)
+        assert not verify_penrose(z, np.ones((2, 3)))
+
+
+class TestFactorizations:
+    def test_moore_penrose_is_one_svd(self, rng, linalg_calls):
+        moore_penrose(random_complex(rng, 6))
+        assert linalg_calls == {"svd": 1, "eigh": 0}
+
+    def test_is_regular_is_one_svd(self, rng, linalg_calls):
+        is_regular(random_complex(rng, 6, 4))
+        assert linalg_calls == {"svd": 1, "eigh": 0}
 
 
 class TestConjugation:
