@@ -5,9 +5,8 @@ Run from anywhere; it works on the checkout this script sits in:
 
     python3 scripts/bench_record.py --label 6
 
-It runs benchmark/run.py for every workload over --seeds seeds (default 5)
-at --seconds seconds (default 20), once untraced and once traced, one run
-at a time. The file holds, per workload, the median and interquartile range
+It runs benchmark/run.py for every workload over seeds 1-5 at 20 seconds,
+once untraced and once traced, one run at a time. The file holds, per workload, the median and interquartile range
 of each end-to-end metric over the untraced runs, the per-layer figures of
 the traced seed-1 run, and the correct/failed counts of every run; then the
 wall time of the tier-1 tests and of `cstarreg suite --gridN 128`, and the
@@ -28,14 +27,16 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("interval-scalar", "interval-matrix", "disk-winding", "matrix-pipeline")
+SEEDS = range(1, 6)
+SECONDS = 20.0
 # one BLAS thread for every child, as benchmark/run.py sets for itself
 ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
        "MKL_NUM_THREADS": "1", "PYTHONPATH": str(ROOT / "src")}
 
 
-def bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bench(workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=ROOT, env=ENV, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -63,21 +64,15 @@ def machine() -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="written to BENCH_<label>.json")
-    ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--out", type=Path, help="output path (default: the checkout root)")
     args = ap.parse_args(argv)
-    if args.seeds < 2:
-        ap.error("--seeds must be at least 2 for an interquartile range")
-    seeds = range(1, args.seeds + 1)
 
     workloads = {}
     for w in WORKLOADS:
-        runs = {trace: {seed: bench(w, seed, args.seconds, trace) for seed in seeds}
+        runs = {trace: {seed: bench(w, seed, trace) for seed in SEEDS}
                 for trace in (0, 1)}
         metrics = runs[0][1]["metrics"]
         workloads[w] = {
-            "end_to_end": {m: spread([runs[0][s]["metrics"][m]["value"] for s in seeds])
+            "end_to_end": {m: spread([runs[0][s]["metrics"][m]["value"] for s in SEEDS])
                            | {"unit": metrics[m]["unit"]} for m in metrics},
             "per_layer_seed1": runs[1][1]["metrics"],
             "runs": [{"seed": s, "trace": t, "correct": r["correct"],
@@ -88,7 +83,7 @@ def main(argv=None) -> int:
               f"{workloads[w]['end_to_end']['items_per_ref']['median']:.4g}", file=sys.stderr)
 
     record = {
-        "label": args.label, "seeds": list(seeds), "seconds": args.seconds,
+        "label": args.label, "seeds": list(SEEDS), "seconds": SECONDS,
         "workloads": workloads,
         "tier1": timed([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                         "--continue-on-collection-errors"]),
@@ -96,7 +91,7 @@ def main(argv=None) -> int:
                                  "--gridN", "128"]),
         "machine": machine(),
     }
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0

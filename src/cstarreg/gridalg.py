@@ -207,18 +207,17 @@ def lift_cutdown(ge: GridElement, delta: float) -> GridElement:
     return GridElement(domain=ge.domain, values=out)
 
 
-def uniform_gap_regular(ge: GridElement, zero_tol: float | None = None,
-                        gap_min: float | None = None):
+def uniform_gap_regular(ge: GridElement, gap_min: float | None = None):
     """Uniform-gap regularity: in C(X, M_d) the spectrum of a*a is the union
     over points, so regularity means every pointwise singular value is
-    either <= zero_tol or >= a common gap well above grid resolution.
+    either <= zero_tol = TAU_RANK (1 + ||ge||) or >= a common gap well above
+    grid resolution.
 
     Returns (is_regular, gap) with gap the smallest singular value above
     zero_tol (inf when there is none).
     """
     s = ge.singular_values().ravel()
-    if zero_tol is None:
-        zero_tol = opcore.TAU_RANK * (sup_norm(ge) + 1.0)
+    zero_tol = opcore.TAU_RANK * (sup_norm(ge) + 1.0)
     if gap_min is None:
         gap_min = 2.0 * ge.domain.max_spacing()
     above = s[s > zero_tol]

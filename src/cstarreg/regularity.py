@@ -39,9 +39,18 @@ class RegularityReport:
     mp_inverse: np.ndarray | None
 
 
-def gap_certificate(a, zero_tol: float | None = None) -> GapCertificate:
-    """The spectral gap certificate of a (see is_regular)."""
-    return is_regular(a, zero_tol).gap
+def _certificate(frame: SVDFrame) -> GapCertificate:
+    # eigenvalues of a*a are s^2 (plus zeros when a is wide); those at or
+    # below the square of the polar rank cut TAU_RANK ||a|| count as zero
+    rank_cut = opcore.TAU_RANK * frame.norm
+    above = frame.s[frame.s > rank_cut]  # descending
+    return GapCertificate(epsilon=float(above[-1]) if above.size else math.inf,
+                          zero_tol=rank_cut**2)
+
+
+def gap_certificate(a) -> GapCertificate:
+    """The spectral gap certificate of a, read off the singular values of a."""
+    return _certificate(SVDFrame.of(a))
 
 
 def moore_penrose(a) -> np.ndarray:
@@ -49,26 +58,18 @@ def moore_penrose(a) -> np.ndarray:
     return is_regular(a).mp_inverse
 
 
-def is_regular(a, zero_tol: float | None = None) -> RegularityReport:
+def is_regular(a) -> RegularityReport:
     """Regularity report. In M_n 0 is automatically isolated in the finite
     spectrum of a*a, so every matrix is regular; the content is the gap
     certificate and the canonical witness b = a^+, both read off one SVD.
-
-    The eigenvalues of a*a are s^2 (plus zeros when a is wide); those at or
-    below zero_tol count as zero. The default squares the polar rank cut
-    TAU_RANK ||a||, so a^+ = V diag(1/s) U* runs over the s above both
-    sqrt(zero_tol) and that cut, as g(|a|) v* does.
+    a^+ = V diag(1/s) U* runs over the s above the polar rank cut
+    TAU_RANK ||a||, as g(|a|) v* does.
     """
     frame = SVDFrame.of(a)
-    rank_cut = opcore.TAU_RANK * frame.norm
-    if zero_tol is None:
-        zero_tol = rank_cut**2
-    above = frame.s[frame.s**2 > zero_tol]  # descending
-    gap = GapCertificate(epsilon=float(above[-1]) if above.size else math.inf,
-                         zero_tol=zero_tol)
-    ur, s, wr = frame.above(max(math.sqrt(zero_tol), rank_cut))
+    ur, s, wr = frame.above(opcore.TAU_RANK * frame.norm)
     mp = (wr / s) @ ur.conj().T
-    return RegularityReport(is_regular=True, gap=gap, witness=mp, mp_inverse=mp)
+    return RegularityReport(is_regular=True, gap=_certificate(frame), witness=mp,
+                            mp_inverse=mp)
 
 
 def verify_penrose(a, b, tol: float = 1e-12) -> bool:
@@ -76,8 +77,9 @@ def verify_penrose(a, b, tol: float = 1e-12) -> bool:
     idempotents. Each residual is divided by the product of norms of its own
     degree, ||aba - a|| by ||a||^2 ||b||, ||bab - b|| by ||a|| ||b||^2, the
     Hermitian ones by ||a|| ||b|| and the idempotent ones by (||a|| ||b||)^2,
-    so rounding passes at any ||a^+|| and a dropped singular value fails.
-    b = 0 passes only for a = 0."""
+    so rounding passes at any ||a^+||. ||aba - a|| may in addition reach the
+    polar rank cut TAU_RANK ||a||, the singular values a^+ drops by design;
+    an inverse that drops larger ones fails. b = 0 passes only for a = 0."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.T.shape:
@@ -89,7 +91,7 @@ def verify_penrose(a, b, tol: float = 1e-12) -> bool:
     ba = b @ a
     nab = na * nb
     checks = [
-        op_norm(a @ ba - a) / (na * nab),
+        max(op_norm(a @ ba - a) - opcore.TAU_RANK * na, 0.0) / (na * nab),
         op_norm(b @ ab - b) / (nab * nb),
         op_norm(ab - ab.conj().T) / nab,
         op_norm(ba - ba.conj().T) / nab,
@@ -162,15 +164,15 @@ def block_inverse_of_l(x, p, q, a_dag) -> np.ndarray:
     return eye - c @ a_dag
 
 
-def block_regular_iff(x, p, q, a_dag, zero_tol: float | None = None, tol: float = 1e-8):
+def block_regular_iff(x, p, q, a_dag, tol: float = 1e-8):
     """Regularity of x agrees with regularity of the lower corner
-    d = (1-q) x (1-p); both flags are evaluated with the same zero_tol.
+    d = (1-q) x (1-p); both flags use the same relative rank cut.
     Corner regularity is tested inside the ambient algebra, which is
     legitimate because regularity does not depend on the containing corner.
     """
     ell, dd = block_factorize(x, p, q, a_dag, tol=tol)
     eye = np.eye(as_matrix(x).shape[0])
     d = (eye - as_matrix(q)) @ as_matrix(x) @ (eye - as_matrix(p))
-    x_reg = is_regular(x, zero_tol).is_regular
-    d_reg = is_regular(d, zero_tol).is_regular
+    x_reg = is_regular(x).is_regular
+    d_reg = is_regular(d).is_regular
     return x_reg, d_reg

@@ -9,7 +9,7 @@ from cstarreg.pipeline import (
     verify_block_shape,
 )
 
-from conftest import random_complex
+from conftest import random_complex, random_with_spectrum
 
 
 def _instance(seed, n, ratio, delta=0.5):
@@ -73,6 +73,21 @@ class TestRandomInstances:
         trace = construct_partial_isometry(a, x, 0.5)
         assert op_norm(trace.w @ trace.e_delta - trace.v @ trace.e_delta) <= 1e-7
         assert op_norm(trace.f_delta @ trace.w - trace.f_delta @ trace.v) <= 1e-7
+
+
+class TestTailBelowRankCut:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_x_with_a_tail_value_is_regular(self, seed):
+        """x has one singular value at 10^-U(10,12), which x^+ drops at the
+        rank cut; x still passes the regularity check."""
+        rng = np.random.default_rng(seed)
+        spectrum = np.append(np.geomspace(1.0, 0.05, 5), 10.0 ** -rng.uniform(10.0, 12.0))
+        _, _, x = random_with_spectrum(rng, spectrum)
+        y = random_complex(rng, 6)
+        a = x + 0.2 * y / op_norm(y)
+        trace = construct_partial_isometry(a, x, 0.5)
+        assert not trace.short_circuit
+        assert trace.max_residual() <= 1e-7, trace.checks
 
 
 class TestFailureModes:

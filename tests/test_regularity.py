@@ -163,6 +163,25 @@ class TestVerifyPenroseScaling:
         assert not verify_penrose(a, np.linalg.pinv(a, 3.2e-5))
         assert verify_penrose(a, moore_penrose(a))
 
+    def test_accepts_mp_dropping_a_value_below_rank_cut(self):
+        # a^+ drops 1e-10 <= TAU_RANK ||a||, so ||aba - a|| = 1e-10
+        a = np.diag([1.0, 1e-10]).astype(complex)
+        b = moore_penrose(a)
+        assert np.allclose(b, np.diag([1.0, 0.0]), rtol=0, atol=1e-15)
+        assert verify_penrose(a, b)
+
+    @pytest.mark.parametrize("n, tail", ((8, 2), (16, 3)))
+    def test_accepts_mp_on_tails_below_rank_cut(self, n, tail):
+        # kept part geometric from 1 down to 10^-U(1,4), tail at 10^-U(10,12)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            kept = np.geomspace(1.0, 10.0 ** -rng.uniform(1.0, 4.0), n - tail)
+            low = 10.0 ** -rng.uniform(10.0, 12.0, tail)
+            _, _, a = random_with_spectrum(rng, np.concatenate([kept, low]))
+            assert verify_penrose(a, moore_penrose(a)), seed
+            # dropping the smallest kept value (>= 1e-4) still fails
+            assert not verify_penrose(a, np.linalg.pinv(a, 1.1 * kept[-1])), seed
+
     def test_zero_pair(self):
         z = np.zeros((3, 2))
         assert verify_penrose(z, z.T)
@@ -173,6 +192,12 @@ class TestFactorizations:
     def test_moore_penrose_is_one_svd(self, rng, linalg_calls):
         moore_penrose(random_complex(rng, 6))
         assert linalg_calls == {"svd": 1, "eigh": 0}
+
+    def test_gap_certificate_is_one_svd(self, rng, linalg_calls):
+        a = random_complex(rng, 6, 4)
+        gap = gap_certificate(a)
+        assert linalg_calls == {"svd": 1, "eigh": 0}
+        assert gap == is_regular(a).gap
 
     def test_is_regular_is_one_svd(self, rng, linalg_calls):
         is_regular(random_complex(rng, 6, 4))
