@@ -6,14 +6,18 @@ for the distance to the regular elements.
 Scalar partial isometries on a connected domain are unitary-or-zero; both
 extension procedures build on that classification. The 1-D procedure
 transports a unitary frame along the interval (Procrustes correction per
-step); the 2-D scalar procedure unwraps the phase over the support region
-and tests winding residues around its holes.
+step). The 2-D scalar procedure decides by discrete Stokes on the polar
+grid: every edge carries the integer jump of its wrapped phase step, every
+face (quad or centre polygon) the integer charge summed around it, and the
+phase winds around a hole of the support by the total charge of the hole.
+The obstruction's `windings` are the |total charge| of each blocked hole.
+Jumps and charges are whole-array work; labelling the holes, unwrapping and
+filling take one numpy step per grid layer.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -186,6 +190,9 @@ class ExtensionReport:
     obstruction: dict | None
     witness_modulus: float = 0.0
     modulus_bound: float = math.inf
+    # the cut level decided at, after decide_extension's nudges (None when
+    # no cut was taken)
+    delta: float | None = None
 
 
 def sup_norm(ge: GridElement) -> float:
@@ -275,7 +282,7 @@ def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
     obstruction = None if exists else {"kind": "frame-transport", "modulus": mod}
     return ExtensionReport(exists=exists, witness=witness if exists else None,
                            obstruction=obstruction, witness_modulus=mod,
-                           modulus_bound=bound)
+                           modulus_bound=bound, delta=delta)
 
 
 def _transport_frames(u_all: np.ndarray, vh_all: np.ndarray,
@@ -374,31 +381,201 @@ def _bridge_free_runs(w: np.ndarray, supported: np.ndarray) -> None:
         w[start:end] = _unitary_geodesic(w[start - 1], w[end], end - start)
 
 
-def _wrap_pi(x: float) -> float:
+def _principal(x):
+    """Principal value of an angle difference, in [-pi, pi)."""
     return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
 @lru_cache(maxsize=16)
-def _neighbors_2d(dom: GridDomain):
-    adj = [[] for _ in range(dom.size)]
-    left, right, _ = dom.edge_arrays()
-    for i, j in zip(left.tolist(), right.tolist()):
-        adj[i].append(j)
-        adj[j].append(i)
-    return adj
+def _neighbour_table(dom: GridDomain) -> np.ndarray:
+    """(size, 4) flat indices of the grid neighbours (j, m+1), (j, m-1),
+    (j+1, m), (j-1, m) of each disk node (j, m); the angular index wraps,
+    and a missing radial neighbour is the sentinel index `size`."""
+    nr, nt = dom.n_radial, dom.n_angular
+    idx = np.arange(dom.size).reshape(nr, nt)
+    rim = np.full((1, nt), dom.size)
+    table = np.stack([np.roll(idx, -1, axis=1), np.roll(idx, 1, axis=1),
+                      np.concatenate([idx[1:], rim]), np.concatenate([rim, idx[:-1]])],
+                     axis=-1).reshape(-1, 4)
+    table.setflags(write=False)
+    return table
+
+
+def _edge_jumps(dom: GridDomain, phase: np.ndarray, support: np.ndarray):
+    """Integer jumps (wrap(dphi) - dphi) / 2 pi of the angular edges
+    (j, m) -> (j, m+1), shape (nr, nt), and the radial edges
+    (j, m) -> (j+1, m), shape (nr - 1, nt). Raises PhaseUnwrapAliasing when
+    the wrapped step along an edge inside the support exceeds ALIAS_GUARD."""
+    left, right, _ = dom.edge_arrays()  # angular edges first, both in flat order
+    dphi = phase[right] - phase[left]
+    step = _principal(dphi)
+    aliased = support[left] & support[right] & (np.abs(step) > ALIAS_GUARD)
+    if aliased.any():
+        k = int(np.argmax(aliased))
+        raise PhaseUnwrapAliasing(
+            f"phase jump {abs(step[k]):.3f} > pi/2 between nodes {left[k]} and "
+            f"{right[k]}; refine the grid")
+    jump = np.rint((step - dphi) / (2.0 * np.pi)).astype(np.int64)
+    nr, nt = dom.n_radial, dom.n_angular
+    return jump[: nr * nt].reshape(nr, nt), jump[nr * nt:].reshape(nr - 1, nt)
+
+
+def _face_charges(ang: np.ndarray, rad: np.ndarray):
+    """Counterclockwise circulations of the edge jumps: (quads, centre).
+    Quad (j, m) runs (j, m) -> (j+1, m) -> (j+1, m+1) -> (j, m+1); the
+    centre polygon is ring 0. With one orientation for all faces, the quad
+    charges and the centre charge sum to the circulation along the rim."""
+    quads = rad + ang[1:] - np.roll(rad, -1, axis=1) - ang[:-1]
+    return quads, int(ang[0].sum())
+
+
+def _quad_corners(grid: np.ndarray) -> list:
+    """The values at corners (j, m), (j, m+1), (j+1, m), (j+1, m+1) of every
+    quad (j, m), each of shape (nr - 1, nt)."""
+    return [grid[:-1], np.roll(grid[:-1], -1, axis=1),
+            grid[1:], np.roll(grid[1:], -1, axis=1)]
+
+
+def _label_holes(free: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Masked dilation of the seeds through the free (non-support) nodes,
+    8-connected with the angular seam wrapped and ring 0 joined through the
+    centre polygon: each free node in a hole holding a seed gets the
+    smallest flat index of a seed in that hole, every other node free.size."""
+    none = free.size
+    labels = np.where(seeds, np.arange(none).reshape(free.shape), none)
+    blocked = ~free
+    ring0 = free[0]
+    row = np.empty_like(labels)
+    while True:
+        # min over the angular neighbours, then over the rings next door
+        np.minimum(labels[:, 1:], labels[:, :-1], out=row[:, 1:])
+        np.minimum(labels[:, 0], labels[:, -1], out=row[:, 0])
+        np.minimum(row[:, :-1], labels[:, 1:], out=row[:, :-1])
+        np.minimum(row[:, -1], labels[:, 0], out=row[:, -1])
+        grown = row.copy()
+        np.minimum(grown[1:], row[:-1], out=grown[1:])
+        np.minimum(grown[:-1], row[1:], out=grown[:-1])
+        grown[0, ring0] = grown[0, ring0].min(initial=none)
+        grown[blocked] = none
+        if np.array_equal(grown, labels):
+            return labels
+        labels = grown
+
+
+def _blocked_windings(quads: np.ndarray, centre: int, free: np.ndarray) -> list:
+    """Sorted |total charge| of the blocked holes of the support.
+
+    A hole is a connected set of free nodes (see `_label_holes`) together
+    with the faces that touch it; a charged face with no free corner is a
+    hole on its own. The winding of the phase along any support cycle is
+    the sum of the charges it encloses, so a hole with non-zero total
+    charge blocks the extension unless it reaches the rim, where no
+    support cycle can enclose it.
+    """
+    charged = quads != 0
+    if not charged.any() and centre == 0:
+        return []
+    touches = np.logical_or.reduce(_quad_corners(free))
+    windings = set(np.abs(quads[charged & ~touches]).tolist())
+    ring0_free = free[0].any()
+    if centre and not ring0_free:
+        windings.add(abs(centre))
+    open_charged = charged & touches
+    # node (j, m) is a corner of the quads (j, m), (j, m-1), (j-1, m), (j-1, m-1)
+    at_node = open_charged | np.roll(open_charged, 1, axis=1)
+    seeds = np.zeros_like(free)
+    seeds[:-1] |= at_node
+    seeds[1:] |= at_node
+    seeds &= free
+    if centre and ring0_free:
+        seeds[0] |= free[0]
+    if not seeds.any():
+        return sorted(windings)
+    labels = _label_holes(free, seeds)
+    # the free corners of a quad share one hole; the others are labelled free.size
+    keys = np.minimum.reduce(_quad_corners(labels))[open_charged]
+    values = quads[open_charged]
+    if centre and ring0_free:
+        keys = np.append(keys, labels[0][free[0]].min())
+        values = np.append(values, centre)
+    holes, which = np.unique(keys, return_inverse=True)
+    totals = np.zeros(holes.size, dtype=np.int64)
+    np.add.at(totals, which, values)
+    inside = ~np.isin(holes, labels[-1])
+    windings.update(np.abs(totals[inside & (totals != 0)]).tolist())
+    return sorted(windings)
+
+
+def _unwrap(phase: np.ndarray, ang: np.ndarray, rad: np.ndarray,
+            support: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """phase + 2 pi n on the support, with n the integer potential of the
+    edge jumps: a layer-synchronous breadth-first search over the support
+    from its first node per component, where n = 0. Path-independent when
+    no hole is blocked."""
+    nt = ang.shape[1]
+    rim = np.zeros((1, nt), dtype=np.int64)
+    # the jump from each node to each entry of its row of the neighbour table
+    jumps = np.stack([ang, -np.roll(ang, 1, axis=1), np.concatenate([rad, rim]),
+                      -np.concatenate([rim, rad])], axis=-1).reshape(-1, 4)
+    turns = np.zeros(support.size, dtype=np.int64)
+    todo = np.append(support, False)  # the sentinel is never reached
+    reached = np.zeros_like(todo)
+    while todo.any():
+        front = np.array([np.argmax(todo)])
+        todo[front] = False
+        while front.size:
+            nbrs = table[front]
+            new = todo[nbrs]
+            hit = nbrs[new]
+            turns[hit] = (turns[front, None] + jumps[front])[new]
+            # a node reached from two frontier nodes enters the next layer once
+            reached[:] = False
+            reached[hit] = True
+            todo[hit] = False
+            front = np.flatnonzero(reached)
+    return phase + 2.0 * np.pi * turns
+
+
+def _fill(theta: np.ndarray, support: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Extend theta from the support over the free nodes layer by layer,
+    each node taking the mean theta of its neighbours filled before its
+    layer."""
+    size = support.size
+    theta = np.append(theta, 0.0)  # read only where filled
+    filled = np.append(support, False)
+    front = np.flatnonzero(support)
+    layer_mask = np.zeros_like(filled)
+    while front.size:
+        layer_mask[:] = False
+        layer_mask[table[front]] = True
+        layer_mask &= ~filled
+        layer_mask[size] = False
+        layer = np.flatnonzero(layer_mask)
+        around = table[layer]
+        known = filled[around]
+        theta[layer] = (theta[around] * known).sum(axis=1) / known.sum(axis=1)
+        filled[layer] = True
+        front = layer
+    return theta[:size]
 
 
 def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
     """Decide and build the phase extension on the disk.
 
     A scalar partial isometry in C(disk) is unitary or zero, so a witness
-    exists iff the phase of the element on its support region {|f| > delta}
-    extends to a continuous unimodular function on the whole disk. The
-    support phase is unwrapped along a BFS spanning forest; each non-tree
-    edge inside the support contributes a 2*pi*k residue, and a nonzero k is
-    exactly a winding obstruction around a hole of the support. When every
-    residue vanishes, the unwrapped phase is filled into the holes by
-    breadth-first averaging and exponentiated back into a witness.
+    exists iff the phase of the element on its support region
+    {|f| > delta} extends to a continuous unimodular function on the whole
+    disk, that is iff the phase winds around no hole of the support.
+
+    Decided by discrete Stokes (the residues of Goldstein, Zebker & Werner,
+    Radio Science 23(4), 1988): each grid edge carries the integer jump
+    between its wrapped and its raw phase step, each face (quad or centre
+    polygon) the sum of the jumps around it, and the winding around a hole
+    is the total charge of the faces in it. The obstruction lists as
+    `windings` the sorted |total charge| of each blocked hole. When no hole
+    is blocked, the phase is unwrapped over the support by the integer
+    potential of the jumps, filled into the holes layer by layer,
+    exponentiated, and the witness is held to the modulus bound.
     """
     if ge.domain.kind != "disk-2d-polar" or not ge.is_scalar:
         raise ValueError("polar_extension_2d_scalar needs a scalar disk element")
@@ -407,64 +584,29 @@ def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
     mags = np.abs(f)
     _check_separation(mags, delta, guard_band(ge))
     support = mags > delta
+    bound = _modulus_bound(ge, delta)
 
     if not support.any():
         witness = GridElement(domain=dom, values=np.zeros_like(ge.values))
         return ExtensionReport(exists=True, witness=witness, obstruction=None,
-                               witness_modulus=0.0,
-                               modulus_bound=_modulus_bound(ge, delta))
+                               witness_modulus=0.0, modulus_bound=bound, delta=delta)
 
     phase = np.angle(f)
-    adj = _neighbors_2d(dom)
-    unwrapped = np.full(dom.size, np.nan)
-    visited = np.zeros(dom.size, dtype=bool)
-    residues = []
-    for start in np.flatnonzero(support):
-        if visited[start]:
-            continue
-        visited[start] = True
-        unwrapped[start] = phase[start]
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for nb in adj[node]:
-                if not support[nb]:
-                    continue
-                step = _wrap_pi(phase[nb] - phase[node])
-                if abs(step) > ALIAS_GUARD:
-                    raise PhaseUnwrapAliasing(
-                        f"phase jump {abs(step):.3f} > pi/2 between nodes "
-                        f"{node} and {nb}; refine the grid")
-                if visited[nb]:
-                    mismatch = unwrapped[node] + step - unwrapped[nb]
-                    k = int(round(mismatch / (2.0 * np.pi)))
-                    if k != 0:
-                        residues.append(k)
-                    continue
-                visited[nb] = True
-                unwrapped[nb] = unwrapped[node] + step
-                queue.append(nb)
-
-    bound = _modulus_bound(ge, delta)
-    if residues:
-        windings = sorted({abs(k) for k in residues})
+    ang, rad = _edge_jumps(dom, phase, support)
+    quads, centre = _face_charges(ang, rad)
+    free = ~support.reshape(dom.n_radial, dom.n_angular)
+    windings = _blocked_windings(quads, centre, free)
+    if windings:
         return ExtensionReport(
             exists=False, witness=None,
             obstruction={"kind": "winding", "windings": windings},
-            witness_modulus=math.inf, modulus_bound=bound)
+            witness_modulus=math.inf, modulus_bound=bound, delta=delta)
 
-    # fill the holes: breadth-first averaging of the unwrapped phase
-    frontier = deque(np.flatnonzero(visited))
-    while frontier:
-        node = frontier.popleft()
-        for nb in adj[node]:
-            if not visited[nb]:
-                vals = [unwrapped[x] for x in adj[nb] if visited[x]]
-                unwrapped[nb] = float(np.mean(vals))
-                visited[nb] = True
-                frontier.append(nb)
-
-    w = np.exp(1j * unwrapped)
+    w = np.empty_like(f)
+    if free.any():
+        table = _neighbour_table(dom)
+        theta = _fill(_unwrap(phase, ang, rad, support, table), support, table)
+        w[:] = np.exp(1j * theta)
     w[support] = f[support] / mags[support]  # exact phase on the support
     witness = GridElement(domain=dom, values=w.reshape(-1, 1, 1))
     mod = witness.modulus()
@@ -472,7 +614,7 @@ def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
     obstruction = None if exists else {"kind": "modulus", "modulus": mod}
     return ExtensionReport(exists=exists, witness=witness if exists else None,
                            obstruction=obstruction, witness_modulus=mod,
-                           modulus_bound=bound)
+                           modulus_bound=bound, delta=delta)
 
 
 def polar_extension(ge: GridElement, delta: float) -> ExtensionReport:
@@ -525,6 +667,4 @@ def no_polar_decomposition_witness(ge: GridElement) -> float:
     ph = np.angle(f[supp])
     if ph.size < 2:
         return 0.0
-    d = np.diff(ph)
-    d = (d + np.pi) % (2.0 * np.pi) - np.pi
-    return float(np.sum(np.abs(d)))
+    return float(np.sum(np.abs(_principal(np.diff(ph)))))

@@ -17,12 +17,10 @@ from . import opcore
 from .errors import SpectralCollision, TooFar, XNotRegular
 from .opcore import (
     SVDFrame,
-    abs_of,
     as_matrix,
     identity_fn,
     make_h_pair,
     op_norm,
-    polar,
     proof_f,
     proof_g,
 )
@@ -41,6 +39,7 @@ class PipelineTrace:
     c: np.ndarray
     w: np.ndarray
     v: np.ndarray
+    abs_a: np.ndarray
     e_delta: np.ndarray
     f_delta: np.ndarray
     e_gamma: np.ndarray
@@ -82,7 +81,9 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
     regularity check, SpectralCollision when delta (or a nudged gamma)
     cannot be separated from the singular spectrum of a. It factorizes
     three operands once each, x (inside is_regular), a and c, and reads
-    every spectral object of a and c off their SVD frames.
+    every spectral object of a, c and x off their SVD frames. On the
+    short-circuit path (a = x to EXACT_MATCH_TOL) c is x, read off the
+    frame is_regular built: two SVDs.
     """
     a = as_matrix(a)
     x = as_matrix(x)
@@ -108,10 +109,10 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
 
     checks: dict[str, float] = {}
 
-    if beta <= EXACT_MATCH_TOL * (1.0 + op_norm(a)):
+    if beta <= EXACT_MATCH_TOL * (1.0 + frame_a.norm):
         # a = x is already regular: use c := x, w its polar part
         c = x.copy()
-        w = polar(c).v
+        w = rep.frame.polar().v
         gamma = (beta + delta) / 2.0
         e_gamma, f_gamma = e_delta, f_delta
         checks["partial_isometry"] = op_norm(w @ w.conj().T @ w - w)
@@ -119,7 +120,7 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
         checks["final_f_delta_w"] = op_norm(f_delta @ w - f_delta @ v)
         return PipelineTrace(
             beta=beta, gamma=gamma, delta=delta, y=None, b=None, c=c, w=w, v=v,
-            e_delta=e_delta, f_delta=f_delta, e_gamma=e_gamma, f_gamma=f_gamma,
+            abs_a=abs_a, e_delta=e_delta, f_delta=f_delta, e_gamma=e_gamma, f_gamma=f_gamma,
             short_circuit=True, checks=checks,
         )
 
@@ -168,7 +169,7 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
 
     return PipelineTrace(
         beta=beta, gamma=gamma, delta=delta, y=y, b=b, c=c, w=w, v=v,
-        e_delta=e_delta, f_delta=f_delta, e_gamma=e_gamma, f_gamma=f_gamma,
+        abs_a=abs_a, e_delta=e_delta, f_delta=f_delta, e_gamma=e_gamma, f_gamma=f_gamma,
         short_circuit=False, checks=checks,
     )
 
@@ -214,6 +215,5 @@ def approx_polar_from_pipeline(a, x, delta: float):
     ||a - w |a| || <= 2 delta, since (v - w) e_delta = 0 and the part of
     |a| below delta has norm at most delta."""
     trace = construct_partial_isometry(a, x, delta)
-    abs_a = abs_of(a)
-    err = op_norm(as_matrix(a) - trace.w @ abs_a)
+    err = op_norm(as_matrix(a) - trace.w @ trace.abs_a)
     return trace.w, float(err)

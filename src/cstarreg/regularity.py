@@ -37,6 +37,7 @@ class RegularityReport:
     gap: GapCertificate | None
     witness: np.ndarray | None
     mp_inverse: np.ndarray | None
+    frame: SVDFrame  # the one SVD of a that gap and mp_inverse are read from
 
 
 def _certificate(frame: SVDFrame) -> GapCertificate:
@@ -69,7 +70,7 @@ def is_regular(a) -> RegularityReport:
     ur, s, wr = frame.above(opcore.TAU_RANK * frame.norm)
     mp = (wr / s) @ ur.conj().T
     return RegularityReport(is_regular=True, gap=_certificate(frame), witness=mp,
-                            mp_inverse=mp)
+                            mp_inverse=mp, frame=frame)
 
 
 def verify_penrose(a, b, tol: float = 1e-12) -> bool:

@@ -47,3 +47,18 @@ def linalg_calls(monkeypatch):
             return _orig(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+@pytest.fixture
+def svd_inputs(monkeypatch):
+    """(shape, bytes) of the input of each np.linalg.svd call made by the
+    test, so that a repeated factorization of the same operand shows."""
+    inputs = []
+    orig = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        arr = np.asarray(a)
+        inputs.append((arr.shape, arr.tobytes()))
+        return orig(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return inputs

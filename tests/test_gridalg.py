@@ -1,15 +1,19 @@
 import math
+from collections import Counter, deque
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from cstarreg import gallery, opcore
+from cstarreg import gallery, gridalg, opcore
 from cstarreg.errors import PhaseUnwrapAliasing, SpectralCollision
 from cstarreg.gridalg import (
+    ALIAS_GUARD,
     GridElement,
     decide_extension,
     disk_domain,
     dist_to_regular,
+    guard_band,
     interval_domain,
     lift_cutdown,
     no_polar_decomposition_witness,
@@ -335,6 +339,255 @@ class TestExtension2d:
             assert rep.obstruction["kind"] == "winding"
             # every ring winding found by the oracle is among the residues
             assert set(oracle) <= set(rep.obstruction["windings"])
+
+
+@lru_cache(maxsize=4)
+def _adjacency(dom):
+    adj = [[] for _ in range(dom.size)]
+    left, right, _ = dom.edge_arrays()
+    for i, j in zip(left.tolist(), right.tolist()):
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
+
+
+def _reference_unwrap(ge, delta):
+    """The breadth-first unwrap and fill on the disk, the reference for the
+    face-charge decision: (windings, witness values). The support phase is
+    unwrapped along a BFS spanning forest, and every non-tree edge inside
+    the support whose unwrapped ends disagree by 2 pi k, k != 0, is a
+    winding residue. Without residues the unwrapped phase is filled into
+    the rest of the disk by breadth-first averaging and exponentiated."""
+    dom = ge.domain
+    f = ge.values[:, 0, 0]
+    mags = np.abs(f)
+    support = (mags > delta).tolist()
+    phase = np.angle(f).tolist()
+    adj = _adjacency(dom)
+    two_pi = 2.0 * math.pi
+    unwrapped = [0.0] * dom.size
+    visited = [False] * dom.size
+    residues = set()
+    for start in range(dom.size):
+        if not support[start] or visited[start]:
+            continue
+        visited[start] = True
+        unwrapped[start] = phase[start]
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for nb in adj[node]:
+                if not support[nb]:
+                    continue
+                step = (phase[nb] - phase[node] + math.pi) % two_pi - math.pi
+                if abs(step) > ALIAS_GUARD:
+                    raise PhaseUnwrapAliasing(f"nodes {node} and {nb}")
+                if visited[nb]:
+                    k = round((unwrapped[node] + step - unwrapped[nb]) / two_pi)
+                    if k:
+                        residues.add(abs(k))
+                    continue
+                visited[nb] = True
+                unwrapped[nb] = unwrapped[node] + step
+                queue.append(nb)
+    if residues:
+        return sorted(residues), None
+    if not any(support):
+        return [], np.zeros(dom.size, dtype=complex)
+    frontier = deque(i for i in range(dom.size) if visited[i])
+    while frontier:
+        node = frontier.popleft()
+        for nb in adj[node]:
+            if not visited[nb]:
+                vals = [unwrapped[x] for x in adj[nb] if visited[x]]
+                unwrapped[nb] = sum(vals) / len(vals)
+                visited[nb] = True
+                frontier.append(nb)
+    w = np.exp(1j * np.array(unwrapped))
+    supp = mags > delta
+    w[supp] = f[supp] / mags[supp]
+    return [], w
+
+
+def _assert_matches_unwrap(ge, delta):
+    """Same exists and obstruction as the BFS at the level actually decided
+    at; the witness is unimodular (zero for an empty support), is f/|f| on
+    the support and keeps its modulus within the bound."""
+    try:
+        rep = decide_extension(ge, delta)
+    except PhaseUnwrapAliasing:
+        with pytest.raises(PhaseUnwrapAliasing):
+            _reference_unwrap(ge, delta)
+        return "aliasing"
+    windings, ref_w = _reference_unwrap(ge, rep.delta)
+    if windings:
+        assert not rep.exists
+        assert rep.obstruction == {"kind": "winding", "windings": windings}
+        return "winding"
+    ref_mod = GridElement(domain=ge.domain, values=ref_w.reshape(-1, 1, 1)).modulus()
+    assert rep.exists == (ref_mod <= rep.modulus_bound + opcore.MODULUS_SLACK)
+    if not rep.exists:
+        assert rep.obstruction["kind"] == "modulus"
+        return "modulus"
+    assert rep.obstruction is None
+    assert rep.witness_modulus <= rep.modulus_bound + opcore.MODULUS_SLACK
+    f = ge.values[:, 0, 0]
+    w = rep.witness.values[:, 0, 0]
+    supp = np.abs(f) > rep.delta
+    if supp.any():
+        assert np.max(np.abs(np.abs(w) - 1.0)) <= 1e-12
+        assert np.max(np.abs(w[supp] - f[supp] / np.abs(f[supp]))) <= 1e-15
+    else:
+        assert not w.any()
+    return "exists"
+
+
+LEVELS = np.linspace(0.0, 1.05, 21)[1:]  # fractions of the sup-norm
+
+
+class TestDecisionMatchesUnwrap:
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_disk_z(self, n):
+        ge = gallery.gallery("disk-z", n)
+        outcomes = [_assert_matches_unwrap(ge, lv) for lv in LEVELS]
+        assert outcomes == ["winding"] * 19 + ["exists"]
+
+    def test_random_fields(self):
+        outcomes = Counter()
+        for seed in range(100):
+            ge = gallery.random_scalar_field_2d(16, 64, np.random.default_rng(7000 + seed),
+                                                winding=seed % 4)
+            top = sup_norm(ge)
+            outcomes.update(_assert_matches_unwrap(ge, lv * top) for lv in LEVELS)
+        # both verdicts occur, each often
+        assert outcomes["winding"] >= 300 and outcomes["exists"] >= 300, outcomes
+
+    def test_aliasing_on_the_same_inputs(self):
+        """Phase steepest where |f| is smallest: the low cut levels take the
+        aliased edges into the support, the high ones leave them out."""
+        dom = disk_domain(16, 64)
+        radii, angles = dom.coordinates()
+        r, t = radii[:, None], angles[None, :]
+        outcomes = Counter()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            phase = rng.uniform(10.0, 30.0) * r**3 * np.cos(t - rng.uniform(0, 2 * np.pi))
+            f = (1.1 - r) * np.exp(1j * phase) * (r * np.exp(1j * t)) ** (seed % 3)
+            ge = GridElement(domain=dom, values=f.reshape(-1, 1, 1))
+            top = sup_norm(ge)
+            outcomes.update(_assert_matches_unwrap(ge, lv * top) for lv in LEVELS)
+        assert outcomes["aliasing"] >= 20 and outcomes["aliasing"] < sum(outcomes.values())
+
+
+def _rim_circulation(f_grid):
+    ph = np.angle(f_grid[-1])
+    steps = (np.roll(ph, -1) - ph + np.pi) % (2.0 * np.pi) - np.pi
+    return int(round(steps.sum() / (2.0 * np.pi)))
+
+
+class TestFaceCharges:
+    def _charges(self, ge):
+        dom = ge.domain
+        no_support = np.zeros(dom.size, dtype=bool)  # no aliasing check
+        ang, rad = gridalg._edge_jumps(dom, np.angle(ge.values[:, 0, 0]), no_support)
+        return gridalg._face_charges(ang, rad)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_total_charge_is_rim_circulation(self, seed):
+        rng = np.random.default_rng(seed)
+        dom = disk_domain(16, 64)
+        if seed % 2:  # phases with charges everywhere
+            vals = np.exp(2j * np.pi * rng.random(dom.size))
+            ge = GridElement(domain=dom, values=vals.reshape(-1, 1, 1))
+        else:
+            ge = gallery.random_scalar_field_2d(16, 64, rng, winding=seed % 4)
+        quads, centre = self._charges(ge)
+        f_grid = ge.values[:, 0, 0].reshape(dom.n_radial, dom.n_angular)
+        assert int(quads.sum()) + centre == _rim_circulation(f_grid)
+        if seed % 2 == 0:  # smooth phase times z^w: all charge at the centre
+            assert centre == seed % 4 and not quads.any()
+
+    def test_orientation(self):
+        ge = gallery.gallery("disk-z", 32)
+        assert self._charges(ge)[1] == 1
+        conj = GridElement(domain=ge.domain, values=ge.values.conj())
+        assert self._charges(conj)[1] == -1
+
+
+def _disk_field(fn, n=32):
+    dom = disk_domain(n, 4 * n)
+    radii, angles = dom.coordinates()
+    z = radii[:, None] * np.exp(1j * angles[None, :])
+    return GridElement(domain=dom, values=fn(z).reshape(-1, 1, 1))
+
+
+class TestHandProvedWindings:
+    def _winding(self, ge, delta):
+        rep = decide_extension(ge, delta)
+        return None if rep.exists else rep.obstruction["windings"]
+
+    def test_z_squared(self):
+        assert self._winding(_disk_field(lambda z: z**2), 0.3) == [2]
+
+    def test_z_bar(self):
+        assert self._winding(_disk_field(np.conj), 0.3) == [1]
+
+    def test_two_holes_of_charge_one(self):
+        ge = _disk_field(lambda z: (z - 0.5) * (z + 0.5))
+        assert self._winding(ge, 0.05) == [1]
+
+    def test_opposite_charges_cancel_once_the_holes_merge(self):
+        ge = _disk_field(lambda z: (z - 0.5) * np.conj(z + 0.5))
+        assert self._winding(ge, 0.05) == [1]
+        assert self._winding(ge, 0.4) is None
+
+    def test_centre_charge_cancels_a_quad_charge(self):
+        """The centre polygon and the quads are oriented alike: the +1 at
+        the centre and the -1 at 1/2 cancel once {|f| <= delta} joins them
+        (at delta = 1/16)."""
+        ge = _disk_field(lambda z: z * np.conj(z - 0.5))
+        assert self._winding(ge, 0.03) == [1]
+        assert self._winding(ge, 0.2) is None
+
+    def test_charged_quad_inside_the_support(self):
+        """A vortex at the middle of quad (16, 64), its corners set to exact
+        quarter turns: every step is at most pi/2, so the quad is charged
+        with all corners in the support, a hole on its own."""
+        dom = disk_domain(32, 128)
+        radii, angles = dom.coordinates()
+        z = radii[:, None] * np.exp(1j * angles[None, :])
+        corners = [(16, 64), (17, 64), (17, 65), (16, 65)]  # counterclockwise
+        z0 = np.mean([z[c] for c in corners])
+        f = (z - z0) / np.abs(z - z0)
+        turn = int(np.round(np.angle(f[corners[0]]) / (np.pi / 2)))
+        for i, c in enumerate(corners):
+            f[c] = 1j ** ((turn + i) % 4)
+        ge = GridElement(domain=dom, values=f.reshape(-1, 1, 1))
+        assert _assert_matches_unwrap(ge, 0.5) == "winding"
+        assert self._winding(ge, 0.5) == [1]
+
+    def test_free_arcs_of_ring0_join_through_the_centre(self):
+        """Ring 0 has two free arcs: one at a dip of |f| at angle 0, one
+        running out to the zero of conj(z + 0.08). They are one hole through
+        the centre polygon, holding the centre's +1 and that zero's -1."""
+        ge = _disk_field(lambda z: z * np.conj(z + 0.08)
+                         * (1.0 - 0.7 * np.exp(-np.abs(z - 0.03) ** 2 / 4e-4)))
+        assert _assert_matches_unwrap(ge, 0.002) == "exists"
+
+
+class TestCutLevelProvenance:
+    def test_level_kept_off_the_guard_band(self):
+        rep = decide_extension(gallery.gallery("disk-z", 32), 0.3 + 1e-6)
+        assert rep.delta == 0.3 + 1e-6
+
+    @pytest.mark.parametrize("name, level", [("disk-z", 0.5), ("rankdrop", 1.0)])
+    def test_cut_inside_guard_band_reports_moved_level(self, name, level):
+        ge = gallery.gallery(name, 32)
+        eta = guard_band(ge)
+        with pytest.raises(SpectralCollision):
+            polar_extension(ge, level)
+        rep = decide_extension(ge, level)
+        assert level + eta < rep.delta <= level + 3.0 * eta
 
 
 class TestDistToRegular:

@@ -143,3 +143,18 @@ class TestFactorizations:
         trace = construct_partial_isometry(a, x, 0.5)
         assert not trace.short_circuit
         assert linalg_calls == {"svd": 3, "eigh": 0}
+
+    def test_short_circuit_reuses_the_frame_of_x(self, rng, svd_inputs):
+        """x inside is_regular and a; c = x is read off the frame of x."""
+        a = random_complex(rng, 6)
+        x = a + 1e-14 * random_complex(rng, 6)
+        trace = construct_partial_isometry(a, x, 0.3 * op_norm(a))
+        assert trace.short_circuit
+        assert len(svd_inputs) == 2
+        assert len(set(svd_inputs)) == 2
+
+    def test_approx_polar_reads_abs_a_off_the_trace(self, linalg_calls):
+        a, x = _instance(5, 6, 0.5)
+        w, err = approx_polar_from_pipeline(a, x, 0.5)
+        assert linalg_calls == {"svd": 3, "eigh": 0}
+        assert err == pytest.approx(op_norm(a - w @ abs_of(a)), rel=1e-12)
