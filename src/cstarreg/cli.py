@@ -221,8 +221,8 @@ def config_from_args(args) -> RunConfig:
             raise InputParse(f"bad --deltas: {exc}") from exc
     if args.grid_n < 16:
         raise InputParse("--gridN must be at least 16")
-    if args.tol <= 0:
-        raise InputParse("--tol must be positive")
+    if not 0.0 < args.tol < np.inf:
+        raise InputParse("--tol must be finite and positive")
     return RunConfig(
         command=args.command,
         input=args.input or args.input_gallery,

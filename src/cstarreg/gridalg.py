@@ -11,8 +11,8 @@ grid: every edge carries the integer jump of its wrapped phase step, every
 face (quad or centre polygon) the integer charge summed around it, and the
 phase winds around a hole of the support by the total charge of the hole.
 The obstruction's `windings` are the |total charge| of each blocked hole.
-Jumps and charges are whole-array work; labelling the holes, unwrapping and
-filling take one numpy step per grid layer.
+Jumps and charges are whole-array work; the flood of each charged hole, the
+unwrap and the fill walk the grid in breadth-first layers through `_layers`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from . import opcore
 from .errors import PhaseUnwrapAliasing, SpectralCollision
 
 ALIAS_GUARD = np.pi / 2  # max tolerated adjacent-point phase jump
-MAX_NUDGES = 50  # cut-level moves off the grid spectrum before decide_extension gives up
 
 
 @dataclass(frozen=True)
@@ -387,18 +386,39 @@ def _principal(x):
 
 
 @lru_cache(maxsize=16)
-def _neighbour_table(dom: GridDomain) -> np.ndarray:
-    """(size, 4) flat indices of the grid neighbours (j, m+1), (j, m-1),
-    (j+1, m), (j-1, m) of each disk node (j, m); the angular index wraps,
-    and a missing radial neighbour is the sentinel index `size`."""
+def _neighbour_table(dom: GridDomain, diagonal: bool) -> np.ndarray:
+    """Flat indices of the grid neighbours (j, m+1), (j, m-1), (j+1, m),
+    (j-1, m) of each disk node (j, m), then with `diagonal` (j+1, m+1),
+    (j+1, m-1), (j-1, m+1), (j-1, m-1): shape (size, 4) or (size, 8). The
+    angular index wraps; a missing radial neighbour is the sentinel `size`."""
     nr, nt = dom.n_radial, dom.n_angular
     idx = np.arange(dom.size).reshape(nr, nt)
     rim = np.full((1, nt), dom.size)
-    table = np.stack([np.roll(idx, -1, axis=1), np.roll(idx, 1, axis=1),
-                      np.concatenate([idx[1:], rim]), np.concatenate([rim, idx[:-1]])],
-                     axis=-1).reshape(-1, 4)
+    outer, inner = np.concatenate([idx[1:], rim]), np.concatenate([rim, idx[:-1]])
+    columns = [np.roll(idx, -1, axis=1), np.roll(idx, 1, axis=1), outer, inner]
+    if diagonal:
+        columns += [np.roll(ring, s, axis=1) for ring in (outer, inner) for s in (-1, 1)]
+    table = np.stack(columns, axis=-1).reshape(dom.size, -1)
     table.setflags(write=False)
     return table
+
+
+def _layers(table: np.ndarray, front: np.ndarray, open_: np.ndarray):
+    """Breadth-first layers over `table` from the nodes `front`, which is
+    the first layer. A node enters a later layer only while `open_` (one
+    flag per node, then a False sentinel) is set for it, and its flag is
+    cleared as it enters, so every node is yielded once."""
+    open_[front] = False
+    slot = np.empty(open_.size, dtype=np.intp)
+    while front.size:
+        yield front
+        nbrs = table[front].ravel()
+        nbrs = nbrs[open_[nbrs]]
+        # a node reached from several front nodes keeps its last stamp only
+        stamp = np.arange(nbrs.size)
+        slot[nbrs] = stamp
+        front = nbrs[slot[nbrs] == stamp]
+        open_[front] = False
 
 
 def _edge_jumps(dom: GridDomain, phase: np.ndarray, support: np.ndarray):
@@ -429,110 +449,69 @@ def _face_charges(ang: np.ndarray, rad: np.ndarray):
     return quads, int(ang[0].sum())
 
 
-def _quad_corners(grid: np.ndarray) -> list:
-    """The values at corners (j, m), (j, m+1), (j+1, m), (j+1, m+1) of every
-    quad (j, m), each of shape (nr - 1, nt)."""
-    return [grid[:-1], np.roll(grid[:-1], -1, axis=1),
-            grid[1:], np.roll(grid[1:], -1, axis=1)]
-
-
-def _label_holes(free: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Masked dilation of the seeds through the free (non-support) nodes,
-    8-connected with the angular seam wrapped and ring 0 joined through the
-    centre polygon: each free node in a hole holding a seed gets the
-    smallest flat index of a seed in that hole, every other node free.size."""
-    none = free.size
-    labels = np.where(seeds, np.arange(none).reshape(free.shape), none)
-    blocked = ~free
-    ring0 = free[0]
-    row = np.empty_like(labels)
-    while True:
-        # min over the angular neighbours, then over the rings next door
-        np.minimum(labels[:, 1:], labels[:, :-1], out=row[:, 1:])
-        np.minimum(labels[:, 0], labels[:, -1], out=row[:, 0])
-        np.minimum(row[:, :-1], labels[:, 1:], out=row[:, :-1])
-        np.minimum(row[:, -1], labels[:, 0], out=row[:, -1])
-        grown = row.copy()
-        np.minimum(grown[1:], row[:-1], out=grown[1:])
-        np.minimum(grown[:-1], row[1:], out=grown[:-1])
-        grown[0, ring0] = grown[0, ring0].min(initial=none)
-        grown[blocked] = none
-        if np.array_equal(grown, labels):
-            return labels
-        labels = grown
-
-
-def _blocked_windings(quads: np.ndarray, centre: int, free: np.ndarray) -> list:
+def _blocked_windings(quads: np.ndarray, centre: int, free: np.ndarray,
+                      table: np.ndarray) -> list:
     """Sorted |total charge| of the blocked holes of the support.
 
-    A hole is a connected set of free nodes (see `_label_holes`) together
-    with the faces that touch it; a charged face with no free corner is a
-    hole on its own. The winding of the phase along any support cycle is
-    the sum of the charges it encloses, so a hole with non-zero total
-    charge blocks the extension unless it reaches the rim, where no
-    support cycle can enclose it.
+    A hole is a connected set of free (non-support) nodes, 8-connected over
+    `table`, together with the faces that touch it; the free nodes of ring 0
+    are one hole, joined through the centre polygon, and a charged face with
+    no free corner is a hole on its own. The winding of the phase along any
+    support cycle is the sum of the charges it encloses, so a hole with
+    non-zero total charge blocks the extension unless it reaches the rim,
+    where no support cycle can enclose it. The hole of ring 0 and each hole
+    that holds charge are flooded once.
     """
-    charged = quads != 0
-    if not charged.any() and centre == 0:
+    charged = np.flatnonzero(quads)  # quad (j, m) has the flat index of node (j, m)
+    if not charged.size and centre == 0:
         return []
-    touches = np.logical_or.reduce(_quad_corners(free))
-    windings = set(np.abs(quads[charged & ~touches]).tolist())
-    ring0_free = free[0].any()
-    if centre and not ring0_free:
+    # corners (j, m), (j, m+1), (j+1, m), (j+1, m+1): all 8-neighbours, so one hole
+    corners = np.column_stack([charged, table[charged][:, [0, 2, 4]]])
+    open_ = np.append(free.ravel(), False)
+    free_corner = open_[corners]
+    touches = free_corner.any(axis=1)
+    values = quads.ravel()[charged]
+    windings = set(np.abs(values[~touches]).tolist())
+    # each open quad hands its charge to its first free corner
+    first = corners[np.arange(charged.size), free_corner.argmax(axis=1)]
+    charge = np.zeros(free.size, dtype=np.int64)
+    np.add.at(charge, first[touches], values[touches])
+    ring0 = np.flatnonzero(free[0])
+    if ring0.size:
+        charge[ring0[0]] += centre
+    elif centre:
         windings.add(abs(centre))
-    open_charged = charged & touches
-    # node (j, m) is a corner of the quads (j, m), (j, m-1), (j-1, m), (j-1, m-1)
-    at_node = open_charged | np.roll(open_charged, 1, axis=1)
-    seeds = np.zeros_like(free)
-    seeds[:-1] |= at_node
-    seeds[1:] |= at_node
-    seeds &= free
-    if centre and ring0_free:
-        seeds[0] |= free[0]
-    if not seeds.any():
-        return sorted(windings)
-    labels = _label_holes(free, seeds)
-    # the free corners of a quad share one hole; the others are labelled free.size
-    keys = np.minimum.reduce(_quad_corners(labels))[open_charged]
-    values = quads[open_charged]
-    if centre and ring0_free:
-        keys = np.append(keys, labels[0][free[0]].min())
-        values = np.append(values, centre)
-    holes, which = np.unique(keys, return_inverse=True)
-    totals = np.zeros(holes.size, dtype=np.int64)
-    np.add.at(totals, which, values)
-    inside = ~np.isin(holes, labels[-1])
-    windings.update(np.abs(totals[inside & (totals != 0)]).tolist())
+    rim = free.size - free.shape[1]  # the first node of the last ring
+    # ring 0 first, so that all its free nodes start one flood
+    for front in [ring0, *np.flatnonzero(charge)[:, None]]:
+        if front.size and open_[front[0]]:  # a hole not flooded yet
+            hole = np.concatenate(list(_layers(table, front, open_)))
+            total = int(charge[hole].sum())
+            if total and hole.max() < rim:
+                windings.add(abs(total))
     return sorted(windings)
 
 
 def _unwrap(phase: np.ndarray, ang: np.ndarray, rad: np.ndarray,
             support: np.ndarray, table: np.ndarray) -> np.ndarray:
     """phase + 2 pi n on the support, with n the integer potential of the
-    edge jumps: a layer-synchronous breadth-first search over the support
-    from its first node per component, where n = 0. Path-independent when
-    no hole is blocked."""
-    nt = ang.shape[1]
-    rim = np.zeros((1, nt), dtype=np.int64)
+    edge jumps: breadth-first layers over the support from its first node
+    per component, where n = 0, each node taking n from a neighbour in an
+    earlier layer. Path-independent when no hole is blocked."""
     # the jump from each node to each entry of its row of the neighbour table
-    jumps = np.stack([ang, -np.roll(ang, 1, axis=1), np.concatenate([rad, rim]),
-                      -np.concatenate([rim, rad])], axis=-1).reshape(-1, 4)
+    jumps = np.stack([ang, -np.roll(ang, 1, axis=1), np.pad(rad, ((0, 1), (0, 0))),
+                      -np.pad(rad, ((1, 0), (0, 0)))], axis=-1).reshape(-1, 4)
     turns = np.zeros(support.size, dtype=np.int64)
-    todo = np.append(support, False)  # the sentinel is never reached
+    todo = np.append(support, False)
     reached = np.zeros_like(todo)
     while todo.any():
-        front = np.array([np.argmax(todo)])
-        todo[front] = False
-        while front.size:
-            nbrs = table[front]
-            new = todo[nbrs]
-            hit = nbrs[new]
-            turns[hit] = (turns[front, None] + jumps[front])[new]
-            # a node reached from two frontier nodes enters the next layer once
-            reached[:] = False
-            reached[hit] = True
-            todo[hit] = False
-            front = np.flatnonzero(reached)
+        layers = _layers(table, np.array([np.argmax(todo)]), todo)
+        reached[next(layers)] = True
+        for layer in layers:
+            around = table[layer]
+            k = reached[around].argmax(axis=1)
+            turns[layer] = turns[around[np.arange(layer.size), k]] - jumps[layer, k]
+            reached[layer] = True
     return phase + 2.0 * np.pi * turns
 
 
@@ -540,23 +519,16 @@ def _fill(theta: np.ndarray, support: np.ndarray, table: np.ndarray) -> np.ndarr
     """Extend theta from the support over the free nodes layer by layer,
     each node taking the mean theta of its neighbours filled before its
     layer."""
-    size = support.size
     theta = np.append(theta, 0.0)  # read only where filled
     filled = np.append(support, False)
-    front = np.flatnonzero(support)
-    layer_mask = np.zeros_like(filled)
-    while front.size:
-        layer_mask[:] = False
-        layer_mask[table[front]] = True
-        layer_mask &= ~filled
-        layer_mask[size] = False
-        layer = np.flatnonzero(layer_mask)
+    layers = _layers(table, np.flatnonzero(support), np.append(~support, False))
+    next(layers)  # the support itself
+    for layer in layers:
         around = table[layer]
         known = filled[around]
         theta[layer] = (theta[around] * known).sum(axis=1) / known.sum(axis=1)
         filled[layer] = True
-        front = layer
-    return theta[:size]
+    return theta[:-1]
 
 
 def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
@@ -595,7 +567,7 @@ def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
     ang, rad = _edge_jumps(dom, phase, support)
     quads, centre = _face_charges(ang, rad)
     free = ~support.reshape(dom.n_radial, dom.n_angular)
-    windings = _blocked_windings(quads, centre, free)
+    windings = _blocked_windings(quads, centre, free, _neighbour_table(dom, True))
     if windings:
         return ExtensionReport(
             exists=False, witness=None,
@@ -604,7 +576,7 @@ def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
 
     w = np.empty_like(f)
     if free.any():
-        table = _neighbour_table(dom)
+        table = _neighbour_table(dom, False)
         theta = _fill(_unwrap(phase, ang, rad, support, table), support, table)
         w[:] = np.exp(1j * theta)
     w[support] = f[support] / mags[support]  # exact phase on the support
@@ -625,9 +597,9 @@ def polar_extension(ge: GridElement, delta: float) -> ExtensionReport:
 
 def decide_extension(ge: GridElement, delta: float) -> ExtensionReport:
     """polar_extension with automatic perturbation of delta away from
-    spectral collisions, at most MAX_NUDGES times."""
+    spectral collisions, at most opcore.MAX_NUDGES times."""
     eta = guard_band(ge)
-    for _ in range(MAX_NUDGES):
+    for _ in range(opcore.MAX_NUDGES):
         try:
             return polar_extension(ge, delta)
         except SpectralCollision:
@@ -641,8 +613,11 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     grid algebra iff the extension at that level exists (Theorem condition
     (4)), and each successful extension certifies distance <= level via the
     explicit regular approximant. Returns (lower, upper); the interval never
-    collapses to a point because grid error is irreducible.
+    collapses to a point because grid error is irreducible, and tol_bisect
+    must be finite and positive (ValueError otherwise).
     """
+    if not 0.0 < tol_bisect < math.inf:
+        raise ValueError(f"tol_bisect must be finite and positive, got {tol_bisect}")
     hi = sup_norm(ge) + max(tol_bisect, 10.0 * guard_band(ge))
     if not decide_extension(ge, hi).exists:
         raise SpectralCollision("extension unexpectedly failed above the norm")

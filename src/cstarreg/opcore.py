@@ -20,11 +20,13 @@ from .errors import BadOrdering, EigenvalueTooCloseToCut, NotHermitian
 #   ETA_SEP       guard band separating spectral-projection cuts from eigenvalues
 #   TAU_NONZERO   below it (x (1 + largest)) a singular value is rounding noise of a zero
 #   MODULUS_SLACK a witness modulus over its bound by less is rounding, not a failure
+#   MAX_NUDGES    steps of 2 ETA_SEP off the spectrum before a cut level counts as colliding
 TAU_RANK = 1e-9
 TAU_HERM = 1e-8
 ETA_SEP_BASE = 1e-8
 TAU_NONZERO = 1e-13
 MODULUS_SLACK = 1e-9
+MAX_NUDGES = 50
 
 
 def as_matrix(a) -> np.ndarray:

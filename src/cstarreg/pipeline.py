@@ -64,8 +64,8 @@ def _svd_projections(frame: SVDFrame, level, eta):
 
 def _nudge_off_spectrum(level, singulars, eta, lo, hi):
     """Move `level` by steps of 2*eta until it clears the guard band, staying
-    inside (lo, hi)."""
-    for _ in range(1000):
+    inside (lo, hi), at most opcore.MAX_NUDGES times."""
+    for _ in range(opcore.MAX_NUDGES):
         if not np.any(np.abs(singulars - level) <= eta):
             return level
         level += 2.0 * eta

@@ -144,6 +144,11 @@ class TestCliCommands:
     def test_bad_grid_n(self, capsys):
         assert main(["dist", "--input", "osc", "--gridN", "4"]) == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_bad_tol(self, capsys, tol):
+        assert main(["dist", "--input", "disk-z", "--gridN", "32", "--tol", tol]) == 1
+        assert "--tol must be finite and positive" in capsys.readouterr().err
+
     def test_gallery_alias_flag(self, capsys):
         assert main(["dist", "--gallery", "linear", "--gridN", "64",
                      "--tol", "0.05"]) == 0

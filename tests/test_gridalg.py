@@ -1,4 +1,5 @@
 import math
+import signal
 from collections import Counter, deque
 from functools import lru_cache
 
@@ -574,6 +575,35 @@ class TestHandProvedWindings:
                          * (1.0 - 0.7 * np.exp(-np.abs(z - 0.03) ** 2 / 4e-4)))
         assert _assert_matches_unwrap(ge, 0.002) == "exists"
 
+    def test_holes_joined_only_through_the_centre(self):
+        """f = (z - 0.3)(z + 0.3) has one zero of charge +1 in each oval of
+        {|f| <= delta}; the ovals meet only at delta = 0.09. At
+        delta = 0.0895 each oval reaches inside ring 0 (r = 1/32) on its
+        half of the real axis, as 0.09 - 1/32**2 < 0.0895, but not at
+        theta = pi/2, as 0.09 + 1/32**2 > 0.0895: ring 0 has two free arcs,
+        near 0 and near pi, joined only through the centre polygon, whose
+        charge is 0. No support cycle separates them, so the two ovals are
+        one hole of charge 2. At delta = 0.08 each oval ends at |z| = 0.1,
+        ring 0 lies in the support, and the ovals are two holes of charge 1.
+        Neither reaches the rim (|z| <= 0.17**0.5)."""
+        ge = _disk_field(lambda z: (z - 0.3) * (z + 0.3))
+        assert self._winding(ge, 0.0895) == [2]
+        assert self._winding(ge, 0.08) == [1]
+
+    def test_hole_reaches_the_rim_only_through_the_centre(self):
+        """f = (z - 0.08) h with h = 1 - 0.98 s(x) exp(-(y / 0.02)**2) > 0,
+        s a smoothstep from 0 at x = 0 to 1 at x <= -0.02: the phase is that
+        of z - 0.08, and the centre charge is 0. At delta = 0.06 the disk
+        |z - 0.08| <= 0.06 holds the +1 and reaches ring 0 near theta = 0
+        (|1/32 - 0.08| < 0.06). The channel h = 0.02 on the negative real
+        axis runs from ring 0 near theta = pi to the rim, as
+        |f| <= 1.08 * 0.02 there. The two free arcs of ring 0 meet only
+        through the centre polygon, so the charged hole reaches the rim."""
+        def field(z):
+            s = np.clip(-z.real / 0.02, 0.0, 1.0)
+            return (z - 0.08) * (1.0 - 0.98 * s * s * (3 - 2 * s) * np.exp(-(z.imag / 0.02) ** 2))
+        assert _assert_matches_unwrap(_disk_field(field), 0.06) == "exists"
+
 
 class TestCutLevelProvenance:
     def test_level_kept_off_the_guard_band(self):
@@ -612,6 +642,23 @@ class TestDistToRegular:
         ge = gallery.gallery("rankdrop", 128)
         lo, up = dist_to_regular(ge, 0.01)
         assert lo <= up <= lo + 0.011
+
+    @pytest.mark.parametrize("name, tol", [("disk-z", -1.0), ("linear", 0.0),
+                                           ("linear", math.nan), ("linear", math.inf)])
+    def test_rejects_tolerance_not_finite_positive(self, name, tol):
+        """Below 0 the bisection on disk-z stalls on adjacent floats, at 0 it
+        collapses the bracket of linear to (0, 0), NaN fails the first probe
+        and inf returns (0, inf). The alarm turns a stall into a failure."""
+        def stalled(signum, frame):
+            raise TimeoutError("dist_to_regular did not return")
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            with pytest.raises(ValueError, match="tol_bisect"):
+                dist_to_regular(gallery.gallery(name, 32), tol)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def _matrix_field(rng, n, d):
