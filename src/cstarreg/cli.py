@@ -221,8 +221,13 @@ def config_from_args(args) -> RunConfig:
             raise InputParse(f"bad --deltas: {exc}") from exc
     if args.grid_n < 16:
         raise InputParse("--gridN must be at least 16")
+    if args.n < 1:
+        raise InputParse("--n must be at least 1")
     if not 0.0 < args.tol < np.inf:
         raise InputParse("--tol must be finite and positive")
+    levels = [args.gamma, 0.0 if args.delta is None else args.delta, *(deltas or [])]
+    if not np.all(np.isfinite(levels)):
+        raise InputParse("--delta, --deltas and --gamma must be finite")
     return RunConfig(
         command=args.command,
         input=args.input or args.input_gallery,

@@ -5,8 +5,11 @@ for the distance to the regular elements.
 
 Scalar partial isometries on a connected domain are unitary-or-zero; both
 extension procedures build on that classification. The 1-D procedure
-transports a unitary frame along the interval (Procrustes correction per
-step). The 2-D scalar procedure decides by discrete Stokes on the polar
+transports a unitary frame along the interval, one `_transport` for every
+d: u vh in one stacked product, a Procrustes step only at the nodes that
+keep some but not all singular directions, an index fill for the nodes that
+keep none, and one batched geodesic over the interior runs of those. The
+2-D scalar procedure decides by discrete Stokes on the polar
 grid: every edge carries the integer jump of its wrapped phase step, every
 face (quad or centre polygon) the integer charge summed around it, and the
 phase winds around a hole of the support by the total charge of the hole.
@@ -205,12 +208,16 @@ def guard_band(ge: GridElement) -> float:
     return opcore.eta_sep(sup_norm(ge))
 
 
+def from_svd(domain: GridDomain, u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> GridElement:
+    """The element u diag(s) vh, node by node: with (u, s, vh) the spectrum
+    of a and s replaced by f(s), f(0) = 0, it is v f(|a|)."""
+    return GridElement(domain=domain, values=np.einsum("kij,kj,kjl->kil", u, s, vh))
+
+
 def lift_cutdown(ge: GridElement, delta: float) -> GridElement:
     # batched equivalent of the pointwise opcore.cutdown
     u, s, vh = ge.spectrum()
-    shaved = np.maximum(s - delta, 0.0)
-    out = np.einsum("kij,kj,kjl->kil", u, shaved, vh)
-    return GridElement(domain=ge.domain, values=out)
+    return from_svd(ge.domain, u, np.maximum(s - delta, 0.0), vh)
 
 
 def uniform_gap_regular(ge: GridElement, gap_min: float | None = None):
@@ -267,12 +274,7 @@ def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
         raise ValueError("polar_extension_1d needs an interval domain")
     u_all, s_all, vh_all = ge.spectrum()
     _check_separation(s_all.ravel(), delta, guard_band(ge))
-    keeps = s_all > delta
-    if ge.is_scalar:
-        # vh = 1 for d = 1, so the polar part v is the phase u
-        w = _transport_scalar(u_all[:, 0, 0], keeps[:, 0]).reshape(-1, 1, 1)
-    else:
-        w = _transport_frames(u_all, vh_all, keeps)
+    w = _transport(u_all, vh_all, s_all > delta)
 
     witness = GridElement(domain=ge.domain, values=w)
     mod = witness.modulus()
@@ -284,100 +286,49 @@ def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
                            modulus_bound=bound, delta=delta)
 
 
-def _transport_frames(u_all: np.ndarray, vh_all: np.ndarray,
-                      keeps: np.ndarray) -> np.ndarray:
-    """Per-node Procrustes transport of a unitary frame (d > 1)."""
-    npts, d, _ = u_all.shape
+def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
+    """Procrustes transport of a unitary frame along the interval, any d.
 
-    def step(k, w_prev):
-        u, vh = u_all[k], vh_all[k]
-        keep = keeps[k]
-        fixed = u[:, keep] @ vh[keep, :]
-        bp = vh[~keep, :].conj().T  # basis of ker e_delta
-        bq = u[:, ~keep]  # basis of the free left subspace
-        if w_prev is None:
-            free = bq @ bp.conj().T
-        else:
-            m = bq.conj().T @ w_prev @ bp
-            if m.size:
-                mu, _, mvh = np.linalg.svd(m)
-                free = bq @ (mu @ mvh) @ bp.conj().T
-            else:
-                free = np.zeros((d, d), dtype=np.complex128)
-        return fixed + free
-
-    w = np.empty_like(u_all)
-    supported = keeps.any(axis=1)
-    if not supported.any():
-        w[:] = step(0, None)
-        return w
-    # transport outward from the first supported node so leading free
-    # nodes continue the support frame instead of an arbitrary one
-    k0 = int(np.argmax(supported))
-    w[k0] = step(k0, None)
-    for k in range(k0 + 1, npts):
-        w[k] = step(k, w[k - 1])
-    for k in range(k0 - 1, -1, -1):
-        w[k] = step(k, w[k + 1])
-    _bridge_free_runs(w, supported)
-    return w
-
-
-def _transport_scalar(phase: np.ndarray, supported: np.ndarray) -> np.ndarray:
-    """The frame transport for d = 1, as an index fill.
-
-    A 1 x 1 Procrustes step copies the neighbour's phase, so every free node
-    takes the phase of the last supported node before it, and the leading
-    free run that of the first supported node. Interior free runs are then
-    bridged phase-linearly, which is the 1 x 1 unitary geodesic.
+    w = u vh at every node that keeps all its directions (with d = 1, every
+    supported node) and at the first supported node. Each later node that
+    keeps some but not all takes the kept part u vh and the Procrustes
+    completion of its free part against the last supported node before it.
+    Fully free nodes copy the nearest supported frame, which is what a
+    Procrustes step from a neighbour gives them, and interior runs of them
+    are then bridged along the unitary geodesic between their flanks.
     """
-    npts = len(phase)
-    if not supported.any():
-        return np.full(npts, phase[0])
+    npts, d, _ = u.shape
+    w = u @ vh
+    supported = keeps[:, 0]  # s is descending
     idx = np.arange(npts)
-    k0 = int(np.argmax(supported))
+    k0 = int(np.argmax(supported))  # 0 when nothing is supported
     left = np.maximum.accumulate(np.where(supported, idx, k0))
+    for k in np.flatnonzero(supported & ~keeps[:, -1] & (idx > k0)):
+        uk, vhk, keep = u[k], vh[k], keeps[k]
+        bp = vhk[~keep].conj().T  # basis of ker e_delta
+        bq = uk[:, ~keep]  # basis of the free left subspace
+        mu, _, mvh = np.linalg.svd(bq.conj().T @ w[left[k - 1]] @ bp)
+        w[k] = uk[:, keep] @ vhk[keep] + bq @ (mu @ mvh) @ bp.conj().T
+    w = w.reshape(npts, d * d)[left].reshape(npts, d, d)
     right = np.minimum.accumulate(np.where(supported, idx, npts)[::-1])[::-1]
-    w = phase[left]
     bridged = (idx > left) & (right < npts)
-    lo, hi = left[bridged], right[bridged]
-    frac = (idx[bridged] - lo) / (hi - lo)
-    w[bridged] = phase[lo] * np.exp(1j * frac * np.angle(phase[lo].conj() * phase[hi]))
+    if bridged.any():
+        lo, hi = left[bridged], right[bridged]
+        w[bridged] = _geodesic(w[lo], w[hi], (idx[bridged] - lo) / (hi - lo))
     return w
 
 
-def _unitary_geodesic(w1: np.ndarray, w2: np.ndarray, count: int) -> np.ndarray:
-    """`count` interior points on the geodesic from w1 to w2 in the unitary
-    group, re-orthonormalized by polar correction."""
-    a = w1.conj().T @ w2
-    evals, vecs = np.linalg.eig(a)
-    angles = np.angle(evals)
-    vinv = np.linalg.inv(vecs)
-    out = np.empty((count,) + w1.shape, dtype=np.complex128)
-    for i in range(count):
-        s = (i + 1.0) / (count + 1.0)
-        interp = w1 @ (vecs * np.exp(1j * s * angles)) @ vinv
-        uu, _, vv = np.linalg.svd(interp)
-        out[i] = uu @ vv
-    return out
-
-
-def _bridge_free_runs(w: np.ndarray, supported: np.ndarray) -> None:
-    """Replace maximal interior runs of fully-free nodes (no pinned singular
-    directions) by geodesic interpolation between the flanking frames."""
-    npts = len(supported)
-    k = 0
-    while k < npts:
-        if supported[k]:
-            k += 1
-            continue
-        start = k
-        while k < npts and not supported[k]:
-            k += 1
-        end = k  # run is [start, end)
-        if start == 0 or end == npts:
-            continue  # boundary runs already continue the support frame
-        w[start:end] = _unitary_geodesic(w[start - 1], w[end], end - start)
+def _geodesic(w1: np.ndarray, w2: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """The points at fractions `frac` along the unitary geodesics from the
+    stack w1 to the stack w2, re-orthonormalized by polar correction; for
+    d = 1 the phase-linear bridge in closed form."""
+    frac = frac[:, None, None]
+    if w1.shape[-1] == 1:
+        return w1 * np.exp(1j * frac * np.angle(w1.conj() * w2))
+    evals, vecs = np.linalg.eig(w1.conj().transpose(0, 2, 1) @ w2)
+    uu, _, vv = np.linalg.svd(
+        w1 @ (vecs * np.exp(1j * frac * np.angle(evals)[:, None, :])) @ np.linalg.inv(vecs))
+    return uu @ vv
 
 
 def _principal(x):

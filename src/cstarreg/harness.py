@@ -7,6 +7,7 @@ chain and the distance bracket."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .gridalg import (
     GridElement,
     decide_extension,
     dist_to_regular,
+    from_svd,
     guard_band,
     lift_cutdown,
     sup_norm,
@@ -72,14 +74,6 @@ def _ramp_fn(delta: float, slope: float, plateau: float):
     return f
 
 
-def _reshape_v_f(ge: GridElement, fs: np.ndarray) -> GridElement:
-    """Pointwise v f(|a|) = u diag(f(s)) vh, given fs = f(s) on the spectrum
-    of ge (f vanishes at 0, so the kernel columns are irrelevant)."""
-    u, _, vh = ge.spectrum()
-    out = np.einsum("kij,kj,kjl->kil", u, fs, vh)
-    return GridElement(domain=ge.domain, values=out)
-
-
 def _min_positive_singular(ge: GridElement) -> float:
     s = ge.singular_values().ravel()
     pos = s[s > opcore.TAU_NONZERO * (1.0 + s.max(initial=0.0))]
@@ -106,7 +100,7 @@ def check_condition3(ge: GridElement, delta: float,
     Without a witness each reshaped element is decided independently.
     """
     max_residual = 0.0
-    _, s, vh = ge.spectrum()
+    u, s, vh = ge.spectrum()
     has_witness = cond2 is not None and cond2.exists and cond2.witness is not None
     shared_decision = None
     if not has_witness:
@@ -114,7 +108,7 @@ def check_condition3(ge: GridElement, delta: float,
         # positive beyond, so all reshaped elements share one support and
         # one extension decision
         f0 = _ramp_fn(delta, float(RAMP_SLOPES[0]), float(RAMP_PLATEAUS[-1]))
-        shared_decision = _decide_polar_decomposable(_reshape_v_f(ge, f0(s)))
+        shared_decision = _decide_polar_decomposable(from_svd(ge.domain, u, f0(s), vh))
         if not shared_decision.exists:
             return ConditionResult(
                 delta=delta, holds=False,
@@ -122,7 +116,7 @@ def check_condition3(ge: GridElement, delta: float,
     for slope in RAMP_SLOPES:
         for plateau in RAMP_PLATEAUS:
             fs = _ramp_fn(delta, slope, plateau)(s)
-            reshaped = _reshape_v_f(ge, fs)
+            reshaped = from_svd(ge.domain, u, fs, vh)
             if has_witness:
                 w = cond2.witness.values
             else:
@@ -150,6 +144,8 @@ def check_equivalences(ge: GridElement, gamma: float, delta_grid,
                        tol_bisect: float | None = None,
                        element_name: str = "element") -> EquivalenceReport:
     delta_grid = sorted(float(d) for d in delta_grid)
+    if not all(math.isfinite(x) for x in (gamma, *delta_grid)):
+        raise ValueError("gamma and every probed delta must be finite")
     eta = guard_band(ge)
     if any(d <= gamma + eta for d in delta_grid):
         raise ValueError("all probed deltas must exceed gamma")

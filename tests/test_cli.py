@@ -149,6 +149,19 @@ class TestCliCommands:
         assert main(["dist", "--input", "disk-z", "--gridN", "32", "--tol", tol]) == 1
         assert "--tol must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["theorem", "--deltas", "0.2,nan"], ["theorem", "--deltas", "0.2,inf"],
+        ["theorem", "--gamma", "nan"], ["theorem", "--gamma=-inf"],
+        ["cutdown", "--delta", "nan"], ["lemma3", "--delta", "inf"]])
+    def test_bad_levels(self, capsys, flags):
+        assert main([*flags, "--input", "osc", "--gridN", "32"]) == 1
+        assert "--delta, --deltas and --gamma must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_bad_n(self, capsys, n):
+        assert main(["lemma3", "--n", n]) == 1
+        assert "--n must be at least 1" in capsys.readouterr().err
+
     def test_gallery_alias_flag(self, capsys):
         assert main(["dist", "--gallery", "linear", "--gridN", "64",
                      "--tol", "0.05"]) == 0

@@ -173,7 +173,8 @@ class TestExtension1d:
 
 def _reference_transport(vals, delta):
     """The per-node Procrustes frame transport, for any d, with one LAPACK
-    SVD per node pair: the reference for the scalar index fill."""
+    SVD per node pair and one per bridged node: the reference for the
+    batched transport of `polar_extension_1d`."""
     npts, d, _ = vals.shape
     u_all, s_all, vh_all = np.linalg.svd(vals)
     keeps = s_all > delta
@@ -233,26 +234,35 @@ def _reference_bound(ge, delta):
     return 10.0 * GridElement(domain=ge.domain, values=cut).modulus() / spread
 
 
-def _assert_matches_reference(ge, delta):
+def _assert_matches_reference(ge, delta, check_bound=True):
+    """Hold polar_extension_1d to the reference transport at delta; returns
+    whether some interior run of nodes keeps no direction (a bridged run).
+    Without `check_bound` the decision is held to the element's own bound:
+    for d > 1 the per-node cut-downs of `_reference_bound` round differently
+    from the batched one."""
     rep = polar_extension_1d(ge, delta)
     ref_w = _reference_transport(ge.values, delta)
     ref_mod = GridElement(domain=ge.domain, values=ref_w).modulus()
-    ref_bound = _reference_bound(ge, delta)
+    bound = rep.modulus_bound
+    if check_bound:
+        bound = _reference_bound(ge, delta)
+        assert rep.modulus_bound == pytest.approx(bound, rel=1e-12)
     assert rep.witness_modulus == pytest.approx(ref_mod, rel=0, abs=1e-12)
-    assert rep.modulus_bound == pytest.approx(ref_bound, rel=1e-12)
-    assert rep.exists == (ref_mod <= ref_bound + 1e-9)
+    assert rep.exists == (ref_mod <= bound + opcore.MODULUS_SLACK)
     if rep.exists:
         assert rep.obstruction is None
         assert np.max(np.abs(rep.witness.values - ref_w)) <= 1e-12
     else:
         assert rep.obstruction["kind"] == "frame-transport"
         assert rep.obstruction["modulus"] == rep.witness_modulus
+    supported = np.flatnonzero(ge.singular_values()[:, 0] > delta)
+    return supported.size > 0 and np.any(np.diff(supported) > 1)
 
 
 CUT_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.1)  # 1.1: empty support
 
 
-class TestScalarTransportMatchesProcrustes:
+class TestTransportMatchesProcrustes:
     @pytest.mark.parametrize("name", ["osc", "osc-bounded", "linear", "const-unitary",
                                       "rankdrop"])
     def test_gallery(self, name):
@@ -267,6 +277,17 @@ class TestScalarTransportMatchesProcrustes:
             top = sup_norm(ge)
             for frac in CUT_FRACTIONS:
                 _assert_matches_reference(ge, frac * top)
+
+    def test_matrix_fields(self):
+        """d = 2, 3 with a rank drop: Procrustes steps at the nodes that keep
+        some directions, and geodesic bridges over interior free runs."""
+        bridged = 0
+        for seed in range(12):
+            ge = _matrix_field(np.random.default_rng(7000 + seed), 64, 2 + seed % 2)
+            top = sup_norm(ge)
+            for frac in (*np.linspace(0.05, 0.95, 19), 1.1):
+                bridged += _assert_matches_reference(ge, frac * top, check_bound=False)
+        assert bridged > 0, bridged
 
     def test_linear_witness_is_exactly_one(self):
         rep = polar_extension_1d(gallery.gallery("linear", 128), 0.3)

@@ -37,6 +37,13 @@ class TestCheckEquivalences:
         with pytest.raises(ValueError):
             check_equivalences(ge, 0.5, [0.3, 0.7])
 
+    @pytest.mark.parametrize("gamma, deltas", [(0.0, [0.2, np.nan]), (np.nan, [0.2]),
+                                               (0.0, [0.2, np.inf]), (-np.inf, [0.2])])
+    def test_rejects_non_finite_levels(self, gamma, deltas):
+        ge = gallery.gallery("osc", 64)
+        with pytest.raises(ValueError, match="must be finite"):
+            check_equivalences(ge, gamma, deltas)
+
     def test_report_dict_shape(self):
         ge = gallery.gallery("linear", 64)
         rep = check_equivalences(ge, 0.0, [0.2, 0.5], element_name="linear")
