@@ -173,16 +173,11 @@ class GridElement:
         return self._svd
 
     def singular_values(self) -> np.ndarray:
-        """The s of `spectrum()`. When d > 1 and no spectrum is kept yet,
-        only the values are computed, and not kept: a one-off element such
-        as a residual never needs its singular vectors, and computing them
-        too makes the batched SVD 1.5-2.5x slower for d = 2, 3 (128 nodes,
-        one OpenBLAS thread)."""
+        """The s of `spectrum()`, so the same values whatever was called
+        before: for d > 1 this computes and keeps the full spectrum."""
         if self.dim == 1:
             return np.abs(self.values[:, :, 0])
-        if self._svd is None:
-            return np.linalg.svd(self.values, compute_uv=False)
-        return self._svd[1]
+        return self.spectrum()[1]
 
 
 @dataclass

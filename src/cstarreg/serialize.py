@@ -89,7 +89,9 @@ def load_json(path) -> dict:
 
 
 def sweep_csv_lines(rows) -> list[str]:
-    """Per-delta sweep table: delta, cond2, cond3, cond4, residual."""
+    """Per-delta sweep table: delta, cond2, cond3, cond4, residual, where
+    residual is condition (3)'s bound on ||w f(|a|) - v f(|a|)|| over the
+    sampled ramps f (0.0 when no extension decision succeeds)."""
     out = ["delta,cond2,cond3,cond4,residual"]
     for r in rows:
         out.append(f"{r['delta']},{int(r['cond2'])},{int(r['cond3'])},"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cstarreg.gridalg import GridElement, interval_domain
+
 
 @pytest.fixture
 def rng():
@@ -62,3 +64,18 @@ def svd_inputs(monkeypatch):
         return orig(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", recorded)
     return inputs
+
+
+def matrix_field(rng, n, d):
+    """Trig-polynomial C([0,1], M_d) field, multiplied on the right by
+    1 + (t - t0 - 1) p p*, which drops rank at a seeded t0."""
+    t = np.linspace(0.0, 1.0, n)[:, None, None]
+    vals = np.tile(0.5 * np.eye(d, dtype=complex), (n, 1, 1))
+    for k in range(3):
+        a, b = (0.3 / (k + 1) ** 2 * (rng.standard_normal((2, d, d))
+                                      + 1j * rng.standard_normal((2, d, d))))
+        vals = vals + np.cos(np.pi * k * t) * a + np.sin(np.pi * k * t) * b
+    p = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    p /= np.linalg.norm(p)
+    vals = vals @ (np.eye(d) + (t - rng.uniform(0.2, 0.8) - 1.0) * np.outer(p, p.conj()))
+    return GridElement(domain=interval_domain(n), values=vals)

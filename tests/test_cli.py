@@ -132,6 +132,19 @@ class TestCliCommands:
         assert lines[0] == "delta,cond2,cond3,cond4,residual"
         assert len(lines) == 3
 
+    def test_theorem_csv_flags_and_residual_bound(self, capsys):
+        argv = ["theorem", "--input", "osc", "--gridN", "128", "--tol", "0.01"]
+        assert main(argv) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "delta,cond2,cond3,cond4,residual"
+        rows = [line.split(",") for line in lines[1:]]
+        for k, key in enumerate(("cond2", "cond3", "cond4"), start=1):
+            assert [r[k] for r in rows] == [str(int(c)) for c in rep[key]]
+        # the condition-(3) bound, its rounding term included
+        assert all(0.0 < float(r[4]) < 1e-12 for r in rows)
+
     def test_unknown_gallery_exits_one(self, capsys):
         assert main(["dist", "--input", "not-a-thing"]) == 1
         assert "error:" in capsys.readouterr().err

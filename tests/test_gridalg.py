@@ -25,6 +25,8 @@ from cstarreg.gridalg import (
     uniform_gap_regular,
 )
 
+from conftest import matrix_field
+
 
 class TestDomains:
     def test_interval_too_small(self):
@@ -66,6 +68,21 @@ class TestSpectrum:
         eye = np.eye(d)
         assert np.max(np.abs(np.einsum("kji,kjl->kil", u.conj(), u) - eye)) <= 1e-12
         assert np.max(np.abs(np.einsum("kij,klj->kil", vh, vh.conj()) - eye)) <= 1e-12
+
+    def test_singular_values_ignore_call_order(self):
+        # LAPACK's values-only SVD and its full SVD can differ in the last
+        # ulp; each quantity is read from a fresh element and from one whose
+        # spectrum() ran first
+        for seed in range(12):
+            vals = matrix_field(np.random.default_rng(seed), 64, 2 + seed % 2).values
+
+            def element(primed):
+                ge = GridElement(domain=interval_domain(64), values=vals)
+                if primed:
+                    ge.spectrum()
+                return ge
+            assert sup_norm(element(False)) == sup_norm(element(True))
+            assert dist_to_regular(element(False), 0.005) == dist_to_regular(element(True), 0.005)
 
     def test_scalar_phase(self):
         f = np.array([0.0, 2.0, -0.5, 3e-200, 0.3 + 0.4j, 0.0] * 4)
@@ -283,7 +300,7 @@ class TestTransportMatchesProcrustes:
         some directions, and geodesic bridges over interior free runs."""
         bridged = 0
         for seed in range(12):
-            ge = _matrix_field(np.random.default_rng(7000 + seed), 64, 2 + seed % 2)
+            ge = matrix_field(np.random.default_rng(7000 + seed), 64, 2 + seed % 2)
             top = sup_norm(ge)
             for frac in (*np.linspace(0.05, 0.95, 19), 1.1):
                 bridged += _assert_matches_reference(ge, frac * top, check_bound=False)
@@ -682,27 +699,12 @@ class TestDistToRegular:
             signal.signal(signal.SIGALRM, previous)
 
 
-def _matrix_field(rng, n, d):
-    """Trig-polynomial C([0,1], M_d) field, multiplied on the right by
-    1 + (t - t0 - 1) p p*, which drops rank at a seeded t0."""
-    t = np.linspace(0.0, 1.0, n)[:, None, None]
-    vals = np.tile(0.5 * np.eye(d, dtype=complex), (n, 1, 1))
-    for k in range(3):
-        a, b = (0.3 / (k + 1) ** 2 * (rng.standard_normal((2, d, d))
-                                      + 1j * rng.standard_normal((2, d, d))))
-        vals = vals + np.cos(np.pi * k * t) * a + np.sin(np.pi * k * t) * b
-    p = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    p /= np.linalg.norm(p)
-    vals = vals @ (np.eye(d) + (t - rng.uniform(0.2, 0.8) - 1.0) * np.outer(p, p.conj()))
-    return GridElement(domain=interval_domain(n), values=vals)
-
-
 def _monotone_case(kind, seed):
     rng = np.random.default_rng(6000 + seed)
     if kind == "scalar-interval":
         return gallery.random_scalar_field_1d(128, rng)
     if kind == "matrix-interval":
-        return _matrix_field(rng, 64, 2 + seed % 2)
+        return matrix_field(rng, 64, 2 + seed % 2)
     return gallery.random_scalar_field_2d(16, 64, rng, winding=seed % 3)
 
 

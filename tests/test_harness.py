@@ -3,8 +3,118 @@ import pytest
 
 from cstarreg import gallery
 from cstarreg.errors import NoWitness
-from cstarreg.gridalg import GridElement, sup_norm, uniform_gap_regular
-from cstarreg.harness import check_equivalences, regular_approximant
+from cstarreg.gridalg import (
+    GridElement,
+    decide_extension,
+    from_svd,
+    sup_norm,
+    uniform_gap_regular,
+)
+from cstarreg.harness import (
+    RAMP_PLATEAUS,
+    RAMP_SLOPES,
+    RAMP_TOL,
+    _decide_polar_decomposable,
+    _ramp_bounds,
+    check_condition3,
+    check_equivalences,
+    regular_approximant,
+)
+
+from conftest import matrix_field
+
+
+def _reference_condition3(ge, delta, cond2):
+    """Condition (3) as a loop over the 25 sampled ramps: per ramp f, the
+    sup over the nodes of ||w f(|a|) - v f(|a|)||, with v f(|a|) the element
+    u f(s) vh and w the condition-(2) witness, or without one the witness of
+    the one decision shared by every ramp. Returns (holds, residuals of shape
+    (slopes, plateaus), w), or (False, None, None) when that decision fails."""
+    u, s, vh = ge.spectrum()
+    has_witness = cond2 is not None and cond2.exists and cond2.witness is not None
+    if has_witness:
+        w = cond2.witness.values
+    else:
+        f0 = np.minimum(np.maximum(s - delta, 0.0) * RAMP_SLOPES[0], RAMP_PLATEAUS[-1])
+        shared = _decide_polar_decomposable(from_svd(ge.domain, u, f0, vh))
+        if not shared.exists:
+            return False, None, None
+        w = shared.witness.values
+    holds = True
+    residuals = np.empty((RAMP_SLOPES.size, RAMP_PLATEAUS.size))
+    for i, slope in enumerate(RAMP_SLOPES):
+        for j, plateau in enumerate(RAMP_PLATEAUS):
+            fs = np.minimum(np.maximum(s - delta, 0.0) * slope, plateau)
+            fabs = np.einsum("kji,kj,kjl->kil", vh.conj(), fs, vh)
+            diff = w @ fabs - from_svd(ge.domain, u, fs, vh).values
+            residuals[i, j] = sup_norm(GridElement(domain=ge.domain, values=diff))
+            if has_witness and residuals[i, j] > RAMP_TOL * (1.0 + fs.max()):
+                holds = False
+    return holds, residuals, w
+
+
+def _gallery_cases():
+    for name in ("osc", "osc-bounded", "linear", "const-unitary", "rankdrop"):
+        for n in (64, 128, 256):
+            ge = gallery.gallery(name, n)
+            yield ge, np.linspace(0.1, 0.9, 5) * sup_norm(ge)
+
+
+def _criterion_8_cases():
+    for name in ("osc", "osc-bounded", "linear", "const-unitary", "rankdrop"):
+        yield gallery.gallery(name, 128), [0.25, 0.5, 0.75]
+    # winding 1 blocks every level below 1, so only verdicts are compared
+    yield gallery.gallery("disk-z", 32), [0.5, 0.95]
+    for seed in range(50):
+        ge = gallery.random_scalar_field_1d(128, np.random.default_rng(4000 + seed))
+        yield ge, np.array([0.25, 0.5, 0.75]) * sup_norm(ge)
+    for seed in range(20):
+        rng = np.random.default_rng(5000 + seed)
+        ge = gallery.random_scalar_field_2d(16, 64, rng, winding=1 if seed % 4 == 0 else 0)
+        yield ge, [0.5 * sup_norm(ge)]
+
+
+def _matrix_cases():
+    for seed in range(16):
+        ge = matrix_field(np.random.default_rng(7000 + seed), 64, 2 + seed % 2)
+        yield ge, np.linspace(0.1, 0.9, 5) * sup_norm(ge)
+
+
+class TestCondition3Bound:
+    @pytest.mark.parametrize("cases", [_gallery_cases, _criterion_8_cases, _matrix_cases],
+                             ids=["gallery", "criterion-8", "matrix-fields"])
+    def test_bound_covers_every_sampled_ramp(self, cases):
+        bounded = 0
+        for ge, deltas in cases():
+            for delta in deltas:
+                rep2 = decide_extension(ge, delta)
+                holds, residuals, w = _reference_condition3(ge, delta, rep2)
+                assert check_condition3(ge, delta, rep2).holds == holds
+                if residuals is not None:
+                    bounds, _ = _ramp_bounds(ge, delta, w)
+                    assert np.all(bounds >= residuals)
+                    bounded += 1
+        assert bounded > 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_nudged_cut_weights_each_direction_by_its_own_ramp(self, d):
+        # decide_extension moves the cut 0.6 to 0.60000004. On osc at 256
+        # nodes, node 153 has s = 0.6 + 1 ulp: above the ramps' delta, so
+        # f(s) > 0 there, but free for the witness, where |w - v| = 0.011.
+        # Its own f(s) is below 1e-13. Weighted by the largest f over the
+        # nodes (d = 1), or by f(0.9) at the same node for diag(osc, 0.9)
+        # (d = 2), it would fail condition (3).
+        osc = gallery.gallery("osc", 256)
+        vals = np.zeros((256, d, d), dtype=complex)
+        vals[:, 0, 0] = osc.values[:, 0, 0]
+        vals[:, 1:, 1:] = 0.9 * np.eye(d - 1)
+        ge = GridElement(domain=osc.domain, values=vals)
+        rep2 = decide_extension(ge, 0.6)
+        assert rep2.delta > 0.6
+        c3 = check_condition3(ge, 0.6, rep2)
+        assert c3.holds and c3.detail["max_ramp_residual"] < 1e-12
+        assert _reference_condition3(ge, 0.6, rep2)[0]
+        assert check_equivalences(ge, 0.0, [0.6]).verdict == "consistent"
 
 
 class TestCheckEquivalences:
@@ -89,6 +199,12 @@ class TestRegularApproximant:
         ge = gallery.gallery("linear", 64)
         with pytest.raises(ValueError):
             regular_approximant(ge, 0.2, 0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        ge = gallery.gallery("linear", 64)
+        with pytest.raises(ValueError, match="finite and positive"):
+            regular_approximant(ge, 0.2, eps)
 
     def test_distance_beats_naive_bound(self):
         ge = gallery.gallery("linear", 64)
