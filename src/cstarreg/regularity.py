@@ -20,22 +20,22 @@ from .errors import (
 from .opcore import SVDFrame, as_matrix, op_norm
 
 COND_LIMIT = 1e6
+PENROSE_TOL = 1e-12  # on each Penrose residual, scaled by its own degree
+BLOCK_TOL = 1e-8  # on the corner residuals of the block factorization
 
 
 @dataclass(frozen=True)
 class GapCertificate:
-    """Certifies that eigenvalues of a*a split into {<= zero_tol} and
-    {>= epsilon^2}; epsilon is the spectral gap of |a| above zero."""
+    """Certifies that eigenvalues of a*a split into {<= (TAU_RANK ||a||)^2}
+    and {>= epsilon^2}; epsilon is the spectral gap of |a| above zero."""
 
     epsilon: float
-    zero_tol: float
 
 
 @dataclass
 class RegularityReport:
     is_regular: bool
     gap: GapCertificate | None
-    witness: np.ndarray | None
     mp_inverse: np.ndarray | None
     frame: SVDFrame  # the one SVD of a that gap and mp_inverse are read from
 
@@ -45,8 +45,7 @@ def _certificate(frame: SVDFrame) -> GapCertificate:
     # below the square of the polar rank cut TAU_RANK ||a|| count as zero
     rank_cut = opcore.TAU_RANK * frame.norm
     above = frame.s[frame.s > rank_cut]  # descending
-    return GapCertificate(epsilon=float(above[-1]) if above.size else math.inf,
-                          zero_tol=rank_cut**2)
+    return GapCertificate(epsilon=float(above[-1]) if above.size else math.inf)
 
 
 def gap_certificate(a) -> GapCertificate:
@@ -69,11 +68,11 @@ def is_regular(a) -> RegularityReport:
     frame = SVDFrame.of(a)
     ur, s, wr = frame.above(opcore.TAU_RANK * frame.norm)
     mp = (wr / s) @ ur.conj().T
-    return RegularityReport(is_regular=True, gap=_certificate(frame), witness=mp,
-                            mp_inverse=mp, frame=frame)
+    return RegularityReport(is_regular=True, gap=_certificate(frame), mp_inverse=mp,
+                            frame=frame)
 
 
-def verify_penrose(a, b, tol: float = 1e-12) -> bool:
+def verify_penrose(a, b) -> bool:
     """All four Penrose identities: aba = a, bab = b, ab and ba Hermitian
     idempotents. Each residual is divided by the product of norms of its own
     degree, ||aba - a|| by ||a||^2 ||b||, ||bab - b|| by ||a|| ||b||^2, the
@@ -99,7 +98,7 @@ def verify_penrose(a, b, tol: float = 1e-12) -> bool:
         op_norm(ab @ ab - ab) / nab**2,
         op_norm(ba @ ba - ba) / nab**2,
     ]
-    return max(checks) <= tol
+    return max(checks) <= PENROSE_TOL
 
 
 def _cond(u) -> float:
@@ -134,7 +133,7 @@ def conjugate_regular_witness(a, b, u, u_inv, v, v_inv, tol: float = 1e-8) -> np
     return c
 
 
-def block_factorize(x, p, q, a_dag, tol: float = 1e-8):
+def block_factorize(x, p, q, a_dag):
     """Factor x = L D where, blockwise along (q, 1-q) x (p, 1-p),
     L = [[q, 0], [c a^+, 1-q]] and D = [[a, 0], [0, d]].
 
@@ -146,10 +145,10 @@ def block_factorize(x, p, q, a_dag, tol: float = 1e-8):
     n = x.shape[0]
     eye = np.eye(n)
     scale = 1.0 + op_norm(x)
-    if op_norm(q @ x @ (eye - p)) > tol * scale:
+    if op_norm(q @ x @ (eye - p)) > BLOCK_TOL * scale:
         raise OffDiagonalNotZero("q x (1-p) does not vanish")
     a = q @ x @ p
-    if op_norm(a @ a_dag - q) > tol or op_norm(a_dag @ a - p) > tol:
+    if op_norm(a @ a_dag - q) > BLOCK_TOL or op_norm(a_dag @ a - p) > BLOCK_TOL:
         raise CornerNotInvertible("a_dag does not invert the corner q x p")
     c = (eye - q) @ x @ p
     d = (eye - q) @ x @ (eye - p)
@@ -158,20 +157,13 @@ def block_factorize(x, p, q, a_dag, tol: float = 1e-8):
     return ell, dd
 
 
-def block_inverse_of_l(x, p, q, a_dag) -> np.ndarray:
-    x, p, q, a_dag = map(as_matrix, (x, p, q, a_dag))
-    eye = np.eye(x.shape[0])
-    c = (eye - q) @ x @ p
-    return eye - c @ a_dag
-
-
-def block_regular_iff(x, p, q, a_dag, tol: float = 1e-8):
+def block_regular_iff(x, p, q, a_dag):
     """Regularity of x agrees with regularity of the lower corner
     d = (1-q) x (1-p); both flags use the same relative rank cut.
     Corner regularity is tested inside the ambient algebra, which is
     legitimate because regularity does not depend on the containing corner.
     """
-    ell, dd = block_factorize(x, p, q, a_dag, tol=tol)
+    block_factorize(x, p, q, a_dag)  # raises unless x has the block shape
     eye = np.eye(as_matrix(x).shape[0])
     d = (eye - as_matrix(q)) @ as_matrix(x) @ (eye - as_matrix(p))
     x_reg = is_regular(x).is_regular

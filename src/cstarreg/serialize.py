@@ -71,7 +71,10 @@ def grid_element_from_dict(d: dict) -> GridElement:
         points = [matrix_from_dict(p) for p in d["points"]]
     except (KeyError, TypeError) as exc:
         raise InputParse(f"bad grid element JSON: {exc}") from exc
-    return GridElement(domain=dom, values=np.stack(points))
+    values = np.stack(points)
+    if not np.all(np.isfinite(values)):
+        raise InputParse("grid values must be finite")
+    return GridElement(domain=dom, values=values)
 
 
 def dump_json(obj: dict, path) -> None:
@@ -90,10 +93,12 @@ def load_json(path) -> dict:
 
 def sweep_csv_lines(rows) -> list[str]:
     """Per-delta sweep table: delta, cond2, cond3, cond4, residual, where
-    residual is condition (3)'s bound on ||w f(|a|) - v f(|a|)|| over the
-    sampled ramps f (0.0 when no extension decision succeeds)."""
+    residual is condition (3)'s bound on ||w f(|a|) - v f(|a|)||: its largest
+    value over the sampled ramps f when (3) holds, the first bound that fails
+    when it does not, and empty when no extension decision succeeds."""
     out = ["delta,cond2,cond3,cond4,residual"]
     for r in rows:
+        residual = "" if r["residual"] is None else r["residual"]
         out.append(f"{r['delta']},{int(r['cond2'])},{int(r['cond3'])},"
-                   f"{int(r['cond4'])},{r['residual']}")
+                   f"{int(r['cond4'])},{residual}")
     return out

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from cstarreg import gallery, serialize
+from cstarreg import gallery, harness, serialize
 from cstarreg.cli import main
 from cstarreg.errors import InputParse
-from cstarreg.gridalg import GridElement, interval_domain
+from cstarreg.gridalg import GridElement, decide_extension, interval_domain
 from cstarreg.opcore import op_norm
 
 from conftest import random_complex, random_projection
@@ -41,6 +41,8 @@ class TestSerialize:
         lines = serialize.sweep_csv_lines(rows)
         assert lines[0] == "delta,cond2,cond3,cond4,residual"
         assert lines[1] == "0.5,1,1,0,1e-09"
+        rows[0].update(cond2=False, cond3=False, residual=None)
+        assert serialize.sweep_csv_lines(rows)[1] == "0.5,0,0,0,"
 
 
 class TestGalleryConstruction:
@@ -145,6 +147,36 @@ class TestCliCommands:
         # the condition-(3) bound, its rounding term included
         assert all(0.0 < float(r[4]) < 1e-12 for r in rows)
 
+    DISK_Z_ARGV = ["theorem", "--input", "disk-z", "--gridN", "64", "--gamma", "0.3",
+                   "--deltas", "0.5,0.95"]
+
+    def test_theorem_residual_null_without_decision(self, capsys):
+        """No extension decision succeeds on disk-z at these levels, so no
+        residual was computed: JSON null and an empty CSV field, not 0.0."""
+        assert main(self.DISK_Z_ARGV) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["cond3"] == [False, False]
+        assert [r["residual"] for r in rep["sweep"]] == [None, None]
+        assert main(self.DISK_Z_ARGV + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip("\n").splitlines()
+        assert lines[1:] == ["0.5,0,0,0,", "0.95,0,0,0,"]
+
+    def test_theorem_residual_is_the_failing_bound(self, capsys, monkeypatch):
+        """With RAMP_TOL = 0 every witness fails condition (3); the sweep
+        reports the bound that failed, the same in JSON and CSV."""
+        monkeypatch.setattr(harness, "RAMP_TOL", 0.0)
+        argv = ["theorem", "--input", "osc", "--gridN", "128", "--tol", "0.01"]
+        assert main(argv) == 2
+        rep = json.loads(capsys.readouterr().out)
+        ge = gallery.gallery("osc", 128)
+        assert rep["cond2"] == [True] * 4 and rep["cond3"] == [False] * 4
+        for row in rep["sweep"]:
+            c3 = harness.check_condition3(ge, row["delta"], decide_extension(ge, row["delta"]))
+            assert row["residual"] == c3.detail["ramp_residual"] > 0.0
+        assert main(argv + ["--format", "csv"]) == 2
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert [float(r[4]) for r in rows] == [r["residual"] for r in rep["sweep"]]
+
     def test_unknown_gallery_exits_one(self, capsys):
         assert main(["dist", "--input", "not-a-thing"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -175,10 +207,6 @@ class TestCliCommands:
         assert main(["lemma3", "--n", n]) == 1
         assert "--n must be at least 1" in capsys.readouterr().err
 
-    def test_gallery_alias_flag(self, capsys):
-        assert main(["dist", "--gallery", "linear", "--gridN", "64",
-                     "--tol", "0.05"]) == 0
-
     def test_grid_input_from_file(self, tmp_path, capsys):
         ge = GridElement(domain=interval_domain(32),
                          values=np.full((32, 1, 1), 0.7 + 0j))
@@ -187,3 +215,16 @@ class TestCliCommands:
         assert main(["dist", "--input", str(f), "--tol", "0.05"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["cond1"]["lower"] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["linear", "rankdrop"])
+    @pytest.mark.parametrize("command", [["dist"], ["theorem", "--deltas", "0.5"]])
+    def test_nonfinite_grid_file_exits_one(self, tmp_path, capsys, bad, name, command):
+        """A NaN or inf in a grid file (d = 1 or d = 2) is an input error
+        with its own reason, before any decision runs."""
+        d = serialize.grid_element_to_dict(gallery.gallery(name, 32))
+        d["points"][5]["re"][0][0] = bad
+        f = tmp_path / "bad.json"
+        serialize.dump_json(d, f)
+        assert main([*command, "--input", str(f), "--tol", "0.05"]) == 1
+        assert capsys.readouterr().err == "error: grid values must be finite\n"

@@ -3,11 +3,7 @@ import pytest
 
 from cstarreg.errors import SpectralCollision, TooFar
 from cstarreg.opcore import abs_of, eta_sep, op_norm
-from cstarreg.pipeline import (
-    approx_polar_from_pipeline,
-    construct_partial_isometry,
-    verify_block_shape,
-)
+from cstarreg.pipeline import approx_polar_from_pipeline, construct_partial_isometry
 
 from conftest import random_complex, random_with_spectrum
 
@@ -35,6 +31,30 @@ class TestShortCircuit:
         assert op_norm(trace.w @ trace.e_delta - trace.v @ trace.e_delta) <= 1e-10
 
 
+FINAL_CHECKS = {"partial_isometry", "final_we_delta", "final_f_delta_w"}
+BLOCK_CHECKS = {"cross_term", *(f"block_{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3))}
+FULL_CHECKS = FINAL_CHECKS | BLOCK_CHECKS | {
+    "y_unit_norm", "x_decomposition", "beta_g_sup_bound", "t_invertible",
+    "corner_identity", "f_gamma_b", "f_gamma_v", "abs_c_e1", "f1_abs_cstar"}
+
+
+class TestCheckKeys:
+    """The residuals lemma3 reports: 3 on the short circuit, 22 on the full
+    path. Both paths share one tail, so neither may drop or add one."""
+
+    def test_short_circuit_keys(self, rng):
+        a = random_complex(rng, 4)
+        trace = construct_partial_isometry(a, a.copy(), 0.3 * op_norm(a))
+        assert trace.short_circuit
+        assert set(trace.checks) == FINAL_CHECKS
+
+    def test_full_path_keys(self):
+        a, x = _instance(3, 6, 0.5)
+        trace = construct_partial_isometry(a, x, 0.5)
+        assert not trace.short_circuit
+        assert len(FULL_CHECKS) == 22 and set(trace.checks) == FULL_CHECKS
+
+
 class TestHandCase:
     def test_diagonal_example(self):
         a = np.diag([3.0, 0.1]).astype(complex)
@@ -59,9 +79,7 @@ class TestRandomInstances:
     def test_block_shape(self):
         a, x = _instance(3, 6, 0.5)
         trace = construct_partial_isometry(a, x, 0.5)
-        blocks = verify_block_shape(trace)
-        assert len(blocks) == 10
-        assert max(blocks.values()) <= 1e-7
+        assert max(trace.checks[k] for k in BLOCK_CHECKS) <= 1e-7
 
     def test_beta_g_bound_is_tight(self):
         a, x = _instance(7, 5, 0.9)
