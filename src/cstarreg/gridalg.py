@@ -6,9 +6,14 @@ for the distance to the regular elements.
 Scalar partial isometries on a connected domain are unitary-or-zero; both
 extension procedures build on that classification. The 1-D procedure
 transports a unitary frame along the interval, one `_transport` for every
-d: u vh in one stacked product, a Procrustes step only at the nodes that
-keep some but not all singular directions, an index fill for the nodes that
-keep none, and one batched geodesic over the interior runs of those. The
+d, in frame coordinates w = u X vh of the pointwise SVD: X = 1 except at
+the nodes that keep some but not all singular directions, where its free
+block is the Procrustes step against the last supported node, the polar
+factor of an r x r block read off two stacked products (in closed form for
+r <= 2). Nodes that keep none take an index fill, and one batched geodesic
+bridges their interior runs. On the interval `dist_to_regular` decides the
+lowest bisection rung first, which settles the bracket in one decision
+whenever the distance is 0, as it is in C([0,1], M_d). The
 2-D scalar procedure decides by discrete Stokes on the polar
 grid: every edge carries the integer jump of its wrapped phase step, every
 face (quad or centre polygon) the integer charge summed around it, and the
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -30,6 +36,9 @@ from . import opcore
 from .errors import PhaseUnwrapAliasing, SpectralCollision
 
 ALIAS_GUARD = np.pi / 2  # max tolerated adjacent-point phase jump
+# |det m| / ||m||_F^2 (about s2/s1) at or below which det m is rounding of
+# zero and the 2 x 2 polar factor comes from the SVD
+POLAR2_DET_FLOOR = opcore.TAU_NONZERO
 
 
 @dataclass(frozen=True)
@@ -281,29 +290,79 @@ def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
                            modulus_bound=bound, delta=delta)
 
 
-def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
-    """Procrustes transport of a unitary frame along the interval, any d.
+def _polar_block(m: list) -> list:
+    """Unitary polar factor of a small square block given as nested lists of
+    Python complex numbers, returned the same way.
 
-    w = u vh at every node that keeps all its directions (with d = 1, every
-    supported node) and at the first supported node. Each later node that
-    keeps some but not all takes the kept part u vh and the Procrustes
-    completion of its free part against the last supported node before it.
-    Fully free nodes copy the nearest supported frame, which is what a
-    Procrustes step from a neighbour gives them, and interior runs of them
-    are then bridged along the unitary geodesic between their flanks.
+    r = 1: m/|m|, and 1 when m = 0, as LAPACK. r = 2: the closed form
+    (m + (det m/|det m|) adj(m)*) / sqrt(||m||_F^2 + 2 |det m|) (Higham,
+    Functions of Matrices, SIAM 2008, 8.1), since p + |det m| p^-1 =
+    (s1 + s2) 1 for the 2 x 2 positive part p. Like LAPACK's, its result
+    is unitary to rounding and within about eps s1/s2 of the exact factor,
+    which is as sensitive as that. At or below POLAR2_DET_FLOOR (det m = 0
+    included), and for r >= 3, LAPACK's SVD.
+    """
+    if len(m) == 1:
+        y = m[0][0]
+        return [[y / abs(y) if y else 1.0 + 0j]]
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        det = a * d - b * c
+        adet = abs(det)
+        fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+        if adet > POLAR2_DET_FLOOR * fro2:
+            ph = det / adet
+            scale = 1.0 / math.sqrt(fro2 + 2.0 * adet)
+            return [[(a + ph * d.conjugate()) * scale, (b - ph * c.conjugate()) * scale],
+                    [(c - ph * b.conjugate()) * scale, (d + ph * a.conjugate()) * scale]]
+    mu, _, mvh = np.linalg.svd(np.array(m))
+    return (mu @ mvh).tolist()
+
+
+def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
+    """Procrustes transport of a unitary frame along the interval, any d,
+    carried in frame coordinates.
+
+    Every node's frame is w = u X vh. X = 1 at every node that keeps all
+    its directions (with d = 1, every supported node) and at the first
+    supported node. At each later node k that keeps some but not all, X is
+    1 on the kept block and the r x r unitary U_k on the free block:
+    U_k = polar of the free block of T X_prev S, with prev the last
+    supported node before k, T = u_k* u_prev and S = vh_prev vh_k*, which
+    is the Procrustes completion of the free part against w_prev. T and S
+    come in one stacked product each; the loop carries only the U, by
+    `_polar_block`, and w = u X vh at those nodes is one more stacked
+    product. Fully free nodes copy the nearest supported frame, which is
+    what a Procrustes step from a neighbour gives them, and interior runs
+    of them are then bridged along the unitary geodesic between their
+    flanks.
     """
     npts, d, _ = u.shape
     w = u @ vh
-    supported = keeps[:, 0]  # s is descending
+    supported = keeps[:, 0]  # s is descending, so each node keeps a prefix
     idx = np.arange(npts)
     k0 = int(np.argmax(supported))  # 0 when nothing is supported
     left = np.maximum.accumulate(np.where(supported, idx, k0))
-    for k in np.flatnonzero(supported & ~keeps[:, -1] & (idx > k0)):
-        uk, vhk, keep = u[k], vh[k], keeps[k]
-        bp = vhk[~keep].conj().T  # basis of ker e_delta
-        bq = uk[:, ~keep]  # basis of the free left subspace
-        mu, _, mvh = np.linalg.svd(bq.conj().T @ w[left[k - 1]] @ bp)
-        w[k] = uk[:, keep] @ vhk[keep] + bq @ (mu @ mvh) @ bp.conj().T
+    part = np.flatnonzero(supported & ~keeps[:, -1] & (idx > k0))
+    if part.size:
+        prev = left[part - 1]
+        ts = (u[part].conj().transpose(0, 2, 1) @ u[prev]).tolist()
+        # S transposed, so that each list holds a column of S
+        scols = (vh[part].conj() @ vh[prev].transpose(0, 2, 1)).tolist()
+        kept = keeps[part].sum(axis=1).tolist()
+        carried = {}  # node -> (kept directions, U of its free block)
+        for k, p, m, t, cols in zip(part.tolist(), prev.tolist(), kept, ts, scols):
+            cols = cols[m:]  # the free columns of S, then of X_prev S
+            if p in carried:
+                mp, up = carried[p]
+                cols = [col[:mp] + [sum(map(mul, urow, col[mp:])) for urow in up]
+                        for col in cols]
+            carried[k] = m, _polar_block([[sum(map(mul, row, col)) for col in cols]
+                                          for row in t[m:]])
+        x = np.tile(np.eye(d, dtype=np.complex128), (part.size, 1, 1))
+        for i, (m, up) in enumerate(carried.values()):
+            x[i, m:, m:] = up
+        w[part] = u[part] @ x @ vh[part]
     w = w.reshape(npts, d * d)[left].reshape(npts, d, d)
     right = np.minimum.accumulate(np.where(supported, idx, npts)[::-1])[::-1]
     bridged = (idx > left) & (right < npts)
@@ -561,6 +620,12 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     explicit regular approximant. Returns (lower, upper); the interval never
     collapses to a point because grid error is irreducible, and tol_bisect
     must be finite and positive (ValueError otherwise).
+
+    On the interval the lowest rung hi 2^-k, the smallest at or below
+    tol_bisect, is decided first. C([0,1], M_d) has stable rank one, so
+    the distance is 0 and every midpoint succeeds; the rung is then the
+    last midpoint of the bisection, and (0, rung) its bracket. When the
+    rung fails (or collides), the bisection runs as on the disk.
     """
     if not 0.0 < tol_bisect < math.inf:
         raise ValueError(f"tol_bisect must be finite and positive, got {tol_bisect}")
@@ -568,6 +633,15 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     if not decide_extension(ge, hi).exists:
         raise SpectralCollision("extension unexpectedly failed above the norm")
     lo = 0.0
+    if ge.domain.kind == "interval-1d":
+        rung = hi
+        while rung > tol_bisect:
+            rung *= 0.5  # 0.5 * (0 + hi), as a midpoint
+        try:
+            if rung < hi and decide_extension(ge, rung).exists:
+                return lo, rung
+        except SpectralCollision:
+            pass
     while hi - lo > tol_bisect:
         mid = 0.5 * (lo + hi)
         if decide_extension(ge, mid).exists:

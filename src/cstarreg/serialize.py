@@ -37,7 +37,10 @@ def matrix_from_dict(d: dict) -> np.ndarray:
         raise InputParse(f"bad matrix JSON: {exc}") from exc
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise InputParse(f"matrix JSON shape mismatch: {re.shape} vs ({rows}, {cols})")
-    return re + 1j * im
+    # part by part: re + 1j * im would turn an infinite part into a NaN, with a warning
+    a = np.empty((rows, cols), dtype=np.complex128)
+    a.real, a.imag = re, im
+    return a
 
 
 def domain_to_dict(dom: GridDomain) -> dict:

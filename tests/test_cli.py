@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,22 @@ class TestCliCommands:
     def test_unknown_gallery_exits_one(self, capsys):
         assert main(["dist", "--input", "not-a-thing"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity"])
+    def test_infinite_matrix_entry_exits_one_without_warning(self, tmp_path, capsys,
+                                                             part, value):
+        """An infinite real or imaginary part is an input error with its own
+        reason, and no numpy warning reaches stderr before it."""
+        parts = {"re": "[[1.0]]", "im": "[[0.0]]"}
+        parts[part] = f"[[{value}]]"
+        f = tmp_path / "inf.json"
+        f.write_text(f'{{"rows": 1, "cols": 1, "re": {parts["re"]}, "im": {parts["im"]}}}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["mp", "--input", str(f)]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == "error: matrix entries must be finite\n"
 
     def test_bad_input_file_exits_one(self, tmp_path, capsys):
         f = tmp_path / "garbage.json"

@@ -25,7 +25,7 @@ from cstarreg.gridalg import (
     uniform_gap_regular,
 )
 
-from conftest import matrix_field
+from conftest import matrix_field, random_complex, random_with_spectrum
 
 
 class TestDomains:
@@ -310,6 +310,115 @@ class TestTransportMatchesProcrustes:
         rep = polar_extension_1d(gallery.gallery("linear", 128), 0.3)
         assert rep.witness_modulus == 0.0
         assert np.all(rep.witness.values == 1.0)
+
+    def test_three_free_directions_take_the_svd(self, svd_inputs):
+        """d = 4 cut above the second singular value somewhere: nodes that
+        keep one direction have an r = 3 free block, polar by LAPACK."""
+        shapes = set()
+        for seed in range(4):
+            ge = matrix_field(np.random.default_rng(7100 + seed), 64, 4)
+            ge.spectrum()
+            top = sup_norm(ge)
+            for frac in np.linspace(0.1, 0.9, 9):
+                start = len(svd_inputs)
+                polar_extension_1d(ge, frac * top)
+                shapes.update(shape for shape, _ in svd_inputs[start:])
+                _assert_matches_reference(ge, frac * top, check_bound=False)
+        assert (3, 3) in shapes, shapes
+
+    def test_degenerate_free_block(self, svd_inputs):
+        """d = 3, one kept direction: at node 32 the kept left direction
+        swaps with a free one, so the free block against node 31 is
+        [[0, 0], [0, 1]], det = 0, and the SVD fallback closes the step.
+        A ramp in the third column then keeps the later frames moving."""
+        n = 64
+        vals = np.tile(np.diag([1.0, 0.2, 0.1]).astype(complex), (n, 1, 1))
+        vals[32:] = np.eye(3)[:, [1, 0, 2]] @ np.diag([1.0, 0.2, 0.1])
+        vals[32:] = vals[32:] + 0.004 * np.arange(n - 32)[:, None, None] * np.eye(3)[2]
+        ge = GridElement(domain=interval_domain(n), values=vals)
+        u, s, vh = ge.spectrum()
+        w = gridalg._transport(u, vh, s > 0.5)
+        assert ((2, 2), np.array([[0, 0], [0, 1]], dtype=complex).tobytes()) in svd_inputs
+        assert np.max(np.abs(w - _reference_transport(vals, 0.5))) <= 1e-12
+        eye = np.eye(3)
+        assert np.max(np.abs(np.einsum("kji,kjl->kil", w.conj(), w) - eye)) <= 1e-12
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def _assert_polar_factor(m):
+    """gridalg._polar_block(m) against LAPACK: unitary to rounding, a
+    backward-stable polar factor (its adjoint times m Hermitian positive
+    semidefinite to eps ||m||), and within 16 eps s1/s2 of u vh of the SVD,
+    the scale on which the complex polar factor itself moves under rounding
+    of m. Returns the factor."""
+    got = np.array(gridalg._polar_block(m.tolist()))
+    mu, s, mvh = np.linalg.svd(m)
+    r = len(m)
+    assert np.max(np.abs(got.conj().T @ got - np.eye(r))) <= 1e-14
+    h = got.conj().T @ m
+    assert np.max(np.abs(h - h.conj().T)) <= 16 * EPS * s[0]
+    assert np.linalg.eigvalsh(0.5 * (h + h.conj().T)).min() >= -16 * EPS * s[0]
+    if s[-1] > 0:
+        assert np.max(np.abs(got - mu @ mvh)) <= 16 * EPS * s[0] / s[-1]
+    return got
+
+
+class TestPolarBlock:
+    def test_scalars(self, rng, linalg_calls):
+        for y in [*(rng.standard_normal(50) + 1j * rng.standard_normal(50)), -2.0, 3e-300j]:
+            y = complex(y)
+            assert gridalg._polar_block([[y]]) == [[y / abs(y)]]
+        assert gridalg._polar_block([[0j]]) == [[1.0]]  # as LAPACK
+        assert linalg_calls["svd"] == 0
+
+    def test_random_blocks_in_closed_form(self, rng, linalg_calls):
+        blocks = [random_complex(rng, 2) * scale for scale in np.geomspace(1e-3, 1e3, 200)]
+        factors = [np.array(gridalg._polar_block(m.tolist())) for m in blocks]
+        assert linalg_calls["svd"] == 0
+        for m, got in zip(blocks, factors):
+            assert np.array_equal(_assert_polar_factor(m), got)
+
+    @pytest.mark.parametrize("ratio", np.geomspace(1e-3, 1e-12, 10))
+    def test_graded_blocks_in_closed_form(self, rng, linalg_calls, ratio):
+        for _ in range(20):
+            _, _, m = random_with_spectrum(rng, [1.0, ratio])
+            start = linalg_calls["svd"]
+            gridalg._polar_block(m.tolist())
+            assert linalg_calls["svd"] == start  # above POLAR2_DET_FLOOR
+            _assert_polar_factor(m)
+
+    def test_singular_blocks_fall_back_to_a_unitary(self, rng, linalg_calls):
+        x, y = random_complex(rng, 2, 1), random_complex(rng, 2, 1)
+        blocks = [np.zeros((2, 2), dtype=complex), np.diag([1.0, 0.0]).astype(complex),
+                  np.array([[0, 0], [0, 1]], dtype=complex), x @ y.conj().T,
+                  np.array([[1, 1], [1, 1]], dtype=complex)]
+        for m in blocks:
+            start = linalg_calls["svd"]
+            _assert_polar_factor(m)
+            assert linalg_calls["svd"] == start + 2  # the fallback and the check
+
+    def test_three_by_three_takes_the_svd(self, rng):
+        m = random_complex(rng, 3)
+        mu, _, mvh = np.linalg.svd(m)
+        assert np.array_equal(np.array(gridalg._polar_block(m.tolist())), mu @ mvh)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_transport_svd_calls_do_not_grow_with_n(d, linalg_calls):
+    """Only batched factorizations: the same number of SVD calls at 128
+    and at 512 nodes."""
+    calls = []
+    for n in (128, 512):
+        ge = matrix_field(np.random.default_rng(7200 + d), n, d)
+        ge.spectrum()
+        start = linalg_calls["svd"]
+        rep = polar_extension_1d(ge, 0.5 * sup_norm(ge))
+        calls.append(linalg_calls["svd"] - start)
+        kept = (ge.singular_values() > rep.delta).sum(axis=1)
+        assert np.count_nonzero((kept > 0) & (kept < d)) > n // 8
+    assert calls[0] == calls[1], calls
 
 
 def _winding_oracle(ge, delta):
@@ -697,6 +806,93 @@ class TestDistToRegular:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
+
+
+def _reference_bisection(ge, tol_bisect):
+    """dist_to_regular as plain bisection from (0, hi) on every domain: the
+    reference for the interval's lowest rung. Decides through the module, so
+    a monkeypatched decide_extension reaches it too."""
+    hi = sup_norm(ge) + max(tol_bisect, 10.0 * guard_band(ge))
+    assert gridalg.decide_extension(ge, hi).exists
+    lo = 0.0
+    while hi - lo > tol_bisect:
+        mid = 0.5 * (lo + hi)
+        if gridalg.decide_extension(ge, mid).exists:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _rung_cases():
+    for name in ("osc", "osc-bounded", "linear", "const-unitary", "rankdrop"):
+        yield gallery.gallery(name, 128)
+    for seed in range(50):  # the criterion-8 fields
+        yield gallery.random_scalar_field_1d(128, np.random.default_rng(4000 + seed))
+    for seed in range(16):
+        yield matrix_field(np.random.default_rng(7300 + seed), 128, 2 + seed % 2)
+
+
+class TestLowestRung:
+    def test_brackets_match_bisection(self):
+        for ge in _rung_cases():
+            for tol in (2.0 * ge.domain.max_spacing(), 0.005):
+                assert dist_to_regular(ge, tol) == _reference_bisection(ge, tol)
+
+    def test_two_decisions_on_the_interval(self, monkeypatch):
+        levels = []
+        orig = gridalg.decide_extension
+
+        def recorded(ge, delta):
+            levels.append(delta)
+            return orig(ge, delta)
+        monkeypatch.setattr(gridalg, "decide_extension", recorded)
+        lo, up = dist_to_regular(gallery.gallery("osc", 128), 0.01)
+        assert lo == 0.0 and levels[1] == up <= 0.01
+        assert len(levels) == 2
+
+    @pytest.mark.parametrize("below, at_rung", [(True, "fails"), (False, "fails"),
+                                                 (True, "collides")])
+    def test_failing_rung_bisects(self, monkeypatch, below, at_rung):
+        """A rung that fails or collides hands over to the bisection: the
+        bracket is the reference's, whether extensions also fail below 0.3
+        or only at the rung."""
+        ge = gallery.gallery("rankdrop", 128)
+        tol = 0.005
+        rung = sup_norm(ge) + max(tol, 10.0 * guard_band(ge))
+        while rung > tol:
+            rung *= 0.5
+        orig = gridalg.decide_extension
+
+        def patched(ge, delta):
+            if delta == rung and at_rung == "collides":
+                raise SpectralCollision("at the rung")
+            if delta == rung or below and delta < 0.3:
+                return gridalg.ExtensionReport(exists=False, witness=None,
+                                               obstruction={"kind": "patched"})
+            return orig(ge, delta)
+        monkeypatch.setattr(gridalg, "decide_extension", patched)
+        got = dist_to_regular(ge, tol)
+        assert got == _reference_bisection(ge, tol)
+        if below:
+            assert 0.3 - tol <= got[0] < 0.3
+        else:
+            assert got[0] == rung
+
+    def test_disk_decisions_unchanged(self, monkeypatch):
+        ge = gallery.gallery("disk-z", 32)
+        orig = gridalg.decide_extension
+        counts = []
+
+        def counted(ge, delta):
+            counts[-1] += 1
+            return orig(ge, delta)
+        monkeypatch.setattr(gridalg, "decide_extension", counted)
+        counts.append(0)
+        got = dist_to_regular(ge, 0.02)
+        counts.append(0)
+        assert got == _reference_bisection(ge, 0.02)
+        assert counts[0] == counts[1], counts
 
 
 def _monotone_case(kind, seed):
