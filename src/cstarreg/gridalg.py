@@ -11,16 +11,16 @@ the nodes that keep some but not all singular directions, where its free
 block is the Procrustes step against the last supported node, the polar
 factor of an r x r block read off two stacked products (in closed form for
 r <= 2). Nodes that keep none take an index fill, and one batched geodesic
-bridges their interior runs. On the interval `dist_to_regular` decides the
-lowest bisection rung first, which settles the bracket in one decision
-whenever the distance is 0, as it is in C([0,1], M_d). The
-2-D scalar procedure decides by discrete Stokes on the polar
-grid: every edge carries the integer jump of its wrapped phase step, every
-face (quad or centre polygon) the integer charge summed around it, and the
-phase winds around a hole of the support by the total charge of the hole.
-The obstruction's `windings` are the |total charge| of each blocked hole.
-Jumps and charges are whole-array work; the flood of each charged hole, the
-unwrap and the fill walk the grid in breadth-first layers through `_layers`.
+bridges their interior runs. The 2-D scalar procedure decides by discrete
+Stokes on the polar grid: every edge carries the integer jump of its
+wrapped phase step, every face (quad or centre polygon) the integer charge
+summed around it, and the phase winds around a hole of the support by the
+total charge of the hole. The obstruction's `windings` are the |total
+charge| of each blocked hole. Jumps and charges are whole-array work; the
+flood of each charged hole, the unwrap and the fill walk the grid in
+breadth-first layers through `_layers`. On both domains `dist_to_regular`
+decides the lowest bisection rung first, which settles the bracket in one
+decision whenever the distance is 0, as everywhere in C([0,1], M_d).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ ALIAS_GUARD = np.pi / 2  # max tolerated adjacent-point phase jump
 # |det m| / ||m||_F^2 (about s2/s1) at or below which det m is rounding of
 # zero and the 2 x 2 polar factor comes from the SVD
 POLAR2_DET_FLOOR = opcore.TAU_NONZERO
+TOP_HEADROOM = 10.0  # guard bands above the sup-norm where dist_to_regular starts
 
 
 @dataclass(frozen=True)
@@ -601,15 +602,10 @@ def polar_extension(ge: GridElement, delta: float) -> ExtensionReport:
 
 
 def decide_extension(ge: GridElement, delta: float) -> ExtensionReport:
-    """polar_extension with automatic perturbation of delta away from
-    spectral collisions, at most opcore.MAX_NUDGES times."""
-    eta = guard_band(ge)
-    for _ in range(opcore.MAX_NUDGES):
-        try:
-            return polar_extension(ge, delta)
-        except SpectralCollision:
-            delta += 2.0 * eta
-    raise SpectralCollision(f"could not separate {delta} from the grid spectrum")
+    """polar_extension at delta, first moved off the pointwise singular
+    values by opcore.clear_of (SpectralCollision when it cannot be)."""
+    delta = opcore.clear_of(delta, ge.singular_values(), guard_band(ge))
+    return polar_extension(ge, delta)
 
 
 def dist_to_regular(ge: GridElement, tol_bisect: float):
@@ -621,27 +617,25 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     collapses to a point because grid error is irreducible, and tol_bisect
     must be finite and positive (ValueError otherwise).
 
-    On the interval the lowest rung hi 2^-k, the smallest at or below
-    tol_bisect, is decided first. C([0,1], M_d) has stable rank one, so
-    the distance is 0 and every midpoint succeeds; the rung is then the
-    last midpoint of the bisection, and (0, rung) its bracket. When the
-    rung fails (or collides), the bisection runs as on the disk.
+    The bisection runs on (0, hi), hi above the sup-norm. Its lowest rung
+    hi 2^-k at or below tol_bisect, the last midpoint when every decision
+    succeeds, is decided first, and a success returns (0, rung): every call
+    on the interval, as C([0,1], M_d) has stable rank one, and on the disk
+    at distance 0. A rung that fails, collides or aliases hands over to the
+    bisection.
     """
     if not 0.0 < tol_bisect < math.inf:
         raise ValueError(f"tol_bisect must be finite and positive, got {tol_bisect}")
-    hi = sup_norm(ge) + max(tol_bisect, 10.0 * guard_band(ge))
-    if not decide_extension(ge, hi).exists:
-        raise SpectralCollision("extension unexpectedly failed above the norm")
+    hi = sup_norm(ge) + max(tol_bisect, TOP_HEADROOM * guard_band(ge))
+    rung = hi
+    while rung > tol_bisect:
+        rung *= 0.5  # 0.5 * (0 + hi), as a midpoint
+    try:
+        if decide_extension(ge, rung).exists:
+            return 0.0, rung
+    except (SpectralCollision, PhaseUnwrapAliasing):
+        pass
     lo = 0.0
-    if ge.domain.kind == "interval-1d":
-        rung = hi
-        while rung > tol_bisect:
-            rung *= 0.5  # 0.5 * (0 + hi), as a midpoint
-        try:
-            if rung < hi and decide_extension(ge, rung).exists:
-                return lo, rung
-        except SpectralCollision:
-            pass
     while hi - lo > tol_bisect:
         mid = 0.5 * (lo + hi)
         if decide_extension(ge, mid).exists:

@@ -9,11 +9,12 @@ Everything here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadOrdering, EigenvalueTooCloseToCut, NotHermitian
+from .errors import BadOrdering, EigenvalueTooCloseToCut, NotHermitian, SpectralCollision
 
 # Tolerances (relative, see module notes):
 #   TAU_RANK      singular values at or below it count as zero (polar parts, grid gap test)
@@ -49,6 +50,19 @@ def op_norm(a) -> float:
 def eta_sep(norm: float) -> float:
     """Guard band around a cut level for an operand of the given norm."""
     return ETA_SEP_BASE * (1.0 + norm)
+
+
+def clear_of(level: float, s, eta: float, below: float = math.inf) -> float:
+    """`level` stepped up by 2 eta while some value of `s` lies within eta
+    of it, at most MAX_NUDGES times and staying below `below`. Raises
+    SpectralCollision when it cannot be cleared."""
+    for _ in range(MAX_NUDGES):
+        if not np.any(np.abs(s - level) <= eta):
+            return level
+        level += 2.0 * eta
+        if level >= below:
+            break
+    raise SpectralCollision(f"could not separate cut level {level} from the spectrum")
 
 
 @dataclass(frozen=True)

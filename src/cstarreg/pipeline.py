@@ -57,18 +57,6 @@ def _svd_projections(frame: SVDFrame, level, eta):
     return e, f
 
 
-def _nudge_off_spectrum(level, singulars, eta, lo, hi):
-    """Move `level` by steps of 2*eta until it clears the guard band, staying
-    inside (lo, hi), at most opcore.MAX_NUDGES times."""
-    for _ in range(opcore.MAX_NUDGES):
-        if not np.any(np.abs(singulars - level) <= eta):
-            return level
-        level += 2.0 * eta
-        if not (lo < level < hi):
-            raise SpectralCollision("could not separate cut level from spectrum")
-    raise SpectralCollision("could not separate cut level from spectrum")
-
-
 def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
     """Run the full pipeline and record every intermediate residual.
 
@@ -109,7 +97,7 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
         gamma = (beta + delta) / 2.0
         frame_c = rep.frame
     else:
-        gamma = _nudge_off_spectrum((beta + delta) / 2.0, frame_a.s, eta, beta, delta)
+        gamma = opcore.clear_of((beta + delta) / 2.0, frame_a.s, eta, below=delta)
         e_gamma, f_gamma = _svd_projections(frame_a, gamma, eta)
 
         y = (x - a) / beta

@@ -60,10 +60,11 @@ def moore_penrose(a) -> np.ndarray:
 
 def is_regular(a) -> RegularityReport:
     """Regularity report. In M_n 0 is automatically isolated in the finite
-    spectrum of a*a, so every matrix is regular; the content is the gap
-    certificate and the canonical witness b = a^+, both read off one SVD.
-    a^+ = V diag(1/s) U* runs over the s above the polar rank cut
-    TAU_RANK ||a||, as g(|a|) v* does.
+    spectrum of a*a, so every matrix is regular and the flag is True for
+    every input, a test of nothing; the content is the gap certificate and
+    the canonical witness b = a^+, both read off one SVD. a^+ =
+    V diag(1/s) U* runs over the s above the polar rank cut TAU_RANK ||a||,
+    as g(|a|) v* does.
     """
     frame = SVDFrame.of(a)
     ur, s, wr = frame.above(opcore.TAU_RANK * frame.norm)
@@ -158,9 +159,10 @@ def block_factorize(x, p, q, a_dag):
 
 
 def block_regular_iff(x, p, q, a_dag):
-    """Regularity of x agrees with regularity of the lower corner
-    d = (1-q) x (1-p); both flags use the same relative rank cut.
-    Corner regularity is tested inside the ambient algebra, which is
+    """The is_regular flags of x and of the lower corner d = (1-q) x (1-p),
+    once block_factorize accepts the shape of x. Both are True for every
+    matrix, so they agree by construction and only block_factorize checks
+    anything. Corner regularity is read inside the ambient algebra, which is
     legitimate because regularity does not depend on the containing corner.
     """
     block_factorize(x, p, q, a_dag)  # raises unless x has the block shape

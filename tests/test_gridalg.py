@@ -10,6 +10,7 @@ from cstarreg import gallery, gridalg, opcore
 from cstarreg.errors import PhaseUnwrapAliasing, SpectralCollision
 from cstarreg.gridalg import (
     ALIAS_GUARD,
+    TOP_HEADROOM,
     GridElement,
     decide_extension,
     disk_domain,
@@ -669,23 +670,63 @@ def _disk_field(fn, n=32):
     return GridElement(domain=dom, values=fn(z).reshape(-1, 1, 1))
 
 
+def _charged_quad_field():
+    """A vortex at the middle of quad (16, 64), its corners set to exact
+    quarter turns: every step is at most pi/2, so the quad is charged with
+    all corners in the support, a hole on its own."""
+    dom = disk_domain(32, 128)
+    radii, angles = dom.coordinates()
+    z = radii[:, None] * np.exp(1j * angles[None, :])
+    corners = [(16, 64), (17, 64), (17, 65), (16, 65)]  # counterclockwise
+    z0 = np.mean([z[c] for c in corners])
+    f = (z - z0) / np.abs(z - z0)
+    turn = int(np.round(np.angle(f[corners[0]]) / (np.pi / 2)))
+    for i, c in enumerate(corners):
+        f[c] = 1j ** ((turn + i) % 4)
+    return GridElement(domain=dom, values=f.reshape(-1, 1, 1))
+
+
+def _rim_channel(z):
+    """(z - 0.08) h with h = 1 - 0.98 s(x) exp(-(y / 0.02)**2) > 0, s a
+    smoothstep from 0 at x = 0 to 1 at x <= -0.02."""
+    s = np.clip(-z.real / 0.02, 0.0, 1.0)
+    return (z - 0.08) * (1.0 - 0.98 * s * s * (3 - 2 * s) * np.exp(-(z.imag / 0.02) ** 2))
+
+
+# the fields of TestHandProvedWindings given by a formula in z (the other is
+# _charged_quad_field)
+HAND_PROVED = {
+    "z^2": lambda z: z**2,
+    "conj(z)": np.conj,
+    "(z - 1/2)(z + 1/2)": lambda z: (z - 0.5) * (z + 0.5),
+    "(z - 1/2) conj(z + 1/2)": lambda z: (z - 0.5) * np.conj(z + 0.5),
+    "z conj(z - 1/2)": lambda z: z * np.conj(z - 0.5),
+    "ring-0 arcs": lambda z: z * np.conj(z + 0.08) * (
+        1.0 - 0.7 * np.exp(-np.abs(z - 0.03) ** 2 / 4e-4)),
+    "(z - 0.3)(z + 0.3)": lambda z: (z - 0.3) * (z + 0.3),
+    "rim channel": _rim_channel,
+}
+
+
 class TestHandProvedWindings:
     def _winding(self, ge, delta):
         rep = decide_extension(ge, delta)
         return None if rep.exists else rep.obstruction["windings"]
 
+    def _field(self, formula):
+        return _disk_field(HAND_PROVED[formula])
+
     def test_z_squared(self):
-        assert self._winding(_disk_field(lambda z: z**2), 0.3) == [2]
+        assert self._winding(self._field("z^2"), 0.3) == [2]
 
     def test_z_bar(self):
-        assert self._winding(_disk_field(np.conj), 0.3) == [1]
+        assert self._winding(self._field("conj(z)"), 0.3) == [1]
 
     def test_two_holes_of_charge_one(self):
-        ge = _disk_field(lambda z: (z - 0.5) * (z + 0.5))
-        assert self._winding(ge, 0.05) == [1]
+        assert self._winding(self._field("(z - 1/2)(z + 1/2)"), 0.05) == [1]
 
     def test_opposite_charges_cancel_once_the_holes_merge(self):
-        ge = _disk_field(lambda z: (z - 0.5) * np.conj(z + 0.5))
+        ge = self._field("(z - 1/2) conj(z + 1/2)")
         assert self._winding(ge, 0.05) == [1]
         assert self._winding(ge, 0.4) is None
 
@@ -693,24 +734,12 @@ class TestHandProvedWindings:
         """The centre polygon and the quads are oriented alike: the +1 at
         the centre and the -1 at 1/2 cancel once {|f| <= delta} joins them
         (at delta = 1/16)."""
-        ge = _disk_field(lambda z: z * np.conj(z - 0.5))
+        ge = self._field("z conj(z - 1/2)")
         assert self._winding(ge, 0.03) == [1]
         assert self._winding(ge, 0.2) is None
 
     def test_charged_quad_inside_the_support(self):
-        """A vortex at the middle of quad (16, 64), its corners set to exact
-        quarter turns: every step is at most pi/2, so the quad is charged
-        with all corners in the support, a hole on its own."""
-        dom = disk_domain(32, 128)
-        radii, angles = dom.coordinates()
-        z = radii[:, None] * np.exp(1j * angles[None, :])
-        corners = [(16, 64), (17, 64), (17, 65), (16, 65)]  # counterclockwise
-        z0 = np.mean([z[c] for c in corners])
-        f = (z - z0) / np.abs(z - z0)
-        turn = int(np.round(np.angle(f[corners[0]]) / (np.pi / 2)))
-        for i, c in enumerate(corners):
-            f[c] = 1j ** ((turn + i) % 4)
-        ge = GridElement(domain=dom, values=f.reshape(-1, 1, 1))
+        ge = _charged_quad_field()
         assert _assert_matches_unwrap(ge, 0.5) == "winding"
         assert self._winding(ge, 0.5) == [1]
 
@@ -718,9 +747,7 @@ class TestHandProvedWindings:
         """Ring 0 has two free arcs: one at a dip of |f| at angle 0, one
         running out to the zero of conj(z + 0.08). They are one hole through
         the centre polygon, holding the centre's +1 and that zero's -1."""
-        ge = _disk_field(lambda z: z * np.conj(z + 0.08)
-                         * (1.0 - 0.7 * np.exp(-np.abs(z - 0.03) ** 2 / 4e-4)))
-        assert _assert_matches_unwrap(ge, 0.002) == "exists"
+        assert _assert_matches_unwrap(self._field("ring-0 arcs"), 0.002) == "exists"
 
     def test_holes_joined_only_through_the_centre(self):
         """f = (z - 0.3)(z + 0.3) has one zero of charge +1 in each oval of
@@ -733,23 +760,19 @@ class TestHandProvedWindings:
         one hole of charge 2. At delta = 0.08 each oval ends at |z| = 0.1,
         ring 0 lies in the support, and the ovals are two holes of charge 1.
         Neither reaches the rim (|z| <= 0.17**0.5)."""
-        ge = _disk_field(lambda z: (z - 0.3) * (z + 0.3))
+        ge = self._field("(z - 0.3)(z + 0.3)")
         assert self._winding(ge, 0.0895) == [2]
         assert self._winding(ge, 0.08) == [1]
 
     def test_hole_reaches_the_rim_only_through_the_centre(self):
-        """f = (z - 0.08) h with h = 1 - 0.98 s(x) exp(-(y / 0.02)**2) > 0,
-        s a smoothstep from 0 at x = 0 to 1 at x <= -0.02: the phase is that
-        of z - 0.08, and the centre charge is 0. At delta = 0.06 the disk
-        |z - 0.08| <= 0.06 holds the +1 and reaches ring 0 near theta = 0
-        (|1/32 - 0.08| < 0.06). The channel h = 0.02 on the negative real
-        axis runs from ring 0 near theta = pi to the rim, as
-        |f| <= 1.08 * 0.02 there. The two free arcs of ring 0 meet only
-        through the centre polygon, so the charged hole reaches the rim."""
-        def field(z):
-            s = np.clip(-z.real / 0.02, 0.0, 1.0)
-            return (z - 0.08) * (1.0 - 0.98 * s * s * (3 - 2 * s) * np.exp(-(z.imag / 0.02) ** 2))
-        assert _assert_matches_unwrap(_disk_field(field), 0.06) == "exists"
+        """The rim channel has the phase of z - 0.08, and the centre charge
+        is 0. At delta = 0.06 the disk |z - 0.08| <= 0.06 holds the +1 and
+        reaches ring 0 near theta = 0 (|1/32 - 0.08| < 0.06). The channel
+        h = 0.02 on the negative real axis runs from ring 0 near theta = pi
+        to the rim, as |f| <= 1.08 * 0.02 there. The two free arcs of ring 0
+        meet only through the centre polygon, so the charged hole reaches
+        the rim."""
+        assert _assert_matches_unwrap(self._field("rim channel"), 0.06) == "exists"
 
 
 class TestCutLevelProvenance:
@@ -765,6 +788,21 @@ class TestCutLevelProvenance:
             polar_extension(ge, level)
         rep = decide_extension(ge, level)
         assert level + eta < rep.delta <= level + 3.0 * eta
+
+    @pytest.mark.parametrize("name, level", [("disk-z", 0.5), ("rankdrop", 1.0),
+                                             ("rankdrop", 0.3)])
+    def test_one_polar_extension_per_decision(self, monkeypatch, name, level):
+        """The level is cleared before the extension is built, so a colliding
+        level costs no failed attempt."""
+        levels = []
+        orig = gridalg.polar_extension
+
+        def recorded(ge, delta):
+            levels.append(delta)
+            return orig(ge, delta)
+        monkeypatch.setattr(gridalg, "polar_extension", recorded)
+        rep = decide_extension(gallery.gallery(name, 32), level)
+        assert levels == [rep.delta]
 
 
 class TestDistToRegular:
@@ -810,9 +848,9 @@ class TestDistToRegular:
 
 def _reference_bisection(ge, tol_bisect):
     """dist_to_regular as plain bisection from (0, hi) on every domain: the
-    reference for the interval's lowest rung. Decides through the module, so
-    a monkeypatched decide_extension reaches it too."""
-    hi = sup_norm(ge) + max(tol_bisect, 10.0 * guard_band(ge))
+    reference for the lowest rung. Decides through the module, so a
+    monkeypatched decide_extension reaches it too."""
+    hi = sup_norm(ge) + max(tol_bisect, TOP_HEADROOM * guard_band(ge))
     assert gridalg.decide_extension(ge, hi).exists
     lo = 0.0
     while hi - lo > tol_bisect:
@@ -824,22 +862,67 @@ def _reference_bisection(ge, tol_bisect):
     return lo, hi
 
 
+def _rung(ge, tol_bisect):
+    rung = sup_norm(ge) + max(tol_bisect, TOP_HEADROOM * guard_band(ge))
+    while rung > tol_bisect:
+        rung *= 0.5
+    return rung
+
+
+def _asymmetric_zeros(z):
+    return (z - 0.5001) * (z + 0.21)
+
+
+# the rung's phase step aliases on these disk fields at these tolerances, at a
+# level the bisection never probes
+ALIASING_RUNGS = [(HAND_PROVED["(z - 0.3)(z + 0.3)"], 0.005), (_rim_channel, 0.02),
+                  (_rim_channel, 0.005), (_asymmetric_zeros, 0.005)]
+
+
 def _rung_cases():
+    """The 1-D gallery, the criterion-8 fields, seeded matrix fields, disk-z,
+    seeded disk fields of winding 0-3, the hand-proved disk fields and the
+    fields of ALIASING_RUNGS."""
     for name in ("osc", "osc-bounded", "linear", "const-unitary", "rankdrop"):
         yield gallery.gallery(name, 128)
     for seed in range(50):  # the criterion-8 fields
         yield gallery.random_scalar_field_1d(128, np.random.default_rng(4000 + seed))
     for seed in range(16):
         yield matrix_field(np.random.default_rng(7300 + seed), 128, 2 + seed % 2)
+    for n in (32, 64, 128):
+        yield gallery.gallery("disk-z", n)
+    for seed in range(20):  # the criterion-8 disk fields
+        yield gallery.random_scalar_field_2d(16, 64, np.random.default_rng(5000 + seed),
+                                             winding=1 if seed % 4 == 0 else 0)
+    for seed in range(8):
+        yield gallery.random_scalar_field_2d(32, 128, np.random.default_rng(8100 + seed),
+                                             winding=seed % 4)
+    for fn in HAND_PROVED.values():
+        yield _disk_field(fn)
+    yield _charged_quad_field()
+    yield _disk_field(_asymmetric_zeros)
+
+
+def _tolerances(ge):
+    h2 = 2.0 * ge.domain.max_spacing()
+    return (h2, 0.005) if ge.domain.kind == "interval-1d" else (0.02, h2, 0.005)
 
 
 class TestLowestRung:
     def test_brackets_match_bisection(self):
         for ge in _rung_cases():
-            for tol in (2.0 * ge.domain.max_spacing(), 0.005):
+            for tol in _tolerances(ge):
                 assert dist_to_regular(ge, tol) == _reference_bisection(ge, tol)
 
-    def test_two_decisions_on_the_interval(self, monkeypatch):
+    @pytest.mark.parametrize("fn, tol", ALIASING_RUNGS,
+                             ids=["ovals-0.005", "rim-0.02", "rim-0.005", "asymmetric-0.005"])
+    def test_aliasing_rung_bisects(self, fn, tol):
+        ge = _disk_field(fn)
+        with pytest.raises(PhaseUnwrapAliasing):
+            decide_extension(ge, _rung(ge, tol))
+        assert dist_to_regular(ge, tol) == _reference_bisection(ge, tol)
+
+    def test_one_decision_on_the_interval(self, monkeypatch):
         levels = []
         orig = gridalg.decide_extension
 
@@ -848,25 +931,23 @@ class TestLowestRung:
             return orig(ge, delta)
         monkeypatch.setattr(gridalg, "decide_extension", recorded)
         lo, up = dist_to_regular(gallery.gallery("osc", 128), 0.01)
-        assert lo == 0.0 and levels[1] == up <= 0.01
-        assert len(levels) == 2
+        assert lo == 0.0 and levels == [up] and up <= 0.01
 
     @pytest.mark.parametrize("below, at_rung", [(True, "fails"), (False, "fails"),
-                                                 (True, "collides")])
+                                                 (True, "collides"), (True, "aliases")])
     def test_failing_rung_bisects(self, monkeypatch, below, at_rung):
-        """A rung that fails or collides hands over to the bisection: the
-        bracket is the reference's, whether extensions also fail below 0.3
-        or only at the rung."""
+        """A rung that fails, collides or aliases hands over to the
+        bisection: the bracket is the reference's, whether extensions also
+        fail below 0.3 or only at the rung."""
         ge = gallery.gallery("rankdrop", 128)
         tol = 0.005
-        rung = sup_norm(ge) + max(tol, 10.0 * guard_band(ge))
-        while rung > tol:
-            rung *= 0.5
+        rung = _rung(ge, tol)
         orig = gridalg.decide_extension
+        raised = {"collides": SpectralCollision, "aliases": PhaseUnwrapAliasing}
 
         def patched(ge, delta):
-            if delta == rung and at_rung == "collides":
-                raise SpectralCollision("at the rung")
+            if delta == rung and at_rung in raised:
+                raise raised[at_rung]("at the rung")
             if delta == rung or below and delta < 0.3:
                 return gridalg.ExtensionReport(exists=False, witness=None,
                                                obstruction={"kind": "patched"})
@@ -880,19 +961,24 @@ class TestLowestRung:
             assert got[0] == rung
 
     def test_disk_decisions_unchanged(self, monkeypatch):
-        ge = gallery.gallery("disk-z", 32)
-        orig = gridalg.decide_extension
+        """Never more decisions than the bisection, and one on a disk field
+        at distance 0 (winding 0)."""
         counts = []
+        orig = gridalg.decide_extension
 
         def counted(ge, delta):
             counts[-1] += 1
             return orig(ge, delta)
         monkeypatch.setattr(gridalg, "decide_extension", counted)
-        counts.append(0)
-        got = dist_to_regular(ge, 0.02)
-        counts.append(0)
-        assert got == _reference_bisection(ge, 0.02)
-        assert counts[0] == counts[1], counts
+        winding0 = gallery.random_scalar_field_2d(32, 128, np.random.default_rng(8100))
+        for ge, tol in [(gallery.gallery("disk-z", 32), 0.02),
+                        (_disk_field(_rim_channel), 0.005), (winding0, 0.02)]:
+            counts.append(0)
+            dist_to_regular(ge, tol)
+            counts.append(0)
+            _reference_bisection(ge, tol)
+            assert counts[-2] <= counts[-1], counts
+        assert counts[-2] == 1  # the winding-0 field
 
 
 def _monotone_case(kind, seed):

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarreg.errors import BadOrdering, EigenvalueTooCloseToCut, NotHermitian
+from cstarreg.errors import BadOrdering, EigenvalueTooCloseToCut, NotHermitian, SpectralCollision
 from cstarreg.opcore import (
+    MAX_NUDGES,
     TAU_RANK,
     SVDFrame,
     abs_of,
     apply_function,
+    clear_of,
     cutdown,
     hermitian_eig,
     identity_fn,
@@ -196,6 +198,29 @@ class TestSpectralProjection:
         p = spectral_projection(h, 0.5 * op_norm(h))
         assert op_norm(p @ p - p) <= 1e-10
         assert op_norm(p @ h - h @ p) <= 1e-10 * op_norm(h)
+
+
+class TestClearOf:
+    ETA = 1e-3
+
+    def test_clear_level_is_kept(self):
+        assert clear_of(0.5, np.array([0.2, 0.8]), self.ETA) == 0.5
+
+    def test_steps_up_past_a_collision(self):
+        assert clear_of(0.5, np.array([0.5, 0.9]), self.ETA) == 0.5 + 2.0 * self.ETA
+
+    def test_raises_after_max_nudges(self):
+        eta = self.ETA
+        s = 0.5 + 2.0 * eta * np.arange(MAX_NUDGES)  # one value on each level tried
+        with pytest.raises(SpectralCollision):
+            clear_of(0.5, s, eta)
+        # without the last value, the last level tried is clear
+        assert abs(clear_of(0.5, s[:-1], eta) - s[-1]) <= 1e-12
+
+    def test_stays_below(self):
+        with pytest.raises(SpectralCollision):
+            clear_of(0.5, np.array([0.5]), self.ETA, below=0.5 + 2.0 * self.ETA)
+        assert clear_of(0.5, np.array([0.5]), self.ETA, below=0.5 + 3.0 * self.ETA) > 0.5
 
 
 class TestCutdown:

@@ -130,6 +130,24 @@ class TestFailureModes:
         with pytest.raises(SpectralCollision):
             construct_partial_isometry(a, x, 0.4 + offset * eta_sep(1.0))
 
+    def test_gamma_nudged_off_a_singular_value(self):
+        """gamma = (0.1 + 0.5) / 2 lands on the singular value 0.3 and
+        moves up by one step of 2 eta."""
+        a = np.diag([1.0, 0.3, 0.1]).astype(complex)
+        trace = construct_partial_isometry(a, a + 0.1 * np.eye(3), 0.5)
+        eta = eta_sep(1.0)
+        assert trace.gamma == (trace.beta + 0.5) / 2.0 + 2.0 * eta
+        assert abs(trace.gamma - (0.3 + 2.0 * eta)) <= 1e-15
+        assert trace.max_residual() <= 1e-10
+
+    def test_gamma_cannot_pass_delta(self):
+        """gamma starts on delta - 3 eta, steps to delta - eta, still within
+        eta of delta - 1.5 eta, and the next step would reach delta."""
+        delta, eta = 0.5, eta_sep(1.0)
+        a = np.diag([1.0, delta - 3.0 * eta, delta - 1.5 * eta]).astype(complex)
+        with pytest.raises(SpectralCollision):
+            construct_partial_isometry(a, a + (delta - 6.0 * eta) * np.eye(3), delta)
+
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             construct_partial_isometry(random_complex(rng, 3), random_complex(rng, 4), 0.5)
