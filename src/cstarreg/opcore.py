@@ -47,6 +47,25 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def op_norms(mats) -> list[float]:
+    """op_norm of each matrix, one stacked np.linalg.norm call per shape. A
+    stack gives the same bits as one call per matrix; an empty matrix has
+    norm 0."""
+    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
+    out = [0.0] * len(mats)
+    by_shape: dict[tuple, list[int]] = {}
+    for k, m in enumerate(mats):
+        if m.size:
+            by_shape.setdefault(m.shape, []).append(k)
+    for idx in by_shape.values():
+        stack = np.stack([mats[k] for k in idx])
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix entries must be finite")
+        for k, norm in zip(idx, np.linalg.norm(stack, 2, axis=(1, 2)).tolist()):
+            out[k] = norm
+    return out
+
+
 def eta_sep(norm: float) -> float:
     """Guard band around a cut level for an operand of the given norm."""
     return ETA_SEP_BASE * (1.0 + norm)

@@ -3,8 +3,12 @@ cut level delta, build the partial isometry w that agrees with the canonical
 polar part v on the spectral projection above delta, verifying every
 intermediate identity along the way.
 
-All 3x3 block bookkeeping is done with explicit projection sandwiches
-f_i M e_j in the ambient algebra, not with reindexed submatrices.
+b, c and w are built in the ambient algebra. The residuals are read in the
+SVD frame a = U diag(s) V* of a: there e_delta, f_delta, e_gamma and f_gamma
+are coordinate projections onto the leading singular directions, so each
+3x3 block f_i M e_j is a sub-block of U* M V and each residual is the
+2-norm of the sub-block that is nonzero in exact arithmetic. The 2-norm is
+unitarily invariant, and the norms are taken in one stacked call per shape.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .opcore import (
     identity_fn,
     make_h_pair,
     op_norm,
+    op_norms,
     proof_f,
     proof_g,
 )
@@ -87,93 +92,97 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
     v = parts.v
     abs_a = parts.abs_a
     eta = opcore.eta_sep(frame_a.norm)
+    s = frame_a.s
+    uh, vm = frame_a.u.conj().T, frame_a.vh.conj().T  # U*, V
 
     e_delta, f_delta = _svd_projections(frame_a, delta, eta)
+    kd = int(np.count_nonzero(s > delta))
+    vf = uh @ v @ vm  # U* v V
 
-    checks: dict[str, float] = {}
+    # (name, matrix) pairs whose operator norms are the checks; a name that
+    # repeats takes the largest of its norms
+    residuals = []
     short_circuit = beta <= EXACT_MATCH_TOL * (1.0 + frame_a.norm)
     if short_circuit:
         # a = x is already regular: c := x, read off the frame is_regular built
         gamma = (beta + delta) / 2.0
         frame_c = rep.frame
     else:
-        gamma = opcore.clear_of((beta + delta) / 2.0, frame_a.s, eta, below=delta)
-        e_gamma, f_gamma = _svd_projections(frame_a, gamma, eta)
+        gamma = opcore.clear_of((beta + delta) / 2.0, s, eta, below=delta)
+        kg = int(np.count_nonzero(s > gamma))
+        b1, b2, b3 = slice(0, kd), slice(kd, kg), slice(kg, n)
 
         y = (x - a) / beta
-        checks["y_unit_norm"] = abs(op_norm(y) - 1.0)
-        checks["x_decomposition"] = op_norm(x - (a + beta * y))
-
         g_abs = frame_a.fn_abs(proof_g(gamma))
         f_abs = frame_a.fn_abs(proof_f(gamma))
-
-        # sup |beta*g| over [0, inf) is beta/gamma < 1, so 1 + beta g(|a|) v* y
-        # is invertible; the operator norm is only bounded by that sup
-        checks["beta_g_sup_bound"] = max(op_norm(beta * g_abs) - beta / gamma, 0.0)
         t_mat = eye + beta * (g_abs @ v.conj().T @ y)
         t_inv = np.linalg.inv(t_mat)
-        checks["t_invertible"] = op_norm(t_mat @ t_inv - eye)
-
         b = x @ t_inv @ f_abs
-
-        # corner identity f_gamma x = v e_gamma |a| (1 + beta g(|a|) v* y)
-        checks["corner_identity"] = op_norm(f_gamma @ x - v @ e_gamma @ abs_a @ t_mat)
-        checks["f_gamma_b"] = op_norm(f_gamma @ b - v @ e_gamma)
-        checks["f_gamma_v"] = op_norm(v @ e_gamma - f_gamma @ v)
 
         mu1 = (gamma + delta) / 2.0
         h1, h2 = make_h_pair(gamma, mu1, delta)
         h1_left = frame_a.fn_abs_star(h1)
         h2_right = frame_a.fn_abs(h2)
         c = b - h1_left @ b @ (eye - h2_right)
-
-        checks.update(block_shape_residuals(
-            c, b, v, h1_left, h2_right, e_delta, e_gamma, f_delta, f_gamma, eye))
-
         frame_c = SVDFrame.of(c)
-        e1, f1 = e_delta, f_delta
-        checks["abs_c_e1"] = op_norm(frame_c.fn_abs(identity_fn) @ e1 - e1)
-        checks["f1_abs_cstar"] = op_norm(f1 @ frame_c.fn_abs_star(identity_fn) - f1)
+
+        # In the frame of a, e_gamma and f_gamma keep the first kg coordinates,
+        # e_delta and f_delta the first kd, and |a|, h1(|a*|), h2(|a|) are
+        # diagonal; each residual is the block that is nonzero in exact
+        # arithmetic, and the 2-norm does not see the change of frame.
+        bf = uh @ b @ vm
+        cf = uh @ c @ vm
+        abs_t = s[:kg, None] * (frame_a.vh[:kg] @ t_mat @ vm)  # first kg rows of |a| t
+        h2_2 = h2(s[b2])
+        v_gg = vf[:kg, :kg]
+        residuals += [
+            ("y_unit_norm", y),
+            ("x_decomposition", x - (a + beta * y)),
+            # sup |beta*g| over [0, inf) is beta/gamma < 1, so 1 + beta g(|a|) v* y
+            # is invertible; the operator norm is only bounded by that sup
+            ("beta_g_sup_bound", beta * g_abs),
+            ("t_invertible", t_mat @ t_inv - eye),
+            # corner identity f_gamma x = v e_gamma |a| (1 + beta g(|a|) v* y)
+            ("corner_identity", uh[:kg] @ x @ vm - v_gg @ abs_t),
+            ("f_gamma_b", bf[:kg] - np.pad(v_gg, ((0, 0), (0, n - kg)))),
+            # v e_gamma - f_gamma v is block anti-diagonal
+            ("f_gamma_v", vf[:kg, kg:]),
+            ("f_gamma_v", vf[kg:, :kg]),
+            # c against [[v e1, 0, 0], [0, v e2, 0], [0, b32 h2, b33]]
+            ("block_11", cf[b1, b1] - vf[b1, b1]),
+            ("block_12", cf[b1, b2]),
+            ("block_13", cf[b1, b3]),
+            ("block_21", cf[b2, b1]),
+            ("block_22", cf[b2, b2] - vf[b2, b2]),
+            ("block_23", cf[b2, b3]),
+            ("block_31", cf[b3, b1]),
+            ("block_32", cf[b3, b2] - bf[b3, b2] * h2_2),
+            ("block_33", cf[b3, b3] - bf[b3, b3]),
+            # h1(|a*|) v e2 (1 - h2(|a|)) vanishes
+            ("cross_term", h1(s)[:, None] * vf[:, b2] * (1.0 - h2_2)),
+            ("abs_c_e1", frame_a.vh @ frame_c.fn_abs(identity_fn) @ vm[:, :kd] - np.eye(n, kd)),
+            ("f1_abs_cstar", uh[:kd] @ frame_c.fn_abs_star(identity_fn) @ frame_a.u
+             - np.eye(kd, n)),
+        ]
 
     w = frame_c.polar().v
-    checks["partial_isometry"] = op_norm(w @ w.conj().T @ w - w)
-    checks["final_we_delta"] = op_norm(w @ e_delta - v @ e_delta)
-    checks["final_f_delta_w"] = op_norm(f_delta @ w - f_delta @ v)
+    residuals += [
+        ("partial_isometry", w @ w.conj().T @ w - w),
+        ("final_we_delta", uh @ (w @ vm[:, :kd]) - vf[:, :kd]),
+        ("final_f_delta_w", (uh[:kd] @ w) @ vm - vf[:kd]),
+    ]
+    names, mats = zip(*residuals)
+    checks: dict[str, float] = {}
+    for name, norm in zip(names, op_norms(mats)):
+        checks[name] = max(checks.get(name, 0.0), norm)
+    if not short_circuit:
+        checks["y_unit_norm"] = abs(checks["y_unit_norm"] - 1.0)
+        checks["beta_g_sup_bound"] = max(checks["beta_g_sup_bound"] - beta / gamma, 0.0)
 
     return PipelineTrace(
         beta=beta, gamma=gamma, delta=delta, w=w, v=v, abs_a=abs_a,
         e_delta=e_delta, f_delta=f_delta, short_circuit=short_circuit, checks=checks,
     )
-
-
-def block_shape_residuals(c, b, v, h1_left, h2_right, e_delta, e_gamma, f_delta, f_gamma, eye):
-    """Residuals of the nine blocks of c against its expected shape
-
-        [ v e1    0          0    ]
-        [ 0       v e2       0    ]
-        [ 0       b32 h2     b33  ]
-
-    plus the vanishing cross term h1(|a*|) v e2 (1 - h2(|a|))."""
-    e1 = e_delta
-    e2 = e_gamma - e_delta
-    e3 = eye - e_gamma
-    f1 = f_delta
-    f2 = f_gamma - f_delta
-    f3 = eye - f_gamma
-    b32 = f3 @ b @ e2
-    b33 = f3 @ b @ e3
-    return {
-        "block_11": op_norm(f1 @ c @ e1 - v @ e1),
-        "block_12": op_norm(f1 @ c @ e2),
-        "block_13": op_norm(f1 @ c @ e3),
-        "block_21": op_norm(f2 @ c @ e1),
-        "block_22": op_norm(f2 @ c @ e2 - v @ e2),
-        "block_23": op_norm(f2 @ c @ e3),
-        "block_31": op_norm(f3 @ c @ e1),
-        "block_32": op_norm(f3 @ c @ e2 - b32 @ h2_right),
-        "block_33": op_norm(f3 @ c @ e3 - b33),
-        "cross_term": op_norm(h1_left @ v @ e2 @ (eye - h2_right)),
-    }
 
 
 def approx_polar_from_pipeline(a, x, delta: float):

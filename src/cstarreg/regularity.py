@@ -17,7 +17,7 @@ from .errors import (
     OffDiagonalNotZero,
     ShapeMismatch,
 )
-from .opcore import SVDFrame, as_matrix, op_norm
+from .opcore import SVDFrame, as_matrix, op_norm, op_norms
 
 COND_LIMIT = 1e6
 PENROSE_TOL = 1e-12  # on each Penrose residual, scaled by its own degree
@@ -85,19 +85,21 @@ def verify_penrose(a, b) -> bool:
     b = as_matrix(b)
     if a.shape != b.T.shape:
         raise ShapeMismatch(f"incompatible shapes {a.shape} and {b.shape}")
-    na, nb = op_norm(a), op_norm(b)
-    if na == 0.0 or nb == 0.0:
-        return na == nb
     ab = a @ b
     ba = b @ a
+    na, nb, aba, bab, ab_h, ba_h, ab_p, ba_p = op_norms([
+        a, b, a @ ba - a, b @ ab - b, ab - ab.conj().T, ba - ba.conj().T,
+        ab @ ab - ab, ba @ ba - ba])
+    if na == 0.0 or nb == 0.0:
+        return na == nb
     nab = na * nb
     checks = [
-        max(op_norm(a @ ba - a) - opcore.TAU_RANK * na, 0.0) / (na * nab),
-        op_norm(b @ ab - b) / (nab * nb),
-        op_norm(ab - ab.conj().T) / nab,
-        op_norm(ba - ba.conj().T) / nab,
-        op_norm(ab @ ab - ab) / nab**2,
-        op_norm(ba @ ba - ba) / nab**2,
+        max(aba - opcore.TAU_RANK * na, 0.0) / (na * nab),
+        bab / (nab * nb),
+        ab_h / nab,
+        ba_h / nab,
+        ab_p / nab**2,
+        ba_p / nab**2,
     ]
     return max(checks) <= PENROSE_TOL
 

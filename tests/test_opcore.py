@@ -16,6 +16,7 @@ from cstarreg.opcore import (
     identity_fn,
     make_h_pair,
     op_norm,
+    op_norms,
     polar,
     proof_f,
     spectral_projection,
@@ -28,6 +29,25 @@ def complex_matrices(n_min=2, n_max=6):
     return st.integers(n_min, n_max).flatmap(
         lambda n: st.integers(0, 2**31 - 1).map(
             lambda seed: random_complex(np.random.default_rng(seed), n)))
+
+
+class TestOpNorms:
+    def test_equals_op_norm_bit_for_bit(self, rng):
+        mats = [random_complex(rng, *shape) for shape in ((8, 8), (3, 5), (8, 8), (5, 3), (3, 5))]
+        mats += [np.zeros((8, 8)), np.zeros((0, 4)), np.zeros((4, 0)), np.ones((1, 1))]
+        assert op_norms(mats) == [op_norm(m) for m in mats]
+
+    def test_empty_list(self):
+        assert op_norms([]) == []
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, 1j * np.nan, -1j * np.inf))
+    def test_rejects_non_finite_entries(self, rng, bad):
+        """The op_norm message, not LAPACK's, and never a NaN norm that
+        max() would keep or drop depending on its position."""
+        a = random_complex(rng, 3)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            op_norms([np.eye(2), a, random_complex(rng, 3)])
 
 
 class TestOpNorm:

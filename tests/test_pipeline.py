@@ -1,11 +1,141 @@
 import numpy as np
 import pytest
 
-from cstarreg.errors import SpectralCollision, TooFar
-from cstarreg.opcore import abs_of, eta_sep, op_norm
-from cstarreg.pipeline import approx_polar_from_pipeline, construct_partial_isometry
+from cstarreg import opcore, pipeline
+from cstarreg.errors import SpectralCollision, TooFar, XNotRegular
+from cstarreg.opcore import (
+    SVDFrame,
+    abs_of,
+    as_matrix,
+    eta_sep,
+    identity_fn,
+    make_h_pair,
+    op_norm,
+    proof_f,
+    proof_g,
+)
+from cstarreg.pipeline import (
+    EXACT_MATCH_TOL,
+    PipelineTrace,
+    _svd_projections,
+    approx_polar_from_pipeline,
+    construct_partial_isometry,
+)
+from cstarreg.regularity import is_regular, verify_penrose
 
 from conftest import random_complex, random_with_spectrum
+
+
+def _reference_checks(a, x, delta: float) -> PipelineTrace:
+    """construct_partial_isometry with every residual taken as the 2-norm of
+    an n x n projection sandwich f_i M e_j in the ambient algebra: the
+    independent reference for the sub-block norms in the frame of a."""
+    a = as_matrix(a)
+    x = as_matrix(x)
+    n = a.shape[0]
+    if a.shape != x.shape or a.shape[0] != a.shape[1]:
+        raise ValueError("pipeline expects square matrices of equal shape")
+    eye = np.eye(n)
+
+    beta = op_norm(a - x)
+    if beta >= delta:
+        raise TooFar(f"||a - x|| = {beta:.6g} >= delta = {delta:.6g}")
+    rep = is_regular(x)
+    if not (rep.is_regular and verify_penrose(x, rep.mp_inverse)):
+        raise XNotRegular("x failed the regularity check")
+
+    frame_a = SVDFrame.of(a)
+    parts = frame_a.polar()
+    v = parts.v
+    abs_a = parts.abs_a
+    eta = opcore.eta_sep(frame_a.norm)
+
+    e_delta, f_delta = _svd_projections(frame_a, delta, eta)
+
+    checks: dict[str, float] = {}
+    short_circuit = beta <= EXACT_MATCH_TOL * (1.0 + frame_a.norm)
+    if short_circuit:
+        # a = x is already regular: c := x, read off the frame is_regular built
+        gamma = (beta + delta) / 2.0
+        frame_c = rep.frame
+    else:
+        gamma = opcore.clear_of((beta + delta) / 2.0, frame_a.s, eta, below=delta)
+        e_gamma, f_gamma = _svd_projections(frame_a, gamma, eta)
+
+        y = (x - a) / beta
+        checks["y_unit_norm"] = abs(op_norm(y) - 1.0)
+        checks["x_decomposition"] = op_norm(x - (a + beta * y))
+
+        g_abs = frame_a.fn_abs(proof_g(gamma))
+        f_abs = frame_a.fn_abs(proof_f(gamma))
+
+        # sup |beta*g| over [0, inf) is beta/gamma < 1, so 1 + beta g(|a|) v* y
+        # is invertible; the operator norm is only bounded by that sup
+        checks["beta_g_sup_bound"] = max(op_norm(beta * g_abs) - beta / gamma, 0.0)
+        t_mat = eye + beta * (g_abs @ v.conj().T @ y)
+        t_inv = np.linalg.inv(t_mat)
+        checks["t_invertible"] = op_norm(t_mat @ t_inv - eye)
+
+        b = x @ t_inv @ f_abs
+
+        # corner identity f_gamma x = v e_gamma |a| (1 + beta g(|a|) v* y)
+        checks["corner_identity"] = op_norm(f_gamma @ x - v @ e_gamma @ abs_a @ t_mat)
+        checks["f_gamma_b"] = op_norm(f_gamma @ b - v @ e_gamma)
+        checks["f_gamma_v"] = op_norm(v @ e_gamma - f_gamma @ v)
+
+        mu1 = (gamma + delta) / 2.0
+        h1, h2 = make_h_pair(gamma, mu1, delta)
+        h1_left = frame_a.fn_abs_star(h1)
+        h2_right = frame_a.fn_abs(h2)
+        c = b - h1_left @ b @ (eye - h2_right)
+
+        checks.update(block_shape_residuals(
+            c, b, v, h1_left, h2_right, e_delta, e_gamma, f_delta, f_gamma, eye))
+
+        frame_c = SVDFrame.of(c)
+        e1, f1 = e_delta, f_delta
+        checks["abs_c_e1"] = op_norm(frame_c.fn_abs(identity_fn) @ e1 - e1)
+        checks["f1_abs_cstar"] = op_norm(f1 @ frame_c.fn_abs_star(identity_fn) - f1)
+
+    w = frame_c.polar().v
+    checks["partial_isometry"] = op_norm(w @ w.conj().T @ w - w)
+    checks["final_we_delta"] = op_norm(w @ e_delta - v @ e_delta)
+    checks["final_f_delta_w"] = op_norm(f_delta @ w - f_delta @ v)
+
+    return PipelineTrace(
+        beta=beta, gamma=gamma, delta=delta, w=w, v=v, abs_a=abs_a,
+        e_delta=e_delta, f_delta=f_delta, short_circuit=short_circuit, checks=checks,
+    )
+
+
+def block_shape_residuals(c, b, v, h1_left, h2_right, e_delta, e_gamma, f_delta, f_gamma, eye):
+    """Residuals of the nine blocks of c against its expected shape
+
+        [ v e1    0          0    ]
+        [ 0       v e2       0    ]
+        [ 0       b32 h2     b33  ]
+
+    plus the vanishing cross term h1(|a*|) v e2 (1 - h2(|a|))."""
+    e1 = e_delta
+    e2 = e_gamma - e_delta
+    e3 = eye - e_gamma
+    f1 = f_delta
+    f2 = f_gamma - f_delta
+    f3 = eye - f_gamma
+    b32 = f3 @ b @ e2
+    b33 = f3 @ b @ e3
+    return {
+        "block_11": op_norm(f1 @ c @ e1 - v @ e1),
+        "block_12": op_norm(f1 @ c @ e2),
+        "block_13": op_norm(f1 @ c @ e3),
+        "block_21": op_norm(f2 @ c @ e1),
+        "block_22": op_norm(f2 @ c @ e2 - v @ e2),
+        "block_23": op_norm(f2 @ c @ e3),
+        "block_31": op_norm(f3 @ c @ e1),
+        "block_32": op_norm(f3 @ c @ e2 - b32 @ h2_right),
+        "block_33": op_norm(f3 @ c @ e3 - b33),
+        "cross_term": op_norm(h1_left @ v @ e2 @ (eye - h2_right)),
+    }
 
 
 def _instance(seed, n, ratio, delta=0.5):
@@ -194,3 +324,152 @@ class TestFactorizations:
         w, err = approx_polar_from_pipeline(a, x, 0.5)
         assert linalg_calls == {"svd": 3, "eigh": 0}
         assert err == pytest.approx(op_norm(a - w @ abs_of(a)), rel=1e-12)
+
+
+def _matches_reference(a, x, delta):
+    """The trace of construct_partial_isometry against _reference_checks: w
+    bit for bit, beta, gamma and short_circuit exactly, and every check
+    within 1e-13 (1 + ||a||) absolute; the residuals are rounding, so a
+    relative gate would mean nothing."""
+    trace = construct_partial_isometry(a, x, delta)
+    ref = _reference_checks(a, x, delta)
+    assert trace.w.tobytes() == ref.w.tobytes()
+    assert (trace.beta, trace.gamma, trace.short_circuit) == (
+        ref.beta, ref.gamma, ref.short_circuit)
+    assert set(trace.checks) == set(ref.checks)
+    tol = 1e-13 * (1.0 + op_norm(a))
+    gaps = {k: abs(trace.checks[k] - ref.checks[k]) for k in ref.checks}
+    assert max(gaps.values()) <= tol, gaps
+    return trace, ref
+
+
+class TestFrameResidualsMatchSandwiches:
+    SIZES = (2, 3, 5, 8, 13, 21, 34, 64)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded(self, seed):
+        # 8 sizes against 3 ratios: every pair within the first 24 seeds
+        n, ratio = self.SIZES[seed % 8], (0.2, 0.5, 0.9)[seed % 3]
+        trace, _ = _matches_reference(*_instance(seed, n, ratio), 0.5)
+        assert not trace.short_circuit
+
+    @pytest.mark.parametrize("n", (6, 16, 32))
+    @pytest.mark.parametrize("ratio", (0.2, 0.9))
+    def test_geometric_spectrum(self, n, ratio):
+        rng = np.random.default_rng(n)
+        _, _, a = random_with_spectrum(rng, np.geomspace(1.0, 1e-12, n))
+        y = random_complex(rng, n)
+        _matches_reference(a, a + ratio * 0.5 * y / op_norm(y), 0.5)
+
+    @pytest.mark.parametrize("x_is_a", (False, True))
+    def test_exact_rank_drop(self, x_is_a):
+        rng = np.random.default_rng(7)
+        _, _, a = random_with_spectrum(rng, [1.0, 0.7, 0.45, 0.3, 0.0, 0.0])
+        y = random_complex(rng, 6)
+        x = a.copy() if x_is_a else a + 0.2 * y / op_norm(y)
+        assert _matches_reference(a, x, 0.5)[0].short_circuit == x_is_a
+
+    def test_zero(self):
+        y = random_complex(np.random.default_rng(3), 4)
+        trace, _ = _matches_reference(np.zeros((4, 4)), 0.3 * y / op_norm(y), 0.5)
+        assert not trace.short_circuit
+
+    @pytest.mark.parametrize("x", ([[0.8]], [[0.7 + 0.1j]], [[0.0]]))
+    def test_one_by_one(self, x):
+        _matches_reference(np.array([[0.8]]), np.array(x), 0.9)
+
+    @pytest.mark.parametrize("delta", (1.2, 1.5))
+    def test_delta_above_the_norm(self, delta):
+        """No singular value above delta (k_delta = 0); at 1.5, beta = 0.5
+        puts gamma on ||a|| = 1, it is nudged above and k_gamma = 0 too."""
+        a, _ = _instance(4, 8, 0.5)
+        y = random_complex(np.random.default_rng(5), 8)
+        beta = delta - 1.0
+        trace, _ = _matches_reference(a, a + beta * y / op_norm(y), delta)
+        assert not trace.e_delta.any()
+
+    def test_nudged_gamma(self):
+        """gamma = (0.1 + 0.5) / 2 lands within rounding of the singular
+        value 0.3 and clear_of moves it."""
+        rng = np.random.default_rng(11)
+        _, _, a = random_with_spectrum(rng, [1.0, 0.8, 0.3, 0.1, 0.02])
+        u, _ = np.linalg.qr(random_complex(rng, 5))
+        trace, _ = _matches_reference(a, a + 0.1 * u, 0.5)
+        assert trace.gamma > (trace.beta + 0.5) / 2.0
+
+
+class TestPlantedSpectrum:
+    """beta = 0.1 and delta = 0.5 give gamma = 0.3 and mu1 = 0.4, and a has
+    singular values in (0, gamma], (gamma, mu1), [mu1, delta] and
+    (delta, ||a||], so every block of c is non-empty. A construction fault
+    must flag the same checks in the frame form and in the sandwich form."""
+
+    SPECTRUM = (1.0, 0.7, 0.45, 0.41, 0.35, 0.33, 0.2, 0.05)
+
+    @staticmethod
+    def _planted():
+        rng = np.random.default_rng(2)
+        _, _, a = random_with_spectrum(rng, TestPlantedSpectrum.SPECTRUM)
+        y = random_complex(rng, len(TestPlantedSpectrum.SPECTRUM))
+        return a, a + 0.1 * y / op_norm(y)
+
+    def _flags(self, a, x):
+        """Checks above 1e-7, the same in both forms, whose values also
+        agree to rounding: with the same b, c and w the sub-block and the
+        sandwich are one norm in exact arithmetic, faulty or not."""
+        flagged = [{k for k, v in trace.checks.items() if v > 1e-7}
+                   for trace in _matches_reference(a, x, 0.5)]
+        assert flagged[0] == flagged[1]
+        return flagged[0]
+
+    def _mutate_h(self, monkeypatch, mutant):
+        monkeypatch.setattr(pipeline, "make_h_pair", mutant)
+        monkeypatch.setitem(globals(), "make_h_pair", mutant)
+
+    def test_every_block_is_populated(self):
+        a, x = self._planted()
+        trace, _ = _matches_reference(a, x, 0.5)
+        gamma, mu1, s = trace.gamma, (trace.gamma + 0.5) / 2.0, np.array(self.SPECTRUM)
+        assert abs(gamma - 0.3) <= 1e-12
+        for lo, hi in ((0.0, gamma), (gamma, mu1), (mu1, 0.5), (0.5, 1.0)):
+            assert np.any((s > lo) & (s < hi))
+        assert trace.max_residual() <= 1e-12
+
+    def test_h1_past_mu1(self, monkeypatch):
+        """h1 reaching 0 only at delta breaks h1 h2 = h1 on [mu1, delta]."""
+        def mutant(gamma, mu1, delta):
+            _, h2 = opcore.make_h_pair(gamma, mu1, delta)
+            return (lambda t: np.clip((delta - t) / (delta - gamma), 0.0, 1.0)), h2
+        self._mutate_h(monkeypatch, mutant)
+        assert self._flags(*self._planted()) == {"block_22", "cross_term"}
+
+    def test_h2_vanishing_from_mu1(self, monkeypatch):
+        """h2 = h1 leaves 1 - h2 nonzero where h1 is, on (gamma, mu1). A
+        spectrum with no singular value there flags nothing in either form;
+        this one has 0.35 and 0.33."""
+        def mutant(gamma, mu1, delta):
+            h1, _ = opcore.make_h_pair(gamma, mu1, delta)
+            return h1, h1
+        self._mutate_h(monkeypatch, mutant)
+        assert self._flags(*self._planted()) == {"block_22", "cross_term"}
+
+    def test_perturbed_inverse_of_t(self, monkeypatch):
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inv(m) + 1e-4 * np.ones_like(m))
+        assert {"t_invertible", "f_gamma_b", "final_we_delta"} <= self._flags(*self._planted())
+
+
+class TestNonFiniteResiduals:
+    def test_nan_from_a_broken_inverse(self, monkeypatch):
+        """A NaN that reaches the construction is op_norm's ValueError, not a
+        LAPACK failure and not a max_residual that depends on key order."""
+        inv = np.linalg.inv
+
+        def broken(m):
+            out = inv(m)
+            out[0, 0] = np.nan
+            return out
+        monkeypatch.setattr(np.linalg, "inv", broken)
+        a, x = _instance(0, 6, 0.5)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            construct_partial_isometry(a, x, 0.5)

@@ -8,6 +8,7 @@ from cstarreg.errors import (
     OffDiagonalNotZero,
     ShapeMismatch,
 )
+from cstarreg import regularity
 from cstarreg.opcore import op_norm
 from cstarreg.regularity import (
     PENROSE_TOL,
@@ -134,6 +135,25 @@ class TestVerifyPenrose:
             assert verify_penrose(a, b1) and verify_penrose(a, b2)
             bound = 100 * tol * (1 + op_norm(a)) * (1 + op_norm(b1) + op_norm(b2))
             assert op_norm(b1 - b2) <= bound
+
+    @pytest.mark.parametrize("shape", ((3, 2), (2, 3)))
+    def test_batched_norms_equal_op_norm(self, rng, monkeypatch, shape):
+        """The eight norms, stacked by shape (a and aba - a, b and bab - b,
+        the m x m and the n x n residuals), are the bits op_norm gives."""
+        seen = []
+
+        def spy(mats):
+            mats = list(mats)
+            norms = orig(mats)
+            seen.extend(zip(mats, norms))
+            return norms
+        orig = regularity.op_norms
+        monkeypatch.setattr(regularity, "op_norms", spy)
+        a = random_complex(rng, *shape)
+        assert verify_penrose(a, moore_penrose(a))
+        assert not verify_penrose(a, moore_penrose(a) + 1e-3 * random_complex(rng, *shape[::-1]))
+        assert len(seen) == 16 and len({m.shape for m, _ in seen}) == 4
+        assert all(norm == op_norm(m) for m, norm in seen)
 
 
 class TestVerifyPenroseScaling:
