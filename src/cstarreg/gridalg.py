@@ -40,6 +40,8 @@ ALIAS_GUARD = np.pi / 2  # max tolerated adjacent-point phase jump
 # zero and the 2 x 2 polar factor comes from the SVD
 POLAR2_DET_FLOOR = opcore.TAU_NONZERO
 TOP_HEADROOM = 10.0  # guard bands above the sup-norm where dist_to_regular starts
+# witness modulus allowed per unit of cut-down modulus over spectral spread
+MODULUS_BOUND_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -255,7 +257,7 @@ def _modulus_bound(ge: GridElement, delta: float) -> float:
     cut_mod = lift_cutdown(ge, delta).modulus()
     if spread <= 0:
         return math.inf
-    return 10.0 * cut_mod / spread
+    return MODULUS_BOUND_FACTOR * cut_mod / spread
 
 
 def _check_separation(s_pointwise: np.ndarray, delta: float, eta: float):

@@ -3,7 +3,17 @@ cut levels, (1) the bracketed distance to the regular elements, (2) existence
 of a partial-isometry extension above the cut, (3) polar decomposability of
 v f(|a|) for every f that vanishes on [0, delta], and (4) polar
 decomposability of the cut-down itself, then cross-checks the implication
-chain and the distance bracket."""
+chain and the distance bracket.
+
+Where (2) gives a witness w, (3) and (4) are both read from it, through one
+batched factorization of the prefix norms of miss = w vh* - u per level:
+(3) at 25 sampled ramps, and (4) at f = (t - delta)_+, the cut-down being
+v f(|a|), which is the paper's (3)=>(4) step. Without a witness (below the
+distance on the disk, or wherever (2) fails) each runs its own extension
+decision. When ||a|| - delta <= 10 the cut ramp is the sampled ramp of slope
+1 and plateau 10, so on the witness path the "(3)=>(4)" cross-check compares
+two readings of one residual; what stays independent of (2) there are the
+"cond4 above/below bracket" checks against the distance."""
 
 from __future__ import annotations
 
@@ -34,6 +44,9 @@ RAMP_PLATEAUS = np.logspace(np.log10(0.1), np.log10(10.0), 5)
 RAMP_TOL = 1e-7
 # per unit of f: the rounding of w f(|a|) - v f(|a|), which w - v does not carry
 RAMP_ROUNDING = 16.0 * np.finfo(np.float64).eps
+# half-width, in grid spacings h, of the band around the distance bracket in
+# which condition (4) is not held to it (the theorem is strict at delta = dist)
+BRACKET_BAND = 3.0
 
 
 @dataclass
@@ -78,8 +91,9 @@ def _ramps(delta: float, s: np.ndarray) -> np.ndarray:
 
 
 def _ramp_bounds(ge: GridElement, delta: float, w: np.ndarray):
-    """(bound on max_k ||w f(|a|) - v f(|a|)||, ||f(|a|)||) per sampled
-    ramp f, each of shape (slopes, plateaus).
+    """((bounds, norms), (cut, cut_norm)): a bound on
+    max_k ||w f(|a|) - v f(|a|)|| and ||f(|a|)||, first per sampled ramp f,
+    each of shape (slopes, plateaus), then for the cut ramp (t - delta)_+.
 
     At node k the difference is miss diag(f(s)) vh, miss = w vh* - u. With s
     descending and f monotone it is the sum over j of (f(s_j) - f(s_j+1))
@@ -89,10 +103,14 @@ def _ramp_bounds(ge: GridElement, delta: float, w: np.ndarray):
     u, s, vh = ge.spectrum()
     prefixes = (w @ vh.conj().transpose(0, 2, 1) - u)[:, None] * np.tri(ge.dim)[:, None, :]
     c = (np.abs(prefixes[..., 0, 0]) if ge.is_scalar
-         else np.linalg.svd(prefixes, compute_uv=False)[..., 0])
-    f = _ramps(delta, s)
-    steps = -np.diff(f, axis=-1, append=0.0)
-    return (steps * (c + RAMP_ROUNDING)).sum(axis=-1).max(axis=-1), f[..., 0].max(axis=-1)
+         else np.linalg.svd(prefixes, compute_uv=False)[..., 0]) + RAMP_ROUNDING
+
+    def bound(f):
+        steps = f.copy()  # f(s_j) - f(s_j+1), with f(s_d) = 0
+        steps[..., :-1] -= f[..., 1:]
+        return (steps * c).sum(axis=-1).max(axis=-1), f[..., 0].max(axis=-1)
+
+    return bound(_ramps(delta, s)), bound(np.maximum(s - delta, 0.0))
 
 
 def _min_positive_singular(ge: GridElement) -> float:
@@ -118,8 +136,11 @@ def check_condition3(ge: GridElement, delta: float,
 
     A condition-(2) witness w decomposes every such f(|a|) as w f(|a|); (3)
     fails when `_ramp_bounds` exceeds RAMP_TOL (1 + ||f||) at a sampled ramp.
-    Without a witness every such v f(|a|) has the same support, so one
-    extension decision serves them all, and its witness bounds the report.
+    The detail then also carries, for `check_condition4`, the bound at the
+    cut ramp (t - delta)_+ as `cut_residual` and its threshold as
+    `cut_bound`. Without a witness every such v f(|a|) has the same support,
+    so one extension decision serves them all, and its witness bounds the
+    report.
     """
     has_witness = cond2 is not None and cond2.exists and cond2.witness is not None
     rep = cond2
@@ -129,16 +150,42 @@ def check_condition3(ge: GridElement, delta: float,
         if not rep.exists:
             return ConditionResult(delta=delta, holds=False,
                                    detail={"obstruction": rep.obstruction})
-    bounds, norms = _ramp_bounds(ge, delta, rep.witness.values)
+    (bounds, norms), cut = _ramp_bounds(ge, delta, rep.witness.values)
     failed = has_witness & (bounds > RAMP_TOL * (1.0 + norms))
     detail = ({"ramp_residual": float(bounds[failed][0])} if failed.any()
               else {"max_ramp_residual": float(bounds.max())})
+    if has_witness:
+        detail["cut_residual"] = float(cut[0])
+        detail["cut_bound"] = RAMP_TOL * (1.0 + float(cut[1]))
     return ConditionResult(delta=delta, holds=not failed.any(), detail=detail)
 
 
-def check_condition4(ge: GridElement, delta: float) -> ConditionResult:
+def check_condition4(ge: GridElement, delta: float,
+                     cond3: ConditionResult | None = None) -> ConditionResult:
+    """Polar decomposability of the cut-down c = v (|a| - delta)_+.
+
+    With a condition-(2) witness w, c = w |c| decomposes it: the paper's
+    (3)=>(4) step at f = (t - delta)_+. `cond3`, condition (3)'s result at
+    the same delta, then carries `cut_residual`, the bound of `_ramp_bounds`
+    at that f on the sup over the nodes of
+    ||w (|a| - delta)_+ - v (|a| - delta)_+||, read off the prefix norms that
+    (3) factorized for its own ramps, and (4) holds when it is at most
+    `cut_bound` = RAMP_TOL (1 + ||(|a| - delta)_+||).
+
+    Without a witness (no `cond3`, a failed (2), or (3) decided without one)
+    the decision is independent: the extension machinery at half the
+    smallest positive singular value of the cut-down, so that the probed
+    support is the full support. The detail's `path` says which ran.
+    """
+    if cond3 is not None and cond3.delta == delta and "cut_residual" in cond3.detail:
+        residual, bound = cond3.detail["cut_residual"], cond3.detail["cut_bound"]
+        return ConditionResult(delta=delta, holds=residual <= bound,
+                               detail={"path": "witness", "cut_residual": residual,
+                                       "cut_bound": bound})
     rep = _decide_polar_decomposable(lift_cutdown(ge, delta))
-    detail = {} if rep.obstruction is None else {"obstruction": rep.obstruction}
+    detail = {"path": "decision"}
+    if rep.obstruction is not None:
+        detail["obstruction"] = rep.obstruction
     return ConditionResult(delta=delta, holds=rep.exists, detail=detail)
 
 
@@ -167,7 +214,7 @@ def check_equivalences(ge: GridElement, gamma: float, delta_grid,
                                      **({"obstruction": rep2.obstruction}
                                         if rep2.obstruction else {})})
         c3 = check_condition3(ge, delta, rep2)
-        c4 = check_condition4(ge, delta)
+        c4 = check_condition4(ge, delta, c3)
         cond2.append(c2)
         cond3.append(c3)
         cond4.append(c4)
@@ -175,11 +222,10 @@ def check_equivalences(ge: GridElement, gamma: float, delta_grid,
             inconsistencies.append({"delta": delta, "broken": "(2)=>(3)"})
         if c3.holds and not c4.holds:
             inconsistencies.append({"delta": delta, "broken": "(3)=>(4)"})
-        # bracket consistency, excluding a 3h undecidable band around the
-        # bracket (the theorem is strict at delta = dist exactly)
-        if delta > upper + 3.0 * h and not c4.holds:
+        # bracket consistency, outside the undecidable band
+        if delta > upper + BRACKET_BAND * h and not c4.holds:
             inconsistencies.append({"delta": delta, "broken": "cond4 above bracket"})
-        if lower > 0 and delta < lower - 3.0 * h and c4.holds:
+        if lower > 0 and delta < lower - BRACKET_BAND * h and c4.holds:
             inconsistencies.append({"delta": delta, "broken": "cond4 below bracket"})
 
     verdict = "consistent" if not inconsistencies else "inconsistent"

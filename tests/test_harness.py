@@ -4,9 +4,12 @@ import pytest
 from cstarreg import gallery
 from cstarreg.errors import NoWitness
 from cstarreg.gridalg import (
+    ExtensionReport,
     GridElement,
     decide_extension,
     from_svd,
+    interval_domain,
+    lift_cutdown,
     sup_norm,
     uniform_gap_regular,
 )
@@ -17,6 +20,7 @@ from cstarreg.harness import (
     _decide_polar_decomposable,
     _ramp_bounds,
     check_condition3,
+    check_condition4,
     check_equivalences,
     regular_approximant,
 )
@@ -53,6 +57,23 @@ def _reference_condition3(ge, delta, cond2):
     return holds, residuals, w
 
 
+def _reference_condition4(ge, delta):
+    """Condition (4) as an independent decision: the extension machinery on
+    the cut-down at half its smallest positive singular value."""
+    rep = _decide_polar_decomposable(lift_cutdown(ge, delta))
+    detail = {} if rep.obstruction is None else {"obstruction": rep.obstruction}
+    return rep.exists, detail
+
+
+def _direct_cut_residual(ge, delta, w):
+    """sup over the nodes of ||w (|a| - delta)_+ - v (|a| - delta)_+||."""
+    u, s, vh = ge.spectrum()
+    cut = np.maximum(s - delta, 0.0)
+    cut_abs = np.einsum("kji,kj,kjl->kil", vh.conj(), cut, vh)
+    diff = w @ cut_abs - from_svd(ge.domain, u, cut, vh).values
+    return sup_norm(GridElement(domain=ge.domain, values=diff))
+
+
 def _gallery_cases():
     for name in ("osc", "osc-bounded", "linear", "const-unitary", "rankdrop"):
         for n in (64, 128, 256):
@@ -80,6 +101,27 @@ def _matrix_cases():
         yield ge, np.linspace(0.1, 0.9, 5) * sup_norm(ge)
 
 
+def _disk_z_cases():
+    for n in (32, 64):
+        # below the distance 1 (2) fails; above the sup-norm the support is empty
+        yield gallery.gallery("disk-z", n), [0.3, 0.5, 0.95, 1.05]
+
+
+def _rank_drop_cases():
+    """Seeded interval fields with d = 1, 2, 3: a scalar field times t - t0,
+    which vanishes at a seeded t0, and `matrix_field`'s planted drop."""
+    for seed in range(8):
+        rng = np.random.default_rng(8000 + seed)
+        for d in (1, 2, 3):
+            if d == 1:
+                ge = gallery.random_scalar_field_1d(128, rng)
+                t = np.linspace(0.0, 1.0, 128)[:, None, None]
+                ge = GridElement(domain=ge.domain, values=ge.values * (t - rng.uniform(0.2, 0.8)))
+            else:
+                ge = matrix_field(rng, 128, d)
+            yield ge, np.linspace(0.1, 0.9, 5) * sup_norm(ge)
+
+
 class TestCondition3Bound:
     @pytest.mark.parametrize("cases", [_gallery_cases, _criterion_8_cases, _matrix_cases],
                              ids=["gallery", "criterion-8", "matrix-fields"])
@@ -91,8 +133,9 @@ class TestCondition3Bound:
                 holds, residuals, w = _reference_condition3(ge, delta, rep2)
                 assert check_condition3(ge, delta, rep2).holds == holds
                 if residuals is not None:
-                    bounds, _ = _ramp_bounds(ge, delta, w)
+                    (bounds, _), (cut, _) = _ramp_bounds(ge, delta, w)
                     assert np.all(bounds >= residuals)
+                    assert cut >= _direct_cut_residual(ge, delta, w)
                     bounded += 1
         assert bounded > 0
 
@@ -114,7 +157,105 @@ class TestCondition3Bound:
         c3 = check_condition3(ge, 0.6, rep2)
         assert c3.holds and c3.detail["max_ramp_residual"] < 1e-12
         assert _reference_condition3(ge, 0.6, rep2)[0]
+        # the cut ramp (t - 0.6)_+ weights that direction by its own s - 0.6 too
+        c4 = check_condition4(ge, 0.6, c3)
+        assert c4.holds and c4.detail["path"] == "witness"
+        assert _direct_cut_residual(ge, 0.6, rep2.witness.values) <= c4.detail["cut_residual"] < 1e-12
         assert check_equivalences(ge, 0.0, [0.6]).verdict == "consistent"
+
+
+class TestCondition4FromWitness:
+    @pytest.mark.parametrize("cases", [_gallery_cases, _criterion_8_cases, _matrix_cases,
+                                       _disk_z_cases, _rank_drop_cases],
+                             ids=["gallery", "criterion-8", "matrix-fields", "disk-z",
+                                  "rank-drops"])
+    def test_flags_match_independent_decision(self, cases):
+        witnessed = decided = 0
+        for ge, deltas in cases():
+            for delta in deltas:
+                rep2 = decide_extension(ge, delta)
+                c3 = check_condition3(ge, delta, rep2)
+                c4 = check_condition4(ge, delta, c3)
+                holds, detail = _reference_condition4(ge, delta)
+                assert c4.holds == holds
+                if rep2.exists:
+                    assert c4.detail["path"] == "witness"
+                    # below ||a|| - delta = 10 the cut ramp is the sampled
+                    # ramp of slope 1 and plateau 10, bit for bit
+                    (bounds, _), (cut, _) = _ramp_bounds(ge, delta, rep2.witness.values)
+                    assert RAMP_SLOPES[1] == 1.0 and RAMP_PLATEAUS[-1] == 10.0
+                    assert cut == bounds[1, -1] == c4.detail["cut_residual"]
+                    witnessed += 1
+                else:
+                    assert c4.detail == {"path": "decision", **detail}
+                    decided += 1
+                # without a witness to read, the decision runs as before
+                alone = check_condition4(ge, delta)
+                assert (alone.holds, alone.detail) == (holds, {"path": "decision", **detail})
+        assert witnessed > 0
+        if cases is _disk_z_cases:
+            assert decided > 0
+
+    def test_witness_path_needs_the_same_level(self):
+        ge = gallery.gallery("linear", 64)
+        c3 = check_condition3(ge, 0.5, decide_extension(ge, 0.5))
+        assert check_condition4(ge, 0.5, c3).detail["path"] == "witness"
+        assert check_condition4(ge, 0.4, c3).detail["path"] == "decision"
+        # (3) decided without a witness leaves (4) its own decision
+        c3 = check_condition3(ge, 0.5, None)
+        assert "cut_residual" not in c3.detail
+        assert check_condition4(ge, 0.5, c3).detail == {"path": "decision"}
+
+
+class TestCondition4PlantedFault:
+    """A witness that breaks w e_delta = v e_delta at one interior node must
+    fail (4) on the witness path; one changed only on the free directions
+    must not."""
+
+    DELTA = 0.5
+    NODE = 20
+
+    def _field(self):
+        # s = (1, 0.3 + 0.1 t, 0.2 t): every node keeps one direction of three
+        rng = np.random.default_rng(11)
+        q1, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        q2, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        t = np.linspace(0.0, 1.0, 64)
+        s = np.stack([np.ones_like(t), 0.3 + 0.1 * t, 0.2 * t], axis=-1)
+        vals = np.einsum("ij,kj,jl->kil", q1, s, q2.conj().T)
+        return GridElement(domain=interval_domain(64), values=vals)
+
+    def _rotated(self, ge, plane):
+        """(2)'s report, and one whose witness has the frame columns `plane`
+        of w vh* rotated by 0.1 rad at one interior node."""
+        rep2 = decide_extension(ge, self.DELTA)
+        w = rep2.witness.values.copy()
+        _, _, vh = ge.spectrum()
+        i, j = plane
+        g = np.eye(3, dtype=complex)
+        g[[i, i, j, j], [i, j, i, j]] = np.cos(0.1), -np.sin(0.1), np.sin(0.1), np.cos(0.1)
+        k = self.NODE
+        w[k] = w[k] @ vh[k].conj().T @ g @ vh[k]
+        witness = GridElement(domain=ge.domain, values=w)
+        return rep2, ExtensionReport(exists=True, witness=witness, obstruction=None)
+
+    def test_rotated_kept_column_fails(self):
+        ge = self._field()
+        rep2, faulty = self._rotated(ge, (0, 1))
+        assert check_condition4(ge, self.DELTA, check_condition3(ge, self.DELTA, rep2)).holds
+        c4 = check_condition4(ge, self.DELTA, check_condition3(ge, self.DELTA, faulty))
+        assert not c4.holds and c4.detail["path"] == "witness"
+        assert c4.detail["cut_residual"] > RAMP_TOL
+        assert c4.detail["cut_residual"] >= _direct_cut_residual(ge, self.DELTA,
+                                                                 faulty.witness.values)
+
+    def test_rotated_free_columns_hold(self):
+        ge = self._field()
+        rep2, faulty = self._rotated(ge, (1, 2))
+        c4 = check_condition4(ge, self.DELTA, check_condition3(ge, self.DELTA, faulty))
+        assert c4.holds and c4.detail["path"] == "witness"
+        assert c4.detail == check_condition4(ge, self.DELTA,
+                                             check_condition3(ge, self.DELTA, rep2)).detail
 
 
 class TestCheckEquivalences:
