@@ -21,13 +21,23 @@ flood of each charged hole, the unwrap and the fill walk the grid in
 breadth-first layers through `_layers`. On both domains `dist_to_regular`
 decides the lowest bisection rung first, which settles the bracket in one
 decision whenever the distance is 0, as everywhere in C([0,1], M_d).
+
+The bisection reads only whether an extension exists, so it decides each
+level by `_extends`, which builds no witness that cannot fail. Every
+witness is unitary at every node, or zero, so its modulus is at most
+WITNESS_MODULUS_MAX = 2 to rounding; where the modulus bound is at least
+that, the modulus check passes whatever the witness, and the answer is
+the winding decision alone. This is exact: `_extends` agrees with
+`decide_extension(...).exists` at every level. Elements whose values are
+not finite are refused (ValueError) by `guard_band`, which every decision
+asks first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 
 import numpy as np
@@ -42,6 +52,12 @@ POLAR2_DET_FLOOR = opcore.TAU_NONZERO
 TOP_HEADROOM = 10.0  # guard bands above the sup-norm where dist_to_regular starts
 # witness modulus allowed per unit of cut-down modulus over spectral spread
 MODULUS_BOUND_FACTOR = 10.0
+# the largest modulus a witness can have: every witness is unitary (or zero)
+# at every node, so adjacent nodes differ by at most |w_i| + |w_j| = 2, give
+# or take a few ulps, far below MODULUS_SLACK; at a bound at least this
+# large the modulus check cannot fail
+WITNESS_MODULUS_MAX = 2.0
+NOT_FINITE = "grid values must be finite"
 
 
 @dataclass(frozen=True)
@@ -181,7 +197,12 @@ class GridElement:
             vh = np.broadcast_to(np.ones((1, 1, 1), dtype=np.complex128), self.values.shape)
             return u.reshape(-1, 1, 1), s.reshape(-1, 1), vh
         if self._svd is None:
-            self._svd = np.linalg.svd(self.values)
+            try:
+                self._svd = np.linalg.svd(self.values)
+            except np.linalg.LinAlgError:  # what a NaN entry gives
+                if np.isfinite(self.values).all():
+                    raise
+                raise ValueError(NOT_FINITE) from None
         return self._svd
 
     def singular_values(self) -> np.ndarray:
@@ -211,8 +232,13 @@ def sup_norm(ge: GridElement) -> float:
 
 def guard_band(ge: GridElement) -> float:
     """Half-width of the band around a cut level inside which a pointwise
-    singular value collides with the cut."""
-    return opcore.eta_sep(sup_norm(ge))
+    singular value collides with the cut. ValueError for an element whose
+    values are not finite, which is the first thing every decision asks:
+    a NaN or inf entry makes the sup-norm NaN or inf."""
+    norm = sup_norm(ge)
+    if not math.isfinite(norm):
+        raise ValueError(NOT_FINITE)
+    return opcore.eta_sep(norm)
 
 
 def from_svd(domain: GridDomain, u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> GridElement:
@@ -277,17 +303,32 @@ def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
     existence reduces to the transported frame staying within the modulus
     bound.
     """
+    _interval_cut(ge, delta)
+    return _held_to_bound(_frame_witness(ge, delta), _modulus_bound(ge, delta), delta,
+                          "frame-transport")
+
+
+def _interval_cut(ge: GridElement, delta: float) -> None:
+    """The checks of polar_extension_1d before its witness: the domain and
+    the separation of delta from the pointwise singular values."""
     if ge.domain.kind != "interval-1d":
         raise ValueError("polar_extension_1d needs an interval domain")
-    u_all, s_all, vh_all = ge.spectrum()
-    _check_separation(s_all.ravel(), delta, guard_band(ge))
-    w = _transport(u_all, vh_all, s_all > delta)
+    _check_separation(ge.singular_values().ravel(), delta, guard_band(ge))
 
-    witness = GridElement(domain=ge.domain, values=w)
+
+def _frame_witness(ge: GridElement, delta: float) -> GridElement:
+    u_all, s_all, vh_all = ge.spectrum()
+    return GridElement(domain=ge.domain, values=_transport(u_all, vh_all, s_all > delta))
+
+
+def _held_to_bound(witness: GridElement, bound: float, delta: float,
+                   kind: str) -> ExtensionReport:
+    """The report on a witness held to its modulus bound: it exists when its
+    modulus is within bound + MODULUS_SLACK, and is an obstruction of `kind`
+    otherwise."""
     mod = witness.modulus()
-    bound = _modulus_bound(ge, delta)
     exists = mod <= bound + opcore.MODULUS_SLACK
-    obstruction = None if exists else {"kind": "frame-transport", "modulus": mod}
+    obstruction = None if exists else {"kind": kind, "modulus": mod}
     return ExtensionReport(exists=exists, witness=witness if exists else None,
                            obstruction=obstruction, witness_modulus=mod,
                            modulus_bound=bound, delta=delta)
@@ -557,44 +598,54 @@ def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
     potential of the jumps, filled into the holes layer by layer,
     exponentiated, and the witness is held to the modulus bound.
     """
-    if ge.domain.kind != "disk-2d-polar" or not ge.is_scalar:
-        raise ValueError("polar_extension_2d_scalar needs a scalar disk element")
-    dom = ge.domain
-    f = ge.values[:, 0, 0]
-    mags = np.abs(f)
-    _check_separation(mags, delta, guard_band(ge))
-    support = mags > delta
+    cut = _disk_cut(ge, delta)
     bound = _modulus_bound(ge, delta)
-
-    if not support.any():
-        witness = GridElement(domain=dom, values=np.zeros_like(ge.values))
+    if cut is None:
+        witness = GridElement(domain=ge.domain, values=np.zeros_like(ge.values))
         return ExtensionReport(exists=True, witness=witness, obstruction=None,
                                witness_modulus=0.0, modulus_bound=bound, delta=delta)
-
-    phase = np.angle(f)
-    ang, rad = _edge_jumps(dom, phase, support)
-    quads, centre = _face_charges(ang, rad)
-    free = ~support.reshape(dom.n_radial, dom.n_angular)
-    windings = _blocked_windings(quads, centre, free, _neighbour_table(dom, True))
+    *steps, windings = cut
     if windings:
         return ExtensionReport(
             exists=False, witness=None,
             obstruction={"kind": "winding", "windings": windings},
             witness_modulus=math.inf, modulus_bound=bound, delta=delta)
+    return _held_to_bound(_phase_witness(ge, *steps), bound, delta, "modulus")
 
+
+def _disk_cut(ge: GridElement, delta: float):
+    """The steps of polar_extension_2d_scalar before its witness: the
+    domain and separation checks, the support {|f| > delta} and, unless it
+    is empty (None), the edge jumps of the phase (PhaseUnwrapAliasing), the
+    face charges and the blocked holes. Returns (support, phase, ang, rad,
+    windings), with windings as in the obstruction."""
+    if ge.domain.kind != "disk-2d-polar" or not ge.is_scalar:
+        raise ValueError("polar_extension_2d_scalar needs a scalar disk element")
+    dom = ge.domain
+    mags = ge.singular_values().ravel()
+    _check_separation(mags, delta, guard_band(ge))
+    support = mags > delta
+    if not support.any():
+        return None
+    phase = np.angle(ge.values[:, 0, 0])
+    ang, rad = _edge_jumps(dom, phase, support)
+    quads, centre = _face_charges(ang, rad)
+    free = ~support.reshape(dom.n_radial, dom.n_angular)
+    return (support, phase, ang, rad,
+            _blocked_windings(quads, centre, free, _neighbour_table(dom, True)))
+
+
+def _phase_witness(ge: GridElement, support: np.ndarray, phase: np.ndarray,
+                   ang: np.ndarray, rad: np.ndarray) -> GridElement:
+    """The unwrapped phase filled into the holes and exponentiated, with the
+    exact phase f/|f| on the support: a witness when no hole is blocked."""
+    f = ge.values[:, 0, 0]
     w = np.empty_like(f)
-    if free.any():
-        table = _neighbour_table(dom, False)
-        theta = _fill(_unwrap(phase, ang, rad, support, table), support, table)
-        w[:] = np.exp(1j * theta)
-    w[support] = f[support] / mags[support]  # exact phase on the support
-    witness = GridElement(domain=dom, values=w.reshape(-1, 1, 1))
-    mod = witness.modulus()
-    exists = mod <= bound + opcore.MODULUS_SLACK
-    obstruction = None if exists else {"kind": "modulus", "modulus": mod}
-    return ExtensionReport(exists=exists, witness=witness if exists else None,
-                           obstruction=obstruction, witness_modulus=mod,
-                           modulus_bound=bound, delta=delta)
+    if not support.all():
+        table = _neighbour_table(ge.domain, False)
+        w[:] = np.exp(1j * _fill(_unwrap(phase, ang, rad, support, table), support, table))
+    w[support] = f[support] / np.abs(f[support])
+    return GridElement(domain=ge.domain, values=w.reshape(-1, 1, 1))
 
 
 def polar_extension(ge: GridElement, delta: float) -> ExtensionReport:
@@ -606,8 +657,33 @@ def polar_extension(ge: GridElement, delta: float) -> ExtensionReport:
 def decide_extension(ge: GridElement, delta: float) -> ExtensionReport:
     """polar_extension at delta, first moved off the pointwise singular
     values by opcore.clear_of (SpectralCollision when it cannot be)."""
-    delta = opcore.clear_of(delta, ge.singular_values(), guard_band(ge))
-    return polar_extension(ge, delta)
+    return polar_extension(ge, _cleared(ge, delta))
+
+
+def _cleared(ge: GridElement, delta: float) -> float:
+    return opcore.clear_of(delta, ge.singular_values(), guard_band(ge))
+
+
+def _extends(ge: GridElement, delta: float) -> bool:
+    """decide_extension(ge, delta).exists, raising as it does, without the
+    witnesses that cannot fail: the same cut, checks and winding decision,
+    then, when the modulus bound is at least WITNESS_MODULUS_MAX, True with
+    no witness built, since no witness can exceed that modulus. Below it,
+    the witness is built and held to the bound as in polar_extension."""
+    delta = _cleared(ge, delta)
+    if ge.domain.kind == "interval-1d":
+        _interval_cut(ge, delta)
+        build, kind = partial(_frame_witness, ge, delta), "frame-transport"
+    else:
+        cut = _disk_cut(ge, delta)
+        if cut is None:
+            return True
+        *steps, windings = cut
+        if windings:
+            return False
+        build, kind = partial(_phase_witness, ge, *steps), "modulus"
+    bound = _modulus_bound(ge, delta)
+    return bound >= WITNESS_MODULUS_MAX or _held_to_bound(build(), bound, delta, kind).exists
 
 
 def dist_to_regular(ge: GridElement, tol_bisect: float):
@@ -616,8 +692,9 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     grid algebra iff the extension at that level exists (Theorem condition
     (4)), and each successful extension certifies distance <= level via the
     explicit regular approximant. Returns (lower, upper); the interval never
-    collapses to a point because grid error is irreducible, and tol_bisect
-    must be finite and positive (ValueError otherwise).
+    collapses to a point because grid error is irreducible. ValueError when
+    tol_bisect is not finite and positive, or the element's values are not
+    finite.
 
     The bisection runs on (0, hi), hi above the sup-norm. Its lowest rung
     hi 2^-k at or below tol_bisect, the last midpoint when every decision
@@ -625,6 +702,12 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     on the interval, as C([0,1], M_d) has stable rank one, and on the disk
     at distance 0. A rung that fails, collides or aliases hands over to the
     bisection.
+
+    Each level is decided by `_extends`, which reads only whether an
+    extension exists. It is exact, not a shortcut that can differ from
+    decide_extension: it takes the same cut and the same winding decision,
+    and skips the witness only where the modulus bound is at least
+    WITNESS_MODULUS_MAX, where every witness passes its modulus check.
     """
     if not 0.0 < tol_bisect < math.inf:
         raise ValueError(f"tol_bisect must be finite and positive, got {tol_bisect}")
@@ -633,14 +716,14 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     while rung > tol_bisect:
         rung *= 0.5  # 0.5 * (0 + hi), as a midpoint
     try:
-        if decide_extension(ge, rung).exists:
+        if _extends(ge, rung):
             return 0.0, rung
     except (SpectralCollision, PhaseUnwrapAliasing):
         pass
     lo = 0.0
     while hi - lo > tol_bisect:
         mid = 0.5 * (lo + hi)
-        if decide_extension(ge, mid).exists:
+        if _extends(ge, mid):
             hi = mid
         else:
             lo = mid

@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from .errors import InputParse
-from .gridalg import GridDomain, GridElement
+from .gridalg import NOT_FINITE, GridDomain, GridElement
 
 
 def matrix_to_dict(a: np.ndarray) -> dict:
@@ -76,7 +76,7 @@ def grid_element_from_dict(d: dict) -> GridElement:
         raise InputParse(f"bad grid element JSON: {exc}") from exc
     values = np.stack(points)
     if not np.all(np.isfinite(values)):
-        raise InputParse("grid values must be finite")
+        raise InputParse(NOT_FINITE)
     return GridElement(domain=dom, values=values)
 
 

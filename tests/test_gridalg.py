@@ -1,6 +1,7 @@
 import math
 import signal
 from collections import Counter, deque
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -11,6 +12,7 @@ from cstarreg.errors import PhaseUnwrapAliasing, SpectralCollision
 from cstarreg.gridalg import (
     ALIAS_GUARD,
     TOP_HEADROOM,
+    WITNESS_MODULUS_MAX,
     GridElement,
     decide_extension,
     disk_domain,
@@ -834,16 +836,39 @@ class TestDistToRegular:
         """Below 0 the bisection on disk-z stalls on adjacent floats, at 0 it
         collapses the bracket of linear to (0, 0), NaN fails the first probe
         and inf returns (0, inf). The alarm turns a stall into a failure."""
-        def stalled(signum, frame):
-            raise TimeoutError("dist_to_regular did not return")
-        previous = signal.signal(signal.SIGALRM, stalled)
-        signal.setitimer(signal.ITIMER_REAL, 10.0)
-        try:
+        with _stall_alarm(10.0):
             with pytest.raises(ValueError, match="tol_bisect"):
                 dist_to_regular(gallery.gallery(name, 32), tol)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["osc", "rankdrop", "disk-z"])
+    def test_rejects_values_not_finite(self, name, bad):
+        """A NaN sample made the bracket (0, nan) on osc and disk-z and
+        raised LinAlgError on rankdrop; an inf sample left hi = inf, so the
+        bisection on osc never returned. Both are a ValueError now, from
+        dist_to_regular and from decide_extension."""
+        good = gallery.gallery(name, 32)
+        values = good.values.copy()
+        values[5, 0, 0] = bad
+        with _stall_alarm(10.0):
+            for decide in (lambda ge: dist_to_regular(ge, 0.02),
+                           lambda ge: decide_extension(ge, 0.5)):
+                with pytest.raises(ValueError, match="finite"):
+                    decide(GridElement(domain=good.domain, values=values))
+
+
+@contextmanager
+def _stall_alarm(seconds):
+    """Turns a call that does not return within `seconds` into a failure."""
+    def stalled(signum, frame):
+        raise TimeoutError("the call did not return")
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _reference_bisection(ge, tol_bisect):
@@ -924,12 +949,12 @@ class TestLowestRung:
 
     def test_one_decision_on_the_interval(self, monkeypatch):
         levels = []
-        orig = gridalg.decide_extension
+        orig = gridalg._extends
 
         def recorded(ge, delta):
             levels.append(delta)
             return orig(ge, delta)
-        monkeypatch.setattr(gridalg, "decide_extension", recorded)
+        monkeypatch.setattr(gridalg, "_extends", recorded)
         lo, up = dist_to_regular(gallery.gallery("osc", 128), 0.01)
         assert lo == 0.0 and levels == [up] and up <= 0.01
 
@@ -938,21 +963,27 @@ class TestLowestRung:
     def test_failing_rung_bisects(self, monkeypatch, below, at_rung):
         """A rung that fails, collides or aliases hands over to the
         bisection: the bracket is the reference's, whether extensions also
-        fail below 0.3 or only at the rung."""
+        fail below 0.3 or only at the rung. The same rule patches the
+        bisection's decision routine and, for the reference,
+        decide_extension."""
         ge = gallery.gallery("rankdrop", 128)
         tol = 0.005
         rung = _rung(ge, tol)
-        orig = gridalg.decide_extension
         raised = {"collides": SpectralCollision, "aliases": PhaseUnwrapAliasing}
 
-        def patched(ge, delta):
-            if delta == rung and at_rung in raised:
-                raise raised[at_rung]("at the rung")
-            if delta == rung or below and delta < 0.3:
-                return gridalg.ExtensionReport(exists=False, witness=None,
-                                               obstruction={"kind": "patched"})
-            return orig(ge, delta)
-        monkeypatch.setattr(gridalg, "decide_extension", patched)
+        def patch(name, failure):
+            orig = getattr(gridalg, name)
+
+            def patched(ge, delta):
+                if delta == rung and at_rung in raised:
+                    raise raised[at_rung]("at the rung")
+                if delta == rung or below and delta < 0.3:
+                    return failure
+                return orig(ge, delta)
+            monkeypatch.setattr(gridalg, name, patched)
+        patch("_extends", False)
+        patch("decide_extension", gridalg.ExtensionReport(
+            exists=False, witness=None, obstruction={"kind": "patched"}))
         got = dist_to_regular(ge, tol)
         assert got == _reference_bisection(ge, tol)
         if below:
@@ -964,12 +995,11 @@ class TestLowestRung:
         """Never more decisions than the bisection, and one on a disk field
         at distance 0 (winding 0)."""
         counts = []
-        orig = gridalg.decide_extension
-
-        def counted(ge, delta):
-            counts[-1] += 1
-            return orig(ge, delta)
-        monkeypatch.setattr(gridalg, "decide_extension", counted)
+        for name in ("_extends", "decide_extension"):
+            def counted(ge, delta, orig=getattr(gridalg, name)):
+                counts[-1] += 1
+                return orig(ge, delta)
+            monkeypatch.setattr(gridalg, name, counted)
         winding0 = gallery.random_scalar_field_2d(32, 128, np.random.default_rng(8100))
         for ge, tol in [(gallery.gallery("disk-z", 32), 0.02),
                         (_disk_field(_rim_channel), 0.005), (winding0, 0.02)]:
@@ -979,6 +1009,73 @@ class TestLowestRung:
             _reference_bisection(ge, tol)
             assert counts[-2] <= counts[-1], counts
         assert counts[-2] == 1  # the winding-0 field
+
+
+def _same_decision(ge, delta, held):
+    """decide_extension(ge, delta), once the bisection's decision routine
+    `_extends` is seen to agree with it: the same flag, or the same
+    exception (then None). `held` counts, per domain kind, the levels at
+    which `_extends` built its witness, which it may only do below a modulus
+    bound of WITNESS_MODULUS_MAX. Every witness that decide_extension builds
+    has a modulus of at most WITNESS_MODULUS_MAX, to rounding: the premise
+    on which `_extends` skips the witness above that bound."""
+    try:
+        rep = decide_extension(ge, delta)
+    except (SpectralCollision, PhaseUnwrapAliasing) as exc:
+        with pytest.raises(type(exc)):
+            gridalg._extends(ge, delta)
+        return None
+    orig = gridalg._held_to_bound
+
+    def counted(witness, bound, *rest):
+        assert bound < WITNESS_MODULUS_MAX
+        held[ge.domain.kind] += 1
+        return orig(witness, bound, *rest)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridalg, "_held_to_bound", counted)
+        assert gridalg._extends(ge, delta) == rep.exists, (delta, rep.obstruction)
+    if rep.obstruction is None or rep.obstruction["kind"] != "winding":  # a witness was built
+        assert rep.witness_modulus <= WITNESS_MODULUS_MAX + 1e-12
+    return rep
+
+
+class TestExtendsMatchesDecision:
+    def test_every_level_of_the_bisection(self):
+        """The rung and every level of the plain bisection, on every rung
+        case and tolerance; the witness is built and held to its bound on
+        both domains at some of them."""
+        held = Counter()
+        for ge in _rung_cases():
+            for tol in _tolerances(ge):
+                _same_decision(ge, _rung(ge, tol), held)
+                lo, hi = 0.0, sup_norm(ge) + max(tol, TOP_HEADROOM * guard_band(ge))
+                assert _same_decision(ge, hi, held).exists
+                while hi - lo > tol:
+                    mid = 0.5 * (lo + hi)
+                    if _same_decision(ge, mid, held).exists:
+                        hi = mid
+                    else:
+                        lo = mid
+        assert held["interval-1d"] > 0 and held["disk-2d-polar"] > 0, held
+
+    @pytest.mark.parametrize("kind", ["interval-1d", "disk-2d-polar"])
+    def test_witness_over_its_bound(self, kind):
+        """f = exp(3i Re z) (exp(3i sin 2 pi t) on the interval) at delta =
+        0.95: nothing lies below delta, so the bound is 10 (1 - delta) /
+        delta = 0.53 times the modulus of the cut-down's phase, which is the
+        witness. Both routines build it, and it fails its bound."""
+        if kind == "interval-1d":
+            dom = interval_domain(128)
+            phase = 3.0 * np.sin(2.0 * np.pi * dom.coordinates())
+        else:
+            dom = disk_domain(32, 128)
+            radii, angles = dom.coordinates()
+            phase = 3.0 * np.outer(radii, np.cos(angles)).ravel()
+        ge = GridElement(domain=dom, values=np.exp(1j * phase).reshape(-1, 1, 1))
+        held = Counter()
+        rep = _same_decision(ge, 0.95, held)
+        assert not rep.exists and rep.obstruction["kind"] in ("frame-transport", "modulus")
+        assert held == {kind: 1}
 
 
 def _monotone_case(kind, seed):
@@ -995,10 +1092,11 @@ class TestDecisionMonotone:
     @pytest.mark.parametrize("seed", range(4))
     def test_existence_monotone_in_cut_level(self, kind, seed):
         """Bisection in dist_to_regular rests on this: once an extension
-        exists at a cut level, it exists at every higher level."""
+        exists at a cut level, it exists at every higher level. Its decision
+        routine agrees with decide_extension at every level."""
         ge = _monotone_case(kind, seed)
         levels = np.linspace(0.0, 1.1, 34)[1:] * sup_norm(ge)
-        flags = [decide_extension(ge, lv).exists for lv in levels]
+        flags = [_same_decision(ge, lv, Counter()).exists for lv in levels]
         first = flags.index(True)
         assert all(flags[first:]), flags
 
