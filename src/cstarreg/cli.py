@@ -192,11 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Validate the parsed options; --deltas becomes a list of floats."""
-    if args.deltas:
+    if args.deltas is not None:
         try:
             args.deltas = [float(x) for x in args.deltas.split(",") if x.strip()]
         except ValueError as exc:
             raise InputParse(f"bad --deltas: {exc}") from exc
+        if not args.deltas:
+            raise InputParse("--deltas lists no cut level")
     if args.grid_n < 16:
         raise InputParse("--gridN must be at least 16")
     if args.n < 1:

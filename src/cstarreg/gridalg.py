@@ -105,28 +105,18 @@ class GridDomain:
 
 @lru_cache(maxsize=64)
 def _edge_arrays(dom: GridDomain):
-    """(left, right, spacing) index arrays over adjacent node pairs."""
+    """(left, right) index arrays over adjacent node pairs."""
     if dom.kind == "interval-1d":
-        h = 1.0 / (dom.n_points - 1)
         left = np.arange(dom.n_points - 1)
-        return left, left + 1, np.full(dom.n_points - 1, h)
-    radii, _ = dom.coordinates()
+        return left, left + 1
     nr, nt = dom.n_radial, dom.n_angular
-    dr = 1.0 / nr
-    dtheta = 2.0 * np.pi / nt
     j = np.repeat(np.arange(nr), nt)
     m = np.tile(np.arange(nt), nr)
     idx = j * nt + m
     ang_right = j * nt + (m + 1) % nt
-    lefts = [idx]
-    rights = [ang_right]
-    spacings = [radii[j] * dtheta]
     inner = j < nr - 1
-    lefts.append(idx[inner])
-    rights.append(idx[inner] + nt)
-    spacings.append(np.full(inner.sum(), dr))
-    return (np.concatenate(lefts), np.concatenate(rights),
-            np.concatenate(spacings))
+    return (np.concatenate([idx, idx[inner]]),
+            np.concatenate([ang_right, idx[inner] + nt]))
 
 
 def interval_domain(n_points: int) -> GridDomain:
@@ -167,7 +157,7 @@ class GridElement:
 
     def modulus(self) -> float:
         """Max over adjacent nodes of the operator-norm jump."""
-        left, right, _ = self.domain.edge_arrays()
+        left, right = self.domain.edge_arrays()
         diffs = self.values[left] - self.values[right]
         if diffs.size == 0:
             return 0.0
@@ -475,7 +465,7 @@ def _edge_jumps(dom: GridDomain, phase: np.ndarray, support: np.ndarray):
     (j, m) -> (j, m+1), shape (nr, nt), and the radial edges
     (j, m) -> (j+1, m), shape (nr - 1, nt). Raises PhaseUnwrapAliasing when
     the wrapped step along an edge inside the support exceeds ALIAS_GUARD."""
-    left, right, _ = dom.edge_arrays()  # angular edges first, both in flat order
+    left, right = dom.edge_arrays()  # angular edges first, both in flat order
     dphi = phase[right] - phase[left]
     step = _principal(dphi)
     aliased = support[left] & support[right] & (np.abs(step) > ALIAS_GUARD)

@@ -1,7 +1,7 @@
 """Constructive partial-isometry extension: given a, a nearby regular x and a
 cut level delta, build the partial isometry w that agrees with the canonical
 polar part v on the spectral projection above delta, verifying every
-intermediate identity along the way.
+identity that a construction fault can break.
 
 b, c and w are built in the ambient algebra. The residuals are read in the
 SVD frame a = U diag(s) V* of a: there e_delta, f_delta, e_gamma and f_gamma
@@ -29,7 +29,7 @@ from .opcore import (
     proof_f,
     proof_g,
 )
-from .regularity import is_regular, verify_penrose
+from .regularity import is_regular
 
 EXACT_MATCH_TOL = 1e-12  # below this, a and x are treated as equal
 
@@ -63,7 +63,8 @@ def _svd_projections(frame: SVDFrame, level, eta):
 
 
 def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
-    """Run the full pipeline and record every intermediate residual.
+    """Run the full pipeline and record every identity that a construction
+    fault can break.
 
     Raises TooFar when ||a - x|| >= delta, XNotRegular when x fails its
     regularity check, SpectralCollision when delta (or a nudged gamma)
@@ -84,7 +85,7 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
     if beta >= delta:
         raise TooFar(f"||a - x|| = {beta:.6g} >= delta = {delta:.6g}")
     rep = is_regular(x)
-    if not (rep.is_regular and verify_penrose(x, rep.mp_inverse)):
+    if not rep.is_regular:
         raise XNotRegular("x failed the regularity check")
 
     frame_a = SVDFrame.of(a)
@@ -99,8 +100,7 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
     kd = int(np.count_nonzero(s > delta))
     vf = uh @ v @ vm  # U* v V
 
-    # (name, matrix) pairs whose operator norms are the checks; a name that
-    # repeats takes the largest of its norms
+    # (name, matrix) pairs whose operator norms are the checks
     residuals = []
     short_circuit = beta <= EXACT_MATCH_TOL * (1.0 + frame_a.norm)
     if short_circuit:
@@ -136,8 +136,6 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
         h2_2 = h2(s[b2])
         v_gg = vf[:kg, :kg]
         residuals += [
-            ("y_unit_norm", y),
-            ("x_decomposition", x - (a + beta * y)),
             # sup |beta*g| over [0, inf) is beta/gamma < 1, so 1 + beta g(|a|) v* y
             # is invertible; the operator norm is only bounded by that sup
             ("beta_g_sup_bound", beta * g_abs),
@@ -145,9 +143,6 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
             # corner identity f_gamma x = v e_gamma |a| (1 + beta g(|a|) v* y)
             ("corner_identity", uh[:kg] @ x @ vm - v_gg @ abs_t),
             ("f_gamma_b", bf[:kg] - np.pad(v_gg, ((0, 0), (0, n - kg)))),
-            # v e_gamma - f_gamma v is block anti-diagonal
-            ("f_gamma_v", vf[:kg, kg:]),
-            ("f_gamma_v", vf[kg:, :kg]),
             # c against [[v e1, 0, 0], [0, v e2, 0], [0, b32 h2, b33]]
             ("block_11", cf[b1, b1] - vf[b1, b1]),
             ("block_12", cf[b1, b2]),
@@ -172,11 +167,8 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
         ("final_f_delta_w", (uh[:kd] @ w) @ vm - vf[:kd]),
     ]
     names, mats = zip(*residuals)
-    checks: dict[str, float] = {}
-    for name, norm in zip(names, op_norms(mats)):
-        checks[name] = max(checks.get(name, 0.0), norm)
+    checks = dict(zip(names, op_norms(mats)))
     if not short_circuit:
-        checks["y_unit_norm"] = abs(checks["y_unit_norm"] - 1.0)
         checks["beta_g_sup_bound"] = max(checks["beta_g_sup_bound"] - beta / gamma, 0.0)
 
     return PipelineTrace(

@@ -69,6 +69,8 @@ def grid_element_to_dict(ge: GridElement) -> dict:
 
 
 def grid_element_from_dict(d: dict) -> GridElement:
+    if not isinstance(d, dict):
+        raise InputParse(f"bad grid element JSON: expected an object, not {type(d).__name__}")
     dom = domain_from_dict(d.get("domain", {}))
     try:
         points = [matrix_from_dict(p) for p in d["points"]]

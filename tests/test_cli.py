@@ -219,6 +219,12 @@ class TestCliCommands:
         assert main([*flags, "--input", "osc", "--gridN", "32"]) == 1
         assert "--delta, --deltas and --gamma must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("deltas", [",", ""])
+    def test_empty_deltas(self, capsys, deltas):
+        """A --deltas with no level is an input error, not the default sweep."""
+        assert main(["theorem", "--input", "linear", "--gridN", "32", "--deltas", deltas]) == 1
+        assert capsys.readouterr().err == "error: --deltas lists no cut level\n"
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_bad_n(self, capsys, n):
         assert main(["lemma3", "--n", n]) == 1
@@ -245,3 +251,12 @@ class TestCliCommands:
         serialize.dump_json(d, f)
         assert main([*command, "--input", str(f), "--tol", "0.05"]) == 1
         assert capsys.readouterr().err == "error: grid values must be finite\n"
+
+    @pytest.mark.parametrize("top", [[1, 2], "x", 3])
+    def test_grid_file_not_an_object_exits_one(self, tmp_path, capsys, top):
+        """A grid file whose top-level JSON value is not an object is an
+        input error line, not a traceback."""
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(top))
+        assert main(["dist", "--input", str(f)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad grid element JSON: ")

@@ -495,7 +495,7 @@ class TestExtension2d:
 @lru_cache(maxsize=4)
 def _adjacency(dom):
     adj = [[] for _ in range(dom.size)]
-    left, right, _ = dom.edge_arrays()
+    left, right = dom.edge_arrays()
     for i, j in zip(left.tolist(), right.tolist()):
         adj[i].append(j)
         adj[j].append(i)

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cstarreg import opcore, pipeline
+from cstarreg import opcore, pipeline, regularity
 from cstarreg.errors import SpectralCollision, TooFar, XNotRegular
 from cstarreg.opcore import (
     SVDFrame,
@@ -21,7 +23,7 @@ from cstarreg.pipeline import (
     approx_polar_from_pipeline,
     construct_partial_isometry,
 )
-from cstarreg.regularity import is_regular, verify_penrose
+from cstarreg.regularity import is_regular
 
 from conftest import random_complex, random_with_spectrum
 
@@ -41,7 +43,7 @@ def _reference_checks(a, x, delta: float) -> PipelineTrace:
     if beta >= delta:
         raise TooFar(f"||a - x|| = {beta:.6g} >= delta = {delta:.6g}")
     rep = is_regular(x)
-    if not (rep.is_regular and verify_penrose(x, rep.mp_inverse)):
+    if not rep.is_regular:
         raise XNotRegular("x failed the regularity check")
 
     frame_a = SVDFrame.of(a)
@@ -63,8 +65,6 @@ def _reference_checks(a, x, delta: float) -> PipelineTrace:
         e_gamma, f_gamma = _svd_projections(frame_a, gamma, eta)
 
         y = (x - a) / beta
-        checks["y_unit_norm"] = abs(op_norm(y) - 1.0)
-        checks["x_decomposition"] = op_norm(x - (a + beta * y))
 
         g_abs = frame_a.fn_abs(proof_g(gamma))
         f_abs = frame_a.fn_abs(proof_f(gamma))
@@ -81,7 +81,6 @@ def _reference_checks(a, x, delta: float) -> PipelineTrace:
         # corner identity f_gamma x = v e_gamma |a| (1 + beta g(|a|) v* y)
         checks["corner_identity"] = op_norm(f_gamma @ x - v @ e_gamma @ abs_a @ t_mat)
         checks["f_gamma_b"] = op_norm(f_gamma @ b - v @ e_gamma)
-        checks["f_gamma_v"] = op_norm(v @ e_gamma - f_gamma @ v)
 
         mu1 = (gamma + delta) / 2.0
         h1, h2 = make_h_pair(gamma, mu1, delta)
@@ -164,12 +163,12 @@ class TestShortCircuit:
 FINAL_CHECKS = {"partial_isometry", "final_we_delta", "final_f_delta_w"}
 BLOCK_CHECKS = {"cross_term", *(f"block_{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3))}
 FULL_CHECKS = FINAL_CHECKS | BLOCK_CHECKS | {
-    "y_unit_norm", "x_decomposition", "beta_g_sup_bound", "t_invertible",
-    "corner_identity", "f_gamma_b", "f_gamma_v", "abs_c_e1", "f1_abs_cstar"}
+    "beta_g_sup_bound", "t_invertible", "corner_identity", "f_gamma_b", "abs_c_e1",
+    "f1_abs_cstar"}
 
 
 class TestCheckKeys:
-    """The residuals lemma3 reports: 3 on the short circuit, 22 on the full
+    """The residuals lemma3 reports: 3 on the short circuit, 19 on the full
     path. Both paths share one tail, so neither may drop or add one."""
 
     def test_short_circuit_keys(self, rng):
@@ -182,7 +181,7 @@ class TestCheckKeys:
         a, x = _instance(3, 6, 0.5)
         trace = construct_partial_isometry(a, x, 0.5)
         assert not trace.short_circuit
-        assert len(FULL_CHECKS) == 22 and set(trace.checks) == FULL_CHECKS
+        assert len(FULL_CHECKS) == 19 and set(trace.checks) == FULL_CHECKS
 
 
 class TestHandCase:
@@ -277,6 +276,16 @@ class TestFailureModes:
         a = np.diag([1.0, delta - 3.0 * eta, delta - 1.5 * eta]).astype(complex)
         with pytest.raises(SpectralCollision):
             construct_partial_isometry(a, a + (delta - 6.0 * eta) * np.eye(3), delta)
+
+    def test_x_not_regular(self, monkeypatch):
+        """The pipeline's one hypothesis gate: a report with is_regular
+        False stops the construction."""
+        def irregular(x):
+            return dataclasses.replace(regularity.is_regular(x), is_regular=False)
+        monkeypatch.setattr(pipeline, "is_regular", irregular)
+        a, x = _instance(0, 4, 0.5)
+        with pytest.raises(XNotRegular):
+            construct_partial_isometry(a, x, 0.5)
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
@@ -398,6 +407,78 @@ class TestFrameResidualsMatchSandwiches:
         assert trace.gamma > (trace.beta + 0.5) / 2.0
 
 
+_INV = np.linalg.inv
+
+
+def _h1_past_mu1(gamma, mu1, delta):
+    """h1 reaching 0 only at delta breaks h1 h2 = h1 on [mu1, delta]."""
+    _, h2 = opcore.make_h_pair(gamma, mu1, delta)
+    return (lambda t: np.clip((delta - t) / (delta - gamma), 0.0, 1.0)), h2
+
+
+def _h2_is_h1(gamma, mu1, delta):
+    """h2 = h1 leaves 1 - h2 nonzero where h1 is, on (gamma, mu1)."""
+    h1, _ = opcore.make_h_pair(gamma, mu1, delta)
+    return h1, h1
+
+
+def _h2_from_half_gamma(gamma, mu1, delta):
+    """h2 falling from gamma / 2 scales the corner below gamma too."""
+    h1, _ = opcore.make_h_pair(gamma, mu1, delta)
+    return h1, lambda t: np.clip((delta - t) / (delta - gamma / 2.0), 0.0, 1.0)
+
+
+def _h1_zero(gamma, mu1, delta):
+    """h1 = 0 makes c = b: the corner below delta is never cut."""
+    _, h2 = opcore.make_h_pair(gamma, mu1, delta)
+    return np.zeros_like, h2
+
+
+def _scaled(fn, below, above):
+    """The proof function fn(gamma) times `below` on [0, gamma] and times
+    `above` past gamma."""
+    def mutant(gamma):
+        base = fn(gamma)
+        return lambda t: np.where(t <= gamma, below, above) * base(t)
+    return mutant
+
+
+def _inverse_off(m):
+    return _INV(m) + 1e-4 * np.ones_like(m)
+
+
+def _x_inverse_off(x):
+    rep = regularity.is_regular(x)
+    return dataclasses.replace(rep, mp_inverse=rep.mp_inverse + 1e-3)
+
+
+# what a fault in t^-1, or in g through t, reaches: b = x t^-1 f(|a|), c and w
+T_FAULT = {"f_gamma_b", "block_11", "block_12", "block_13", "block_21", "block_22",
+           "block_23", "abs_c_e1", "f1_abs_cstar", "final_we_delta", "final_f_delta_w"}
+
+# One planted fault per construction step, with the exact set of checks it
+# lifts above 1e-7 on TestPlantedSpectrum._planted() at delta = 0.5.
+MUTATIONS = [
+    pytest.param("make_h_pair", _h1_past_mu1, {"block_22", "cross_term"}, id="h1-past-mu1"),
+    pytest.param("make_h_pair", _h2_is_h1, {"block_22", "cross_term"}, id="h2-is-h1"),
+    pytest.param("make_h_pair", _h2_from_half_gamma, {"block_22", "block_33", "cross_term"},
+                 id="h2-from-half-gamma"),
+    pytest.param("make_h_pair", _h1_zero,
+                 {"abs_c_e1", "block_31", "block_32", "f1_abs_cstar", "final_f_delta_w",
+                  "final_we_delta"}, id="c-is-b"),
+    pytest.param("inv", _inverse_off, T_FAULT | {"t_invertible"}, id="t-inverse-off"),
+    pytest.param("proof_g", _scaled(opcore.proof_g, 1.0, 1.01), T_FAULT | {"corner_identity"},
+                 id="g-above-gamma"),
+    pytest.param("proof_f", _scaled(opcore.proof_f, 1.0, 1.01),
+                 {"abs_c_e1", "block_11", "block_22", "f1_abs_cstar", "f_gamma_b"},
+                 id="f-above-gamma"),
+    pytest.param("proof_g", _scaled(opcore.proof_g, 3.0, 1.0), {"beta_g_sup_bound"},
+                 id="g-below-gamma"),
+    # the construction never reads x^+, so a wrong one changes nothing
+    pytest.param("is_regular", _x_inverse_off, set(), id="x-inverse-off"),
+]
+
+
 class TestPlantedSpectrum:
     """beta = 0.1 and delta = 0.5 give gamma = 0.3 and mu1 = 0.4, and a has
     singular values in (0, gamma], (gamma, mu1), [mu1, delta] and
@@ -422,10 +503,6 @@ class TestPlantedSpectrum:
         assert flagged[0] == flagged[1]
         return flagged[0]
 
-    def _mutate_h(self, monkeypatch, mutant):
-        monkeypatch.setattr(pipeline, "make_h_pair", mutant)
-        monkeypatch.setitem(globals(), "make_h_pair", mutant)
-
     def test_every_block_is_populated(self):
         a, x = self._planted()
         trace, _ = _matches_reference(a, x, 0.5)
@@ -435,28 +512,29 @@ class TestPlantedSpectrum:
             assert np.any((s > lo) & (s < hi))
         assert trace.max_residual() <= 1e-12
 
-    def test_h1_past_mu1(self, monkeypatch):
-        """h1 reaching 0 only at delta breaks h1 h2 = h1 on [mu1, delta]."""
-        def mutant(gamma, mu1, delta):
-            _, h2 = opcore.make_h_pair(gamma, mu1, delta)
-            return (lambda t: np.clip((delta - t) / (delta - gamma), 0.0, 1.0)), h2
-        self._mutate_h(monkeypatch, mutant)
-        assert self._flags(*self._planted()) == {"block_22", "cross_term"}
+    @pytest.mark.parametrize("name, mutant, flagged", MUTATIONS)
+    def test_mutation_table(self, monkeypatch, name, mutant, flagged):
+        """The fault is installed where the construction and the reference
+        read it: np.linalg for inv, pipeline and this module otherwise. A
+        fault that no check flags must leave w and every check unchanged."""
+        clean = construct_partial_isometry(*self._planted(), 0.5)
+        if name == "inv":
+            monkeypatch.setattr(np.linalg, "inv", mutant)
+        else:
+            monkeypatch.setattr(pipeline, name, mutant)
+            monkeypatch.setitem(globals(), name, mutant)
+        assert self._flags(*self._planted()) == flagged
+        if not flagged:
+            trace = construct_partial_isometry(*self._planted(), 0.5)
+            assert trace.w.tobytes() == clean.w.tobytes()
+            assert trace.checks == clean.checks
 
-    def test_h2_vanishing_from_mu1(self, monkeypatch):
-        """h2 = h1 leaves 1 - h2 nonzero where h1 is, on (gamma, mu1). A
-        spectrum with no singular value there flags nothing in either form;
-        this one has 0.35 and 0.33."""
-        def mutant(gamma, mu1, delta):
-            h1, _ = opcore.make_h_pair(gamma, mu1, delta)
-            return h1, h1
-        self._mutate_h(monkeypatch, mutant)
-        assert self._flags(*self._planted()) == {"block_22", "cross_term"}
-
-    def test_perturbed_inverse_of_t(self, monkeypatch):
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda m: inv(m) + 1e-4 * np.ones_like(m))
-        assert {"t_invertible", "f_gamma_b", "final_we_delta"} <= self._flags(*self._planted())
+    def test_table_covers_every_check(self):
+        """Each check is lifted by some fault, except partial_isometry: w is
+        the polar part of c whatever c is, and the check is the lemma's
+        conclusion that criterion 4 relies on."""
+        lifted = set().union(*(row.values[2] for row in MUTATIONS))
+        assert lifted == FULL_CHECKS - {"partial_isometry"}
 
 
 class TestNonFiniteResiduals:
