@@ -52,10 +52,6 @@ class TooFar(CstarRegError):
     pass
 
 
-class XNotRegular(CstarRegError):
-    pass
-
-
 class SpectralCollision(CstarRegError):
     """A probe level collides with the spectrum; caller perturbs and retries."""
 

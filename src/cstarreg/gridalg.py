@@ -276,12 +276,6 @@ def _modulus_bound(ge: GridElement, delta: float) -> float:
     return MODULUS_BOUND_FACTOR * cut_mod / spread
 
 
-def _check_separation(s_pointwise: np.ndarray, delta: float, eta: float):
-    if np.any(np.abs(s_pointwise - delta) <= eta):
-        raise SpectralCollision(
-            f"cut {delta} within {eta:.2g} of a pointwise singular value")
-
-
 def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
     """Build a grid-continuous partial isometry w on [0,1] with
     w e_delta = v e_delta at every node.
@@ -303,7 +297,7 @@ def _interval_cut(ge: GridElement, delta: float) -> None:
     the separation of delta from the pointwise singular values."""
     if ge.domain.kind != "interval-1d":
         raise ValueError("polar_extension_1d needs an interval domain")
-    _check_separation(ge.singular_values().ravel(), delta, guard_band(ge))
+    opcore.check_clear(delta, ge.singular_values(), guard_band(ge))
 
 
 def _frame_witness(ge: GridElement, delta: float) -> GridElement:
@@ -613,7 +607,7 @@ def _disk_cut(ge: GridElement, delta: float):
         raise ValueError("polar_extension_2d_scalar needs a scalar disk element")
     dom = ge.domain
     mags = ge.singular_values().ravel()
-    _check_separation(mags, delta, guard_band(ge))
+    opcore.check_clear(delta, mags, guard_band(ge))
     support = mags > delta
     if not support.any():
         return None

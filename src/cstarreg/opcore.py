@@ -71,12 +71,24 @@ def eta_sep(norm: float) -> float:
     return ETA_SEP_BASE * (1.0 + norm)
 
 
+def _collides(level: float, s, eta: float) -> bool:
+    return bool(np.any(np.abs(s - level) <= eta))
+
+
+def check_clear(level: float, s, eta: float) -> None:
+    """Raises SpectralCollision when some value of `s` lies within eta of
+    `level`: the collision rule that clear_of, the pipeline and the grid
+    decisions share."""
+    if _collides(level, s, eta):
+        raise SpectralCollision(f"cut level {level} within {eta:.2g} of a singular value")
+
+
 def clear_of(level: float, s, eta: float, below: float = math.inf) -> float:
-    """`level` stepped up by 2 eta while some value of `s` lies within eta
-    of it, at most MAX_NUDGES times and staying below `below`. Raises
+    """`level` stepped up by 2 eta while it collides with `s` (check_clear),
+    at most MAX_NUDGES times and staying below `below`. Raises
     SpectralCollision when it cannot be cleared."""
     for _ in range(MAX_NUDGES):
-        if not np.any(np.abs(s - level) <= eta):
+        if not _collides(level, s, eta):
             return level
         level += 2.0 * eta
         if level >= below:

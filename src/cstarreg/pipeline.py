@@ -1,7 +1,9 @@
 """Constructive partial-isometry extension: given a, a nearby regular x and a
 cut level delta, build the partial isometry w that agrees with the canonical
 polar part v on the spectral projection above delta, verifying every
-identity that a construction fault can break.
+identity that a construction fault can break. In M_n every x is regular,
+so the lemma's hypotheses reduce to ||a - x|| < delta and x is never
+factorized unless it is c.
 
 b, c and w are built in the ambient algebra. The residuals are read in the
 SVD frame a = U diag(s) V* of a: there e_delta, f_delta, e_gamma and f_gamma
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opcore
-from .errors import SpectralCollision, TooFar, XNotRegular
+from .errors import TooFar
 from .opcore import (
     SVDFrame,
     as_matrix,
@@ -29,7 +31,6 @@ from .opcore import (
     proof_f,
     proof_g,
 )
-from .regularity import is_regular
 
 EXACT_MATCH_TOL = 1e-12  # below this, a and x are treated as equal
 
@@ -42,8 +43,6 @@ class PipelineTrace:
     w: np.ndarray
     v: np.ndarray
     abs_a: np.ndarray
-    e_delta: np.ndarray
-    f_delta: np.ndarray
     short_circuit: bool = False
     checks: dict = field(default_factory=dict)
 
@@ -51,28 +50,15 @@ class PipelineTrace:
         return max(self.checks.values()) if self.checks else 0.0
 
 
-def _svd_projections(frame: SVDFrame, level, eta):
-    """Left/right spectral projections of |a*| and |a| above `level`, read
-    from one SVD frame so the left/right bases stay paired."""
-    if np.any(np.abs(frame.s - level) <= eta):
-        raise SpectralCollision(f"cut level {level} within {eta:.2g} of a singular value")
-    ur, _, wr = frame.above(level)
-    e = wr @ wr.conj().T  # projection for |a|
-    f = ur @ ur.conj().T  # projection for |a*|
-    return e, f
-
-
 def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
     """Run the full pipeline and record every identity that a construction
     fault can break.
 
-    Raises TooFar when ||a - x|| >= delta, XNotRegular when x fails its
-    regularity check, SpectralCollision when delta (or a nudged gamma)
-    cannot be separated from the singular spectrum of a. It factorizes
-    three operands once each, x (inside is_regular), a and c, and reads
-    every spectral object of a, c and x off their SVD frames. On the
-    short-circuit path (a = x to EXACT_MATCH_TOL) c is x, read off the
-    frame is_regular built: two SVDs.
+    Raises TooFar when ||a - x|| >= delta and SpectralCollision when delta
+    (or a nudged gamma) cannot be separated from the singular spectrum of
+    a. It factorizes two operands once each, a and c, and reads every
+    spectral object of a and c off their SVD frames. On the short-circuit
+    path (a = x to EXACT_MATCH_TOL) c is x: a and x, two SVDs again.
     """
     a = as_matrix(a)
     x = as_matrix(x)
@@ -84,9 +70,6 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
     beta = op_norm(a - x)
     if beta >= delta:
         raise TooFar(f"||a - x|| = {beta:.6g} >= delta = {delta:.6g}")
-    rep = is_regular(x)
-    if not rep.is_regular:
-        raise XNotRegular("x failed the regularity check")
 
     frame_a = SVDFrame.of(a)
     parts = frame_a.polar()
@@ -96,7 +79,7 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
     s = frame_a.s
     uh, vm = frame_a.u.conj().T, frame_a.vh.conj().T  # U*, V
 
-    e_delta, f_delta = _svd_projections(frame_a, delta, eta)
+    opcore.check_clear(delta, s, eta)
     kd = int(np.count_nonzero(s > delta))
     vf = uh @ v @ vm  # U* v V
 
@@ -104,9 +87,9 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
     residuals = []
     short_circuit = beta <= EXACT_MATCH_TOL * (1.0 + frame_a.norm)
     if short_circuit:
-        # a = x is already regular: c := x, read off the frame is_regular built
+        # a = x to rounding: c := x
         gamma = (beta + delta) / 2.0
-        frame_c = rep.frame
+        frame_c = SVDFrame.of(x)
     else:
         gamma = opcore.clear_of((beta + delta) / 2.0, s, eta, below=delta)
         kg = int(np.count_nonzero(s > gamma))
@@ -173,7 +156,7 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
 
     return PipelineTrace(
         beta=beta, gamma=gamma, delta=delta, w=w, v=v, abs_a=abs_a,
-        e_delta=e_delta, f_delta=f_delta, short_circuit=short_circuit, checks=checks,
+        short_circuit=short_circuit, checks=checks,
     )
 
 

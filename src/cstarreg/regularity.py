@@ -35,9 +35,8 @@ class GapCertificate:
 @dataclass
 class RegularityReport:
     is_regular: bool
-    gap: GapCertificate | None
-    mp_inverse: np.ndarray | None
-    frame: SVDFrame  # the one SVD of a that gap and mp_inverse are read from
+    gap: GapCertificate  # gap and mp_inverse are read off one SVD of a
+    mp_inverse: np.ndarray
 
 
 def _certificate(frame: SVDFrame) -> GapCertificate:
@@ -69,8 +68,7 @@ def is_regular(a) -> RegularityReport:
     frame = SVDFrame.of(a)
     ur, s, wr = frame.above(opcore.TAU_RANK * frame.norm)
     mp = (wr / s) @ ur.conj().T
-    return RegularityReport(is_regular=True, gap=_certificate(frame), mp_inverse=mp,
-                            frame=frame)
+    return RegularityReport(is_regular=True, gap=_certificate(frame), mp_inverse=mp)
 
 
 def verify_penrose(a, b) -> bool:

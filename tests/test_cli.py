@@ -114,6 +114,14 @@ class TestCliCommands:
         rep = json.loads(f1.read_text())
         assert rep["max_residual"] <= 1e-7
 
+    def test_lemma3_short_circuit(self, capsys):
+        """x = a + 5e-301 y rounds to a exactly, so c := x and only the three
+        final checks are reported."""
+        assert main(["lemma3", "--n", "8", "--seed", "0", "--delta", "1e-300"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["short_circuit"] is True
+        assert set(rep["checks"]) == {"partial_isometry", "final_we_delta", "final_f_delta_w"}
+
     def test_lemma3_seed_changes_output(self, tmp_path):
         f1, f2 = tmp_path / "s1.json", tmp_path / "s2.json"
         assert main(["lemma3", "--seed", "1", "--out", str(f1)]) == 0

@@ -1,10 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from cstarreg import opcore, pipeline, regularity
-from cstarreg.errors import SpectralCollision, TooFar, XNotRegular
+from cstarreg import opcore, pipeline
+from cstarreg.errors import SpectralCollision, TooFar
 from cstarreg.opcore import (
     SVDFrame,
     abs_of,
@@ -19,13 +17,18 @@ from cstarreg.opcore import (
 from cstarreg.pipeline import (
     EXACT_MATCH_TOL,
     PipelineTrace,
-    _svd_projections,
     approx_polar_from_pipeline,
     construct_partial_isometry,
 )
-from cstarreg.regularity import is_regular
 
 from conftest import random_complex, random_with_spectrum
+
+
+def _svd_projections(frame: SVDFrame, level):
+    """Right/left spectral projections e, f of |a| and |a*| above `level`,
+    read from one SVD frame so the left/right bases stay paired."""
+    ur, _, wr = frame.above(level)
+    return wr @ wr.conj().T, ur @ ur.conj().T
 
 
 def _reference_checks(a, x, delta: float) -> PipelineTrace:
@@ -42,9 +45,6 @@ def _reference_checks(a, x, delta: float) -> PipelineTrace:
     beta = op_norm(a - x)
     if beta >= delta:
         raise TooFar(f"||a - x|| = {beta:.6g} >= delta = {delta:.6g}")
-    rep = is_regular(x)
-    if not rep.is_regular:
-        raise XNotRegular("x failed the regularity check")
 
     frame_a = SVDFrame.of(a)
     parts = frame_a.polar()
@@ -52,17 +52,18 @@ def _reference_checks(a, x, delta: float) -> PipelineTrace:
     abs_a = parts.abs_a
     eta = opcore.eta_sep(frame_a.norm)
 
-    e_delta, f_delta = _svd_projections(frame_a, delta, eta)
+    opcore.check_clear(delta, frame_a.s, eta)
+    e_delta, f_delta = _svd_projections(frame_a, delta)
 
     checks: dict[str, float] = {}
     short_circuit = beta <= EXACT_MATCH_TOL * (1.0 + frame_a.norm)
     if short_circuit:
-        # a = x is already regular: c := x, read off the frame is_regular built
+        # a = x to rounding: c := x
         gamma = (beta + delta) / 2.0
-        frame_c = rep.frame
+        frame_c = SVDFrame.of(x)
     else:
         gamma = opcore.clear_of((beta + delta) / 2.0, frame_a.s, eta, below=delta)
-        e_gamma, f_gamma = _svd_projections(frame_a, gamma, eta)
+        e_gamma, f_gamma = _svd_projections(frame_a, gamma)
 
         y = (x - a) / beta
 
@@ -103,7 +104,7 @@ def _reference_checks(a, x, delta: float) -> PipelineTrace:
 
     return PipelineTrace(
         beta=beta, gamma=gamma, delta=delta, w=w, v=v, abs_a=abs_a,
-        e_delta=e_delta, f_delta=f_delta, short_circuit=short_circuit, checks=checks,
+        short_circuit=short_circuit, checks=checks,
     )
 
 
@@ -157,7 +158,8 @@ class TestShortCircuit:
     def test_w_matches_v_above_cut(self, rng):
         a = random_complex(rng, 4)
         trace = construct_partial_isometry(a, a.copy(), 0.3 * op_norm(a))
-        assert op_norm(trace.w @ trace.e_delta - trace.v @ trace.e_delta) <= 1e-10
+        e_delta, _ = _svd_projections(SVDFrame.of(a), trace.delta)
+        assert op_norm(trace.w @ e_delta - trace.v @ e_delta) <= 1e-10
 
 
 FINAL_CHECKS = {"partial_isometry", "final_we_delta", "final_f_delta_w"}
@@ -191,9 +193,10 @@ class TestHandCase:
         trace = construct_partial_isometry(a, x, 0.5)
         assert not trace.short_circuit
         assert trace.beta == pytest.approx(0.1)
-        assert np.allclose(trace.e_delta, np.diag([1.0, 0.0]))
+        e_delta, _ = _svd_projections(SVDFrame.of(a), 0.5)
+        assert np.allclose(e_delta, np.diag([1.0, 0.0]))
         assert trace.max_residual() <= 1e-12
-        assert np.allclose(trace.w @ trace.e_delta, np.diag([1.0, 0.0]))
+        assert np.allclose(trace.w @ e_delta, np.diag([1.0, 0.0]))
 
 
 class TestRandomInstances:
@@ -218,8 +221,9 @@ class TestRandomInstances:
     def test_partial_isometry_agrees_with_v(self):
         a, x = _instance(11, 4, 0.5)
         trace = construct_partial_isometry(a, x, 0.5)
-        assert op_norm(trace.w @ trace.e_delta - trace.v @ trace.e_delta) <= 1e-7
-        assert op_norm(trace.f_delta @ trace.w - trace.f_delta @ trace.v) <= 1e-7
+        e_delta, f_delta = _svd_projections(SVDFrame.of(a), 0.5)
+        assert op_norm(trace.w @ e_delta - trace.v @ e_delta) <= 1e-7
+        assert op_norm(f_delta @ trace.w - f_delta @ trace.v) <= 1e-7
 
 
 class TestTailBelowRankCut:
@@ -277,16 +281,6 @@ class TestFailureModes:
         with pytest.raises(SpectralCollision):
             construct_partial_isometry(a, a + (delta - 6.0 * eta) * np.eye(3), delta)
 
-    def test_x_not_regular(self, monkeypatch):
-        """The pipeline's one hypothesis gate: a report with is_regular
-        False stops the construction."""
-        def irregular(x):
-            return dataclasses.replace(regularity.is_regular(x), is_regular=False)
-        monkeypatch.setattr(pipeline, "is_regular", irregular)
-        a, x = _instance(0, 4, 0.5)
-        with pytest.raises(XNotRegular):
-            construct_partial_isometry(a, x, 0.5)
-
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             construct_partial_isometry(random_complex(rng, 3), random_complex(rng, 4), 0.5)
@@ -312,26 +306,37 @@ class TestApproxPolar:
 
 class TestFactorizations:
     def test_one_svd_per_operand(self, linalg_calls):
-        """x (inside is_regular), a and c, each factorized once; every
-        function of |a|, |a*|, |c| and |c*| is read off those frames."""
+        """a and c, each factorized once; every function of |a|, |a*|, |c|
+        and |c*| is read off those frames."""
         a, x = _instance(5, 6, 0.5)
         trace = construct_partial_isometry(a, x, 0.5)
         assert not trace.short_circuit
-        assert linalg_calls == {"svd": 3, "eigh": 0}
+        assert linalg_calls == {"svd": 2, "eigh": 0}
+
+    def test_full_path_factorizes_a_and_c_never_x(self, svd_inputs):
+        """The SVD inputs, by their bytes, are a and then the c that the
+        sandwich reference builds on its own; x is never factorized."""
+        a, x = _instance(5, 6, 0.5)
+        assert not construct_partial_isometry(a, x, 0.5).short_circuit
+        seen = list(svd_inputs)
+        svd_inputs.clear()
+        _reference_checks(a, x, 0.5)
+        assert seen == svd_inputs and len(seen) == 2
+        assert seen[0] == (a.shape, a.tobytes())
+        assert (x.shape, x.tobytes()) not in seen
 
     def test_short_circuit_reuses_the_frame_of_x(self, rng, svd_inputs):
-        """x inside is_regular and a; c = x is read off the frame of x."""
+        """a, then x: c = x is read off the frame of x."""
         a = random_complex(rng, 6)
         x = a + 1e-14 * random_complex(rng, 6)
         trace = construct_partial_isometry(a, x, 0.3 * op_norm(a))
         assert trace.short_circuit
-        assert len(svd_inputs) == 2
-        assert len(set(svd_inputs)) == 2
+        assert svd_inputs == [(a.shape, a.tobytes()), (x.shape, x.tobytes())]
 
     def test_approx_polar_reads_abs_a_off_the_trace(self, linalg_calls):
         a, x = _instance(5, 6, 0.5)
         w, err = approx_polar_from_pipeline(a, x, 0.5)
-        assert linalg_calls == {"svd": 3, "eigh": 0}
+        assert linalg_calls == {"svd": 2, "eigh": 0}
         assert err == pytest.approx(op_norm(a - w @ abs_of(a)), rel=1e-12)
 
 
@@ -394,8 +399,8 @@ class TestFrameResidualsMatchSandwiches:
         a, _ = _instance(4, 8, 0.5)
         y = random_complex(np.random.default_rng(5), 8)
         beta = delta - 1.0
-        trace, _ = _matches_reference(a, a + beta * y / op_norm(y), delta)
-        assert not trace.e_delta.any()
+        _matches_reference(a, a + beta * y / op_norm(y), delta)
+        assert not _svd_projections(SVDFrame.of(a), delta)[0].any()
 
     def test_nudged_gamma(self):
         """gamma = (0.1 + 0.5) / 2 lands within rounding of the singular
@@ -447,11 +452,6 @@ def _inverse_off(m):
     return _INV(m) + 1e-4 * np.ones_like(m)
 
 
-def _x_inverse_off(x):
-    rep = regularity.is_regular(x)
-    return dataclasses.replace(rep, mp_inverse=rep.mp_inverse + 1e-3)
-
-
 # what a fault in t^-1, or in g through t, reaches: b = x t^-1 f(|a|), c and w
 T_FAULT = {"f_gamma_b", "block_11", "block_12", "block_13", "block_21", "block_22",
            "block_23", "abs_c_e1", "f1_abs_cstar", "final_we_delta", "final_f_delta_w"}
@@ -474,8 +474,6 @@ MUTATIONS = [
                  id="f-above-gamma"),
     pytest.param("proof_g", _scaled(opcore.proof_g, 3.0, 1.0), {"beta_g_sup_bound"},
                  id="g-below-gamma"),
-    # the construction never reads x^+, so a wrong one changes nothing
-    pytest.param("is_regular", _x_inverse_off, set(), id="x-inverse-off"),
 ]
 
 
@@ -515,19 +513,13 @@ class TestPlantedSpectrum:
     @pytest.mark.parametrize("name, mutant, flagged", MUTATIONS)
     def test_mutation_table(self, monkeypatch, name, mutant, flagged):
         """The fault is installed where the construction and the reference
-        read it: np.linalg for inv, pipeline and this module otherwise. A
-        fault that no check flags must leave w and every check unchanged."""
-        clean = construct_partial_isometry(*self._planted(), 0.5)
+        read it: np.linalg for inv, pipeline and this module otherwise."""
         if name == "inv":
             monkeypatch.setattr(np.linalg, "inv", mutant)
         else:
             monkeypatch.setattr(pipeline, name, mutant)
             monkeypatch.setitem(globals(), name, mutant)
         assert self._flags(*self._planted()) == flagged
-        if not flagged:
-            trace = construct_partial_isometry(*self._planted(), 0.5)
-            assert trace.w.tobytes() == clean.w.tobytes()
-            assert trace.checks == clean.checks
 
     def test_table_covers_every_check(self):
         """Each check is lifted by some fault, except partial_isometry: w is
