@@ -10,8 +10,11 @@ d, in frame coordinates w = u X vh of the pointwise SVD: X = 1 except at
 the nodes that keep some but not all singular directions, where its free
 block is the Procrustes step against the last supported node, the polar
 factor of an r x r block read off two stacked products (in closed form for
-r <= 2). Nodes that keep none take an index fill, and one batched geodesic
-bridges their interior runs. The 2-D scalar procedure decides by discrete
+r <= 2), run node by node on flat Python complex scalars by
+`_free_blocks`. Nodes that keep none take an index fill, and one batched
+geodesic bridges their interior runs. For d > 1 the modulus of an element
+screens its jumps by cheap norm bounds and factorizes only those that can
+hold the maximum. The 2-D scalar procedure decides by discrete
 Stokes on the polar grid: every edge carries the integer jump of its
 wrapped phase step, every face (quad or centre polygon) the integer charge
 summed around it, and the phase winds around a hole of the support by the
@@ -38,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from operator import mul
 
 import numpy as np
 
@@ -57,6 +59,9 @@ MODULUS_BOUND_FACTOR = 10.0
 # or take a few ulps, far below MODULUS_SLACK; at a bound at least this
 # large the modulus check cannot fail
 WITNESS_MODULUS_MAX = 2.0
+# relative margin by which a jump's upper bound on its norm may fall short of
+# another jump's lower bound before GridElement.modulus drops it unfactorized
+MODULUS_SCREEN = 1e-8
 NOT_FINITE = "grid values must be finite"
 
 
@@ -156,13 +161,33 @@ class GridElement:
         return self.dim == 1
 
     def modulus(self) -> float:
-        """Max over adjacent nodes of the operator-norm jump."""
+        """Max over adjacent nodes of the operator-norm jump.
+
+        d > 1: the largest of LAPACK's s1 over the jumps D that can hold the
+        maximum, in one SVD call. Every jump has
+        sqrt(||D* D||_F) >= s1 >= ||D* D||_F / ||D||_F, computed on the
+        jumps divided by their largest entry so that no fourth power leaves
+        the float range, and a jump whose upper bound falls below the
+        largest lower bound by more than MODULUS_SCREEN, relative, cannot
+        hold it. The margin is far above the rounding of either bound or of
+        LAPACK's s1, so the result has the bits of s1 taken over every
+        jump."""
         left, right = self.domain.edge_arrays()
         diffs = self.values[left] - self.values[right]
         if diffs.size == 0:
             return 0.0
         if self.dim == 1:
             return float(np.abs(diffs).max())
+        scale = np.abs(diffs).max()
+        if scale == 0.0:
+            return 0.0
+        if math.isfinite(scale):  # otherwise LAPACK refuses the jumps as before
+            jumps = diffs / scale
+            fro = np.linalg.norm(jumps, axis=(1, 2))
+            gram = np.linalg.norm(jumps.conj().transpose(0, 2, 1) @ jumps, axis=(1, 2))
+            nonzero = fro > 0.0
+            lower = (gram[nonzero] / fro[nonzero]).max()
+            diffs = diffs[np.sqrt(gram) >= lower * (1.0 - MODULUS_SCREEN)]
         return float(np.linalg.svd(diffs, compute_uv=False).max())
 
     def spectrum(self):
@@ -239,6 +264,7 @@ def from_svd(domain: GridDomain, u: np.ndarray, s: np.ndarray, vh: np.ndarray) -
 
 def lift_cutdown(ge: GridElement, delta: float) -> GridElement:
     # batched equivalent of the pointwise opcore.cutdown
+    opcore.check_level(delta)
     u, s, vh = ge.spectrum()
     return from_svd(ge.domain, u, np.maximum(s - delta, 0.0), vh)
 
@@ -322,29 +348,49 @@ def _polar_block(m: list) -> list:
     """Unitary polar factor of a small square block given as nested lists of
     Python complex numbers, returned the same way.
 
-    r = 1: m/|m|, and 1 when m = 0, as LAPACK. r = 2: the closed form
-    (m + (det m/|det m|) adj(m)*) / sqrt(||m||_F^2 + 2 |det m|) (Higham,
-    Functions of Matrices, SIAM 2008, 8.1), since p + |det m| p^-1 =
-    (s1 + s2) 1 for the 2 x 2 positive part p. Like LAPACK's, its result
-    is unitary to rounding and within about eps s1/s2 of the exact factor,
-    which is as sensitive as that. At or below POLAR2_DET_FLOOR (det m = 0
-    included), and for r >= 3, LAPACK's SVD.
+    r = 1: m/|m|, and 1 when m = 0, as LAPACK. r = 2: the closed form of
+    `_polar2`. At or below POLAR2_DET_FLOOR (det m = 0 included), and for
+    r >= 3, LAPACK's SVD.
     """
     if len(m) == 1:
         y = m[0][0]
         return [[y / abs(y) if y else 1.0 + 0j]]
     if len(m) == 2:
-        (a, b), (c, d) = m
-        det = a * d - b * c
-        adet = abs(det)
-        fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-        if adet > POLAR2_DET_FLOOR * fro2:
-            ph = det / adet
-            scale = 1.0 / math.sqrt(fro2 + 2.0 * adet)
-            return [[(a + ph * d.conjugate()) * scale, (b - ph * c.conjugate()) * scale],
-                    [(c - ph * b.conjugate()) * scale, (d + ph * a.conjugate()) * scale]]
+        flat = _polar2(*m[0], *m[1])
+        if flat is not None:
+            return [list(flat[:2]), list(flat[2:])]
     mu, _, mvh = np.linalg.svd(np.array(m))
     return (mu @ mvh).tolist()
+
+
+def _polar2(a: complex, b: complex, c: complex, d: complex):
+    """Unitary polar factor of [[a, b], [c, d]] as the flat row-major tuple
+    of its entries, in the closed form
+    (m + (det m/|det m|) adj(m)*) / sqrt(||m||_F^2 + 2 |det m|) (Higham,
+    Functions of Matrices, SIAM 2008, 8.1), since p + |det m| p^-1 =
+    (s1 + s2) 1 for the 2 x 2 positive part p. Like LAPACK's, its result is
+    unitary to rounding and within about eps s1/s2 of the exact factor,
+    which is as sensitive as that. None at or below POLAR2_DET_FLOOR, where
+    det m is rounding of zero."""
+    det = a * d - b * c
+    adet = abs(det)
+    fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+    if not adet > POLAR2_DET_FLOOR * fro2:
+        return None
+    ph = det / adet
+    scale = 1.0 / math.sqrt(fro2 + 2.0 * adet)
+    return ((a + ph * d.conjugate()) * scale, (b - ph * c.conjugate()) * scale,
+            (c - ph * b.conjugate()) * scale, (d + ph * a.conjugate()) * scale)
+
+
+def _dot(row: list, col: list):
+    """sum(map(mul, row, col)) written out: the products added left to right
+    from the integer 0, which is how the builtin adds complex numbers on
+    Python 3.11, so the bits are the same."""
+    acc = 0
+    for x, y in zip(row, col):
+        acc = acc + x * y
+    return acc
 
 
 def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
@@ -358,12 +404,13 @@ def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
     U_k = polar of the free block of T X_prev S, with prev the last
     supported node before k, T = u_k* u_prev and S = vh_prev vh_k*, which
     is the Procrustes completion of the free part against w_prev. T and S
-    come in one stacked product each; the loop carries only the U, by
-    `_polar_block`, and w = u X vh at those nodes is one more stacked
-    product. Fully free nodes copy the nearest supported frame, which is
-    what a Procrustes step from a neighbour gives them, and interior runs
-    of them are then bridged along the unitary geodesic between their
-    flanks.
+    come in one stacked product each; `_free_blocks` runs the recurrence
+    on their entries as Python complex scalars, and X, written one batched
+    assignment per kept count, gives w = u X vh at those nodes in one more
+    stacked product. Fully free nodes copy the nearest supported frame,
+    which is what a Procrustes step from a neighbour gives them, and
+    interior runs of them are then bridged along the unitary geodesic
+    between their flanks.
     """
     npts, d, _ = u.shape
     w = u @ vh
@@ -374,22 +421,17 @@ def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
     part = np.flatnonzero(supported & ~keeps[:, -1] & (idx > k0))
     if part.size:
         prev = left[part - 1]
-        ts = (u[part].conj().transpose(0, 2, 1) @ u[prev]).tolist()
-        # S transposed, so that each list holds a column of S
-        scols = (vh[part].conj() @ vh[prev].transpose(0, 2, 1)).tolist()
-        kept = keeps[part].sum(axis=1).tolist()
-        carried = {}  # node -> (kept directions, U of its free block)
-        for k, p, m, t, cols in zip(part.tolist(), prev.tolist(), kept, ts, scols):
-            cols = cols[m:]  # the free columns of S, then of X_prev S
-            if p in carried:
-                mp, up = carried[p]
-                cols = [col[:mp] + [sum(map(mul, urow, col[mp:])) for urow in up]
-                        for col in cols]
-            carried[k] = m, _polar_block([[sum(map(mul, row, col)) for col in cols]
-                                          for row in t[m:]])
+        kept = keeps[part].sum(axis=1)
+        counts = kept.tolist()
+        blocks = _free_blocks(
+            (u[part].conj().transpose(0, 2, 1) @ u[prev]).reshape(-1, d * d).tolist(),
+            # S transposed, so that each run of d entries is a column of S
+            (vh[part].conj() @ vh[prev].transpose(0, 2, 1)).reshape(-1, d * d).tolist(),
+            counts, (prev[1:] == part[:-1]).tolist(), d)
         x = np.tile(np.eye(d, dtype=np.complex128), (part.size, 1, 1))
-        for i, (m, up) in enumerate(carried.values()):
-            x[i, m:, m:] = up
+        for m in set(counts):  # not np.unique, which imports numpy.ma
+            at = np.flatnonzero(kept == m)
+            x[at, m:, m:] = np.array([blocks[i] for i in at.tolist()]).reshape(-1, d - m, d - m)
         w[part] = u[part] @ x @ vh[part]
     w = w.reshape(npts, d * d)[left].reshape(npts, d, d)
     right = np.minimum.accumulate(np.where(supported, idx, npts)[::-1])[::-1]
@@ -398,6 +440,56 @@ def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
         lo, hi = left[bridged], right[bridged]
         w[bridged] = _geodesic(w[lo], w[hi], (idx[bridged] - lo) / (hi - lo))
     return w
+
+
+def _free_blocks(ts: list, ss: list, kept: list, chained: list, d: int) -> list:
+    """The free blocks U_k of `_transport`, one flat row-major tuple of r x r
+    entries per partially kept node, r = d - kept.
+
+    ts[k] holds T and ss[k] S transposed, flat and row-major, so that row i
+    of T is ts[k][i d:(i + 1) d] and column j of S is ss[k][j d:(j + 1) d].
+    chained[k - 1] says that node k's prev is the partial node before it in
+    the list: only then does X_prev carry a free block, the (m, U) carried
+    from the step before. Every entry of a product is a `_dot`, summed left
+    to right from 0, so the frames do not depend on how the step is
+    written. r = 1: U = y/|y| (1 at y = 0, as LAPACK), y the one entry of
+    the free block; r = 2: `_polar2`. A step whose kept count differs from
+    the carried one (rare), and r >= 3, go the general way through
+    `_polar_block`.
+    """
+    blocks = []
+    mp = up = None  # kept count and free block of the step before
+    end = d * d
+    for t, s, m, chain in zip(ts, ss, kept, [False, *chained]):
+        r = d - m
+        if r > 2 or (chain and mp != m):
+            cols = [s[j:j + d] for j in range(m * d, end, d)]  # the free columns of S
+            if chain:  # of X_prev S: U_prev acts on the last d - mp entries
+                rp = d - mp
+                for col in cols:
+                    tail = col[mp:]
+                    col[mp:] = [_dot(up[i:i + rp], tail) for i in range(0, rp * rp, rp)]
+            block = _polar_block([[_dot(t[i:i + d], col) for col in cols]
+                                  for i in range(m * d, end, d)])
+            up = tuple(z for row in block for z in row)
+        elif r == 1:
+            last = s[-1] if not chain else 0 + up[0] * s[-1]
+            y = _dot(t[-d:-1], s[-d:-1]) + t[-1] * last
+            up = (y / abs(y) if y else 1.0 + 0j,)
+        else:
+            cols = [s[-2 * d:-d], s[-d:]]
+            if chain:
+                u00, u01, u10, u11 = up
+                for col in cols:
+                    p, q = col[-2:]
+                    col[-2:] = 0 + u00 * p + u01 * q, 0 + u10 * p + u11 * q
+            block = [_dot(t[i:i + d], col) for i in (end - 2 * d, end - d) for col in cols]
+            up = _polar2(*block)
+            if up is None:
+                up = tuple(z for row in _polar_block([block[:2], block[2:]]) for z in row)
+        blocks.append(up)
+        mp = m
+    return blocks
 
 
 def _geodesic(w1: np.ndarray, w2: np.ndarray, frac: np.ndarray) -> np.ndarray:

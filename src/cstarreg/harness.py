@@ -97,13 +97,23 @@ def _ramp_bounds(ge: GridElement, delta: float, w: np.ndarray):
 
     At node k the difference is miss diag(f(s)) vh, miss = w vh* - u. With s
     descending and f monotone it is the sum over j of (f(s_j) - f(s_j+1))
-    times miss cut to its first j + 1 columns, whose norms c_kj (one batched
-    SVD; |miss| when d = 1) bound every f. A column that a nudged cut left
-    free above delta is thus weighted by its own small f(s_j)."""
+    times miss cut to its first j + 1 columns, whose norms c_kj bound every
+    f. A column that a nudged cut left free above delta is thus weighted by
+    its own small f(s_j). d = 1: c = |miss|. d > 1: one batched SVD of the
+    prefixes with s_kj > delta; at every other (k, j) each ramp vanishes on
+    s_kj and below, so the step weight is exactly 0.0 and c_kj is never
+    read."""
     u, s, vh = ge.spectrum()
-    prefixes = (w @ vh.conj().transpose(0, 2, 1) - u)[:, None] * np.tri(ge.dim)[:, None, :]
-    c = (np.abs(prefixes[..., 0, 0]) if ge.is_scalar
-         else np.linalg.svd(prefixes, compute_uv=False)[..., 0]) + RAMP_ROUNDING
+    miss = w @ vh.conj().transpose(0, 2, 1) - u
+    if ge.is_scalar:
+        c = np.abs(miss[:, 0])
+    else:
+        c = np.zeros(s.shape)
+        k, j = np.nonzero(s > delta)
+        if k.size:
+            prefixes = miss[k] * np.tri(ge.dim)[j][:, None, :]
+            c[k, j] = np.linalg.svd(prefixes, compute_uv=False)[:, 0]
+    c += RAMP_ROUNDING
 
     def bound(f):
         steps = f.copy()  # f(s_j) - f(s_j+1), with f(s_d) = 0
@@ -142,6 +152,7 @@ def check_condition3(ge: GridElement, delta: float,
     so one extension decision serves them all, and its witness bounds the
     report.
     """
+    opcore.check_level(delta)
     has_witness = cond2 is not None and cond2.exists and cond2.witness is not None
     rep = cond2
     if not has_witness:

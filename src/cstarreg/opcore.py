@@ -71,14 +71,23 @@ def eta_sep(norm: float) -> float:
     return ETA_SEP_BASE * (1.0 + norm)
 
 
+def check_level(level: float) -> None:
+    """ValueError for a NaN cut level: it is within eta of nothing and
+    compares False with every singular value, so it would pass each check
+    and cut nothing."""
+    if math.isnan(level):
+        raise ValueError("cut level must be a number, got nan")
+
+
 def _collides(level: float, s, eta: float) -> bool:
+    check_level(level)
     return bool(np.any(np.abs(s - level) <= eta))
 
 
 def check_clear(level: float, s, eta: float) -> None:
     """Raises SpectralCollision when some value of `s` lies within eta of
     `level`: the collision rule that clear_of, the pipeline and the grid
-    decisions share."""
+    decisions share. A NaN level is a ValueError in both."""
     if _collides(level, s, eta):
         raise SpectralCollision(f"cut level {level} within {eta:.2g} of a singular value")
 
@@ -246,7 +255,7 @@ def spectral_projection(h, delta: float, eta: float | None = None) -> np.ndarray
 
 def cutdown(a, delta: float) -> np.ndarray:
     """delta-cut-down v (|a| - delta)_+ using the canonical polar part."""
-    if delta < 0:
+    if not delta >= 0:  # NaN included
         raise ValueError("delta must be nonnegative")
     return SVDFrame.of(a).cutdown(delta)
 

@@ -3,6 +3,7 @@ import signal
 from collections import Counter, deque
 from contextlib import contextmanager
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 import pytest
@@ -342,9 +343,209 @@ class TestTransportMatchesProcrustes:
         u, s, vh = ge.spectrum()
         w = gridalg._transport(u, vh, s > 0.5)
         assert ((2, 2), np.array([[0, 0], [0, 1]], dtype=complex).tobytes()) in svd_inputs
+        assert w.tobytes() == _reference_frame_transport(u, vh, s > 0.5).tobytes()
         assert np.max(np.abs(w - _reference_transport(vals, 0.5))) <= 1e-12
         eye = np.eye(3)
         assert np.max(np.abs(np.einsum("kji,kjl->kil", w.conj(), w) - eye)) <= 1e-12
+
+
+def _reference_polar_block(m):
+    """The polar factor of a nested-list block as `_reference_frame_transport`
+    takes it: m/|m| (1 at 0) for r = 1, the closed form for r = 2 above
+    POLAR2_DET_FLOOR, LAPACK's SVD otherwise."""
+    if len(m) == 1:
+        y = m[0][0]
+        return [[y / abs(y) if y else 1.0 + 0j]]
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        det = a * d - b * c
+        adet = abs(det)
+        fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+        if adet > gridalg.POLAR2_DET_FLOOR * fro2:
+            ph = det / adet
+            scale = 1.0 / math.sqrt(fro2 + 2.0 * adet)
+            return [[(a + ph * d.conjugate()) * scale, (b - ph * c.conjugate()) * scale],
+                    [(c - ph * b.conjugate()) * scale, (d + ph * a.conjugate()) * scale]]
+    mu, _, mvh = np.linalg.svd(np.array(m))
+    return (mu @ mvh).tolist()
+
+
+def _reference_frame_transport(u, vh, keeps):
+    """The frame-coordinate transport as it ran on nested lists: every entry
+    a sum(map(mul, ...)), a dict of carried (m, U) blocks looked up by node,
+    one numpy assignment of X per node. `gridalg._transport` must give its
+    bytes."""
+    npts, d, _ = u.shape
+    w = u @ vh
+    supported = keeps[:, 0]
+    idx = np.arange(npts)
+    k0 = int(np.argmax(supported))
+    left = np.maximum.accumulate(np.where(supported, idx, k0))
+    part = np.flatnonzero(supported & ~keeps[:, -1] & (idx > k0))
+    if part.size:
+        prev = left[part - 1]
+        ts = (u[part].conj().transpose(0, 2, 1) @ u[prev]).tolist()
+        scols = (vh[part].conj() @ vh[prev].transpose(0, 2, 1)).tolist()
+        kept = keeps[part].sum(axis=1).tolist()
+        carried = {}
+        for k, p, m, t, cols in zip(part.tolist(), prev.tolist(), kept, ts, scols):
+            cols = cols[m:]
+            if p in carried:
+                mp, up = carried[p]
+                cols = [col[:mp] + [sum(map(mul, urow, col[mp:])) for urow in up]
+                        for col in cols]
+            carried[k] = m, _reference_polar_block([[sum(map(mul, row, col)) for col in cols]
+                                                    for row in t[m:]])
+        x = np.tile(np.eye(d, dtype=np.complex128), (part.size, 1, 1))
+        for i, (m, up) in enumerate(carried.values()):
+            x[i, m:, m:] = up
+        w[part] = u[part] @ x @ vh[part]
+    w = w.reshape(npts, d * d)[left].reshape(npts, d, d)
+    right = np.minimum.accumulate(np.where(supported, idx, npts)[::-1])[::-1]
+    bridged = (idx > left) & (right < npts)
+    if bridged.any():
+        lo, hi = left[bridged], right[bridged]
+        w[bridged] = gridalg._geodesic(w[lo], w[hi], (idx[bridged] - lo) / (hi - lo))
+    return w
+
+
+def _loop_paths(keeps):
+    """Counts of the paths through the transport loop that `keeps` takes:
+    partial nodes whose kept count differs from that of the partial node
+    chained before them, partial nodes with no partial node chained before
+    them, r >= 3 free blocks, and interior runs of fully free nodes."""
+    npts, d = keeps.shape
+    supported = keeps[:, 0]
+    idx = np.arange(npts)
+    k0 = int(np.argmax(supported))
+    left = np.maximum.accumulate(np.where(supported, idx, k0))
+    part = np.flatnonzero(supported & ~keeps[:, -1] & (idx > k0))
+    kept = keeps[part].sum(axis=1)
+    chained = np.append(False, left[part[1:] - 1] == part[:-1])
+    right = np.minimum.accumulate(np.where(supported, idx, npts)[::-1])[::-1]
+    return Counter(changes=int(np.count_nonzero(chained[1:] & (kept[1:] != kept[:-1]))),
+                   unchained=int(np.count_nonzero(~chained)),
+                   r3=int(np.count_nonzero(d - kept >= 3)),
+                   bridged=int(np.count_nonzero((idx > left) & (right < npts))))
+
+
+class TestTransportMatchesLoop:
+    """`_transport` against `_reference_frame_transport`, byte for byte."""
+
+    def test_matrix_fields(self):
+        """d = 2, 3, 4 fields with a planted rank drop, cut at 19 levels:
+        every path of the loop is taken."""
+        paths = Counter()
+        for seed in range(6):
+            for d in (2, 3, 4):
+                ge = matrix_field(np.random.default_rng(7300 + seed), 64, d)
+                u, s, vh = ge.spectrum()
+                for frac in np.linspace(0.05, 0.95, 19):
+                    keeps = s > frac * s.max()
+                    w = gridalg._transport(u, vh, keeps)
+                    assert w.tobytes() == _reference_frame_transport(u, vh, keeps).tobytes()
+                    paths.update(_loop_paths(keeps))
+        assert min(paths[k] for k in ("changes", "unchained", "r3", "bridged")) > 0, paths
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_nudged_cuts(self, d):
+        """Cuts placed on a singular value, which decide_extension moves off
+        the spectrum: the witness is the transport at the moved cut."""
+        ge = matrix_field(np.random.default_rng(7400 + d), 64, d)
+        u, s, vh = ge.spectrum()
+        for k in range(4, 64, 12):
+            for j in range(d):
+                rep = decide_extension(ge, float(s[k, j]))
+                assert rep.delta > s[k, j]
+                ref = _reference_frame_transport(u, vh, s > rep.delta)
+                if rep.exists:
+                    assert rep.witness.values.tobytes() == ref.tobytes()
+                assert rep.witness_modulus == _reference_modulus(
+                    GridElement(domain=ge.domain, values=ref))
+
+
+def _reference_modulus(ge):
+    """GridElement.modulus with LAPACK's s1 of every jump, unscreened."""
+    left, right = ge.domain.edge_arrays()
+    diffs = ge.values[left] - ge.values[right]
+    if diffs.size == 0:
+        return 0.0
+    if ge.dim == 1:
+        return float(np.abs(diffs).max())
+    return float(np.linalg.svd(diffs, compute_uv=False).max())
+
+
+def _same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def _rank_one_jump(rng, n, d, at):
+    """A smooth d x d field whose jumps are about 1e-9 but one, a rank-one
+    jump x y* between nodes at - 1 and at."""
+    ge = matrix_field(rng, n, d)
+    vals = 1e-7 * ge.values
+    vals[at:] += random_complex(rng, d, 1) @ random_complex(rng, d, 1).conj().T
+    return GridElement(domain=ge.domain, values=vals)
+
+
+class TestScreenedModulus:
+    """`GridElement.modulus` for d > 1 against `_reference_modulus`, bit for
+    bit, and the SVDs that the screen leaves."""
+
+    def test_fields_cut_downs_and_witnesses(self):
+        for seed in range(6):
+            for d in (2, 3, 4):
+                ge = matrix_field(np.random.default_rng(7500 + seed), 64, d)
+                assert _same_bits(ge.modulus(), _reference_modulus(ge))
+                for frac in (0.2, 0.5, 0.8):
+                    rep = polar_extension_1d(ge, frac * sup_norm(ge))
+                    cut = lift_cutdown(ge, rep.delta)
+                    assert _same_bits(cut.modulus(), _reference_modulus(cut))
+                    w = gridalg._frame_witness(ge, rep.delta)
+                    assert _same_bits(rep.witness_modulus, _reference_modulus(w))
+
+    def test_zero_jumps(self, linalg_calls):
+        ge = GridElement(domain=interval_domain(32),
+                         values=np.tile(np.diag([1.0, 0.5]).astype(complex), (32, 1, 1)))
+        mod = ge.modulus()
+        assert linalg_calls["svd"] == 0
+        assert _same_bits(mod, _reference_modulus(ge)) and mod == 0.0
+
+    def test_tied_maxima(self):
+        """Jumps with the same bytes on every edge, and jumps diag(1, 1/2)
+        and diag(1/2, 1) alternating: s1 = 1 on every edge."""
+        steps = np.arange(32.0)[:, None, None]
+        ramp = GridElement(domain=interval_domain(32),
+                           values=steps * np.array([[0.5, 0.25j], [-1.0, 2.0]]))
+        zigzag = np.tile(np.zeros((2, 2), dtype=complex), (32, 1, 1))
+        zigzag[1::2] = np.diag([1.0, 0.5])
+        zigzag[2::4] = np.diag([1.5, 1.5])
+        alternating = GridElement(domain=interval_domain(32), values=zigzag)
+        for ge in (ramp, alternating):
+            assert _same_bits(ge.modulus(), _reference_modulus(ge))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_one_dominant_rank_one_jump(self, d):
+        """A rank-one jump has both bounds equal to s1, so rounding can put
+        its lower bound above its upper one: only the margin keeps it."""
+        for seed in range(20):
+            ge = _rank_one_jump(np.random.default_rng(7600 + seed), 64, d, 20 + seed)
+            assert _same_bits(ge.modulus(), _reference_modulus(ge))
+
+    def test_one_svd_call_on_the_dominant_jump(self, svd_inputs):
+        n = 64
+        ge = _rank_one_jump(np.random.default_rng(7700), n, 3, 40)
+        start = len(svd_inputs)
+        mod = ge.modulus()
+        shapes = [shape for shape, _ in svd_inputs[start:]]
+        assert len(shapes) == 1 and shapes[0][1:] == (3, 3) and shapes[0][0] < n - 1, shapes
+        assert _same_bits(mod, _reference_modulus(ge))
+
+    def test_values_not_finite_still_raise(self):
+        vals = gallery.gallery("rankdrop", 32).values.copy()
+        vals[5, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            GridElement(domain=interval_domain(32), values=vals).modulus()
 
 
 EPS = np.finfo(np.float64).eps

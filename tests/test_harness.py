@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from cstarreg import gallery
+from cstarreg import gallery, gridalg, opcore
 from cstarreg.errors import NoWitness
 from cstarreg.gridalg import (
     ExtensionReport,
@@ -15,10 +17,12 @@ from cstarreg.gridalg import (
 )
 from cstarreg.harness import (
     RAMP_PLATEAUS,
+    RAMP_ROUNDING,
     RAMP_SLOPES,
     RAMP_TOL,
     _decide_polar_decomposable,
     _ramp_bounds,
+    _ramps,
     check_condition3,
     check_condition4,
     check_equivalences,
@@ -162,6 +166,97 @@ class TestCondition3Bound:
         assert c4.holds and c4.detail["path"] == "witness"
         assert _direct_cut_residual(ge, 0.6, rep2.witness.values) <= c4.detail["cut_residual"] < 1e-12
         assert check_equivalences(ge, 0.0, [0.6]).verdict == "consistent"
+
+
+def _reference_ramp_bounds(ge, delta, w):
+    """`_ramp_bounds` with the norm of every prefix of miss factorized, at
+    every node and every j, weighted or not. `_ramp_bounds` must give its
+    bytes."""
+    u, s, vh = ge.spectrum()
+    prefixes = (w @ vh.conj().transpose(0, 2, 1) - u)[:, None] * np.tri(ge.dim)[:, None, :]
+    c = (np.abs(prefixes[..., 0, 0]) if ge.is_scalar
+         else np.linalg.svd(prefixes, compute_uv=False)[..., 0]) + RAMP_ROUNDING
+
+    def bound(f):
+        steps = f.copy()
+        steps[..., :-1] -= f[..., 1:]
+        return (steps * c).sum(axis=-1).max(axis=-1), f[..., 0].max(axis=-1)
+
+    return bound(_ramps(delta, s)), bound(np.maximum(s - delta, 0.0))
+
+
+def _same_ramp_bounds(got, ref):
+    return all(np.asarray(x).tobytes() == np.asarray(y).tobytes()
+               for pair_got, pair_ref in zip(got, ref) for x, y in zip(pair_got, pair_ref))
+
+
+class TestRampBoundsMatchEveryPrefix:
+    """`_ramp_bounds` against `_reference_ramp_bounds`, byte for byte."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_seeded_fields(self, d, svd_inputs):
+        for seed in range(4):
+            rng = np.random.default_rng(8100 + seed)
+            ge = gallery.random_scalar_field_1d(64, rng) if d == 1 else matrix_field(rng, 64, d)
+            _, s, _ = ge.spectrum()
+            for delta in np.linspace(0.1, 0.9, 5) * sup_norm(ge):
+                w = decide_extension(ge, delta).witness.values
+                start = len(svd_inputs)
+                got = _ramp_bounds(ge, delta, w)
+                # one SVD of the weighted prefixes, none for d = 1
+                factorized = [shape[0] for shape, _ in svd_inputs[start:]]
+                assert factorized == ([] if d == 1 else [np.count_nonzero(s > delta)])
+                assert _same_ramp_bounds(got, _reference_ramp_bounds(ge, delta, w))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nudged_cut(self, d):
+        """diag(osc, 0.9, ...) cut at 0.6, which decide_extension moves off
+        node 153's s = 0.6 + 1 ulp: that column is free in the witness but
+        above the ramps' delta, so its prefix carries a weight."""
+        osc = gallery.gallery("osc", 256)
+        vals = np.zeros((256, d, d), dtype=complex)
+        vals[:, 0, 0] = osc.values[:, 0, 0]
+        vals[:, 1:, 1:] = 0.9 * np.eye(d - 1)
+        ge = GridElement(domain=osc.domain, values=vals)
+        rep = decide_extension(ge, 0.6)
+        assert rep.delta > 0.6
+        got = _ramp_bounds(ge, 0.6, rep.witness.values)
+        assert _same_ramp_bounds(got, _reference_ramp_bounds(ge, 0.6, rep.witness.values))
+
+    def test_nothing_above_the_cut(self, svd_inputs):
+        ge = matrix_field(np.random.default_rng(8200), 64, 3)
+        ge.spectrum()
+        w = gridalg._frame_witness(ge, 2.0 * sup_norm(ge)).values
+        start = len(svd_inputs)
+        got = _ramp_bounds(ge, 2.0 * sup_norm(ge), w)
+        assert svd_inputs[start:] == []
+        assert _same_ramp_bounds(got, _reference_ramp_bounds(ge, 2.0 * sup_norm(ge), w))
+
+
+class TestNanCutLevel:
+    """A NaN cut level passed every separation check: decisions returned
+    False on osc and True on disk-z, raised LinAlgError on rankdrop, and
+    condition (4) held on osc. It is a ValueError through every routine."""
+
+    @pytest.mark.parametrize("name", ["osc", "rankdrop", "disk-z"])
+    def test_refused_by_every_decision(self, name):
+        ge = gallery.gallery(name, 32)
+        routines = [decide_extension, gridalg._extends, gridalg.polar_extension, lift_cutdown,
+                    lambda ge, delta: regular_approximant(ge, delta, 0.01),
+                    lambda ge, delta: check_condition3(ge, delta, None),
+                    check_condition4]
+        for routine in routines:
+            with pytest.raises(ValueError, match="nan"):
+                routine(ge, math.nan)
+
+    def test_refused_by_the_level_checks(self):
+        s = np.array([0.2, 0.8])
+        with pytest.raises(ValueError, match="nan"):
+            opcore.check_clear(math.nan, s, 1e-8)
+        with pytest.raises(ValueError, match="nan"):
+            opcore.clear_of(math.nan, s, 1e-8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            opcore.cutdown(np.eye(2), math.nan)
 
 
 class TestCondition4FromWitness:
