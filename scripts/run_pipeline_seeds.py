@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Seeded sweep of the partial-isometry pipeline: residual statistics over
-random matrices at several perturbation-to-cut ratios."""
+random matrices at several perturbation-to-cut ratios. Exits 1 when a worst
+residual is above pipeline.CHECK_SCREEN or an approximate polar error is
+above 2 delta (+ 1e-9 for rounding)."""
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -37,7 +40,14 @@ def main():
         print(f"  {k:24s} worst residual {worst[k]:.3e}")
     print(f"  approx polar error: median {np.median(errs):.4f}, "
           f"max {max(errs):.4f} (bound {2 * args.delta})")
+    failed = sorted(k for k, v in worst.items() if v > pipeline.CHECK_SCREEN)
+    if failed:
+        print(f"FAIL: {', '.join(failed)} above {pipeline.CHECK_SCREEN:g}")
+    if max(errs) > 2 * args.delta + 1e-9:
+        print(f"FAIL: approx polar error {max(errs):.6g} above 2 delta")
+        failed.append("approx_polar")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -190,6 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once: the benchmark and the tests call main many times in one process,
+# and a parse leaves no state on the parser
+PARSER = build_parser()
+
+
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Validate the parsed options; --deltas becomes a list of floats."""
     if args.deltas is not None:
@@ -220,8 +225,7 @@ def run(cfg: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         cfg = config_from_args(args)
     except InputParse as exc:

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cstarreg import gallery, harness, serialize
+from cstarreg import cli, gallery, harness, serialize
 from cstarreg.cli import main
 from cstarreg.errors import InputParse
 from cstarreg.gridalg import GridElement, decide_extension, interval_domain
@@ -121,6 +125,20 @@ class TestCliCommands:
         rep = json.loads(capsys.readouterr().out)
         assert rep["short_circuit"] is True
         assert set(rep["checks"]) == {"partial_isometry", "final_we_delta", "final_f_delta_w"}
+
+    def test_parses_leave_no_state(self, capsys):
+        """main builds no parser of its own: two in-process calls, with and
+        then without --deltas, print what each prints alone in a new
+        process."""
+        runs = (["theorem", "--input", "linear", "--gridN", "32", "--deltas", "0.3,0.6"],
+                ["theorem", "--input", "linear", "--gridN", "32"])
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        alone = [subprocess.run([sys.executable, "-m", "cstarreg.cli", *argv], env=env,
+                                capture_output=True, text=True) for argv in runs]
+        for argv, proc in zip(runs, alone):
+            assert main(argv) == proc.returncode
+            assert capsys.readouterr().out == proc.stdout
+        assert alone[0].stdout != alone[1].stdout
 
     def test_lemma3_seed_changes_output(self, tmp_path):
         f1, f2 = tmp_path / "s1.json", tmp_path / "s2.json"

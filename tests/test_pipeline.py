@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from cstarreg.opcore import (
     proof_g,
 )
 from cstarreg.pipeline import (
+    CHECK_SCREEN,
     EXACT_MATCH_TOL,
     PipelineTrace,
     approx_polar_from_pipeline,
@@ -543,3 +547,98 @@ class TestNonFiniteResiduals:
         a, x = _instance(0, 6, 0.5)
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             construct_partial_isometry(a, x, 0.5)
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(random_complex(rng, n))
+    return q
+
+
+def _screen_agrees(a, x, delta):
+    """The checks above CHECK_SCREEN are those whose exact sandwich norm in
+    _reference_checks is above it, and each value bounds that norm to
+    rounding: it is the same 2-norm above the screen and a Frobenius norm
+    below it."""
+    trace, ref = construct_partial_isometry(a, x, delta), _reference_checks(a, x, delta)
+    flagged = [{k for k, v in t.checks.items() if v > CHECK_SCREEN} for t in (trace, ref)]
+    assert flagged[0] == flagged[1]
+    tol = 1e-13 * (1.0 + op_norm(a))
+    for k, v in trace.checks.items():
+        assert ref.checks[k] <= v + tol, k
+    return flagged[0]
+
+
+class TestCheckScreen:
+    """pipeline._check_norms: a Frobenius norm at or below the screen
+    (||M||_2 <= ||M||_F), the exact 2-norm above it."""
+
+    def test_diffuse_block_reports_its_exact_norm(self):
+        """A 64 x 64 block with 2-norm 5e-8 has Frobenius norm 8 x 5e-8: the
+        screen does not clear it, the 2-norm does."""
+        m = 5e-8 * _unitary(np.random.default_rng(0), 64)
+        assert np.linalg.norm(m) > CHECK_SCREEN
+        (value,) = pipeline._check_norms([m])
+        assert value == op_norm(m)
+        assert value <= CHECK_SCREEN
+
+    def test_below_the_screen_bounds_the_exact_norm(self):
+        rng = np.random.default_rng(1)
+        small = 1e-9 * random_complex(rng, 8, 5)
+        mats = [small, 5e-8 * _unitary(rng, 64), np.zeros((0, 3), complex), small[:1, :1]]
+        values = pipeline._check_norms(mats)
+        assert op_norm(small) < values[0] == pytest.approx(np.linalg.norm(small), rel=1e-14)
+        assert values[0] <= CHECK_SCREEN
+        assert values[1] == op_norm(mats[1])
+        assert values[2] == 0.0
+        assert values[3] == pytest.approx(abs(small[0, 0]), rel=1e-14)
+
+    def test_overflowing_frobenius_takes_the_exact_path(self):
+        """Finite entries near 1e200 square to inf; the 2-norm is finite."""
+        m = 1e200 * random_complex(np.random.default_rng(2), 4)
+        assert np.isfinite(m).all()
+        (value,) = pipeline._check_norms([m])
+        assert value == op_norm(m) and np.isfinite(value)
+
+    @pytest.mark.parametrize("name, mutant, flagged", MUTATIONS)
+    def test_mutation_flags_match_exact_norms(self, monkeypatch, name, mutant, flagged):
+        if name == "inv":
+            monkeypatch.setattr(np.linalg, "inv", mutant)
+        else:
+            monkeypatch.setattr(pipeline, name, mutant)
+            monkeypatch.setitem(globals(), name, mutant)
+        assert _screen_agrees(*TestPlantedSpectrum._planted(), 0.5) == flagged
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_flags_match_exact_norms(self, seed):
+        n = TestFrameResidualsMatchSandwiches.SIZES[seed % 8]
+        assert _screen_agrees(*_instance(seed, n, (0.2, 0.5, 0.9)[seed % 3]), 0.5) == set()
+
+    @pytest.mark.parametrize("n", (6, 16, 32))
+    @pytest.mark.parametrize("ratio", (0.2, 0.9))
+    def test_geometric_flags_match_exact_norms(self, n, ratio):
+        rng = np.random.default_rng(n)
+        _, _, a = random_with_spectrum(rng, np.geomspace(1.0, 1e-12, n))
+        y = random_complex(rng, n)
+        assert _screen_agrees(a, a + ratio * 0.5 * y / op_norm(y), 0.5) == set()
+
+
+def _seeds_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_pipeline_seeds.py"
+    spec = importlib.util.spec_from_file_location("run_pipeline_seeds", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSeedsScript:
+    def test_passes_on_a_correct_pipeline(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["run_pipeline_seeds.py", "--seeds", "3"])
+        assert _seeds_script().main() == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_fails_on_a_residual_above_the_screen(self, monkeypatch, capsys):
+        """t^-1 off by 1e-4 lifts f_gamma_b and the block checks."""
+        monkeypatch.setattr("sys.argv", ["run_pipeline_seeds.py", "--seeds", "3"])
+        monkeypatch.setattr(np.linalg, "inv", _inverse_off)
+        assert _seeds_script().main() == 1
+        assert "FAIL: " in capsys.readouterr().out
