@@ -19,11 +19,15 @@ Stokes on the polar grid: every edge carries the integer jump of its
 wrapped phase step, every face (quad or centre polygon) the integer charge
 summed around it, and the phase winds around a hole of the support by the
 total charge of the hole. The obstruction's `windings` are the |total
-charge| of each blocked hole. Jumps and charges are whole-array work; the
-flood of each charged hole, the unwrap and the fill walk the grid in
-breadth-first layers through `_layers`. On both domains `dist_to_regular`
-decides the lowest bisection rung first, which settles the bracket in one
-decision whenever the distance is 0, as everywhere in C([0,1], M_d).
+charge| of each blocked hole. The jumps, the charged faces and the cut
+level below which a step inside the support aliases do not depend on it, so
+the element keeps them (`_disk_phase`); a decision labels the holes by
+runs of free nodes along the rings and a union-find over their contacts,
+and the unwrap sums the jumps along each run of the support, with one
+offset per run. Only the fill walks the grid in breadth-first layers
+(`_layers`). On both domains `dist_to_regular` decides the lowest
+bisection rung first, which settles the bracket in one decision whenever
+the distance is 0, as everywhere in C([0,1], M_d).
 
 The bisection reads only whether an extension exists, so it decides each
 level by `_extends`, which builds no witness that cannot fail. Every
@@ -41,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,6 +150,7 @@ class GridElement:
     domain: GridDomain
     values: np.ndarray  # shape (num_points, d, d)
     _svd: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _phase: _DiskPhase | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -205,12 +211,8 @@ class GridElement:
         if self.dim == 1:
             f = self.values[:, 0, 0]
             s = np.abs(f)
-            nz = s > 0
-            u = np.ones(f.shape, dtype=np.complex128)
-            np.divide(f.real, s, out=u.real, where=nz)
-            np.divide(f.imag, s, out=u.imag, where=nz)
             vh = np.broadcast_to(np.ones((1, 1, 1), dtype=np.complex128), self.values.shape)
-            return u.reshape(-1, 1, 1), s.reshape(-1, 1), vh
+            return _unit(f, s).reshape(-1, 1, 1), s.reshape(-1, 1), vh
         if self._svd is None:
             try:
                 self._svd = np.linalg.svd(self.values)
@@ -226,6 +228,16 @@ class GridElement:
         if self.dim == 1:
             return np.abs(self.values[:, :, 0])
         return self.spectrum()[1]
+
+
+def _unit(f: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """f/|f| for scalar samples f with s = |f|, and 1 where f = 0: the u of
+    `spectrum()` for d = 1."""
+    u = np.ones(f.shape, dtype=np.complex128)
+    nz = s > 0
+    np.divide(f.real, s, out=u.real, where=nz)
+    np.divide(f.imag, s, out=u.imag, where=nz)
+    return u
 
 
 @dataclass
@@ -266,7 +278,12 @@ def lift_cutdown(ge: GridElement, delta: float) -> GridElement:
     # batched equivalent of the pointwise opcore.cutdown
     opcore.check_level(delta)
     u, s, vh = ge.spectrum()
-    return from_svd(ge.domain, u, np.maximum(s - delta, 0.0), vh)
+    cut = np.maximum(s - delta, 0.0)
+    if ge.is_scalar:
+        # vh = 1, so u (|f| - delta)_+ needs no einsum; adding 0.0 turns a -0
+        # part into +0 as the einsum's sum from zero does: the bits of from_svd
+        return GridElement(ge.domain, u * cut[:, :, None] + 0.0)
+    return from_svd(ge.domain, u, cut, vh)
 
 
 def uniform_gap_regular(ge: GridElement, gap_min: float | None = None):
@@ -511,19 +528,16 @@ def _principal(x):
 
 
 @lru_cache(maxsize=16)
-def _neighbour_table(dom: GridDomain, diagonal: bool) -> np.ndarray:
+def _neighbour_table(dom: GridDomain) -> np.ndarray:
     """Flat indices of the grid neighbours (j, m+1), (j, m-1), (j+1, m),
-    (j-1, m) of each disk node (j, m), then with `diagonal` (j+1, m+1),
-    (j+1, m-1), (j-1, m+1), (j-1, m-1): shape (size, 4) or (size, 8). The
-    angular index wraps; a missing radial neighbour is the sentinel `size`."""
+    (j-1, m) of each disk node (j, m), shape (size, 4). The angular index
+    wraps; a missing radial neighbour is the sentinel `size`."""
     nr, nt = dom.n_radial, dom.n_angular
     idx = np.arange(dom.size).reshape(nr, nt)
     rim = np.full((1, nt), dom.size)
     outer, inner = np.concatenate([idx[1:], rim]), np.concatenate([rim, idx[:-1]])
-    columns = [np.roll(idx, -1, axis=1), np.roll(idx, 1, axis=1), outer, inner]
-    if diagonal:
-        columns += [np.roll(ring, s, axis=1) for ring in (outer, inner) for s in (-1, 1)]
-    table = np.stack(columns, axis=-1).reshape(dom.size, -1)
+    table = np.stack([np.roll(idx, -1, axis=1), np.roll(idx, 1, axis=1), outer, inner],
+                     axis=-1).reshape(dom.size, 4)
     table.setflags(write=False)
     return table
 
@@ -546,23 +560,68 @@ def _layers(table: np.ndarray, front: np.ndarray, open_: np.ndarray):
         open_[front] = False
 
 
-def _edge_jumps(dom: GridDomain, phase: np.ndarray, support: np.ndarray):
-    """Integer jumps (wrap(dphi) - dphi) / 2 pi of the angular edges
-    (j, m) -> (j, m+1), shape (nr, nt), and the radial edges
-    (j, m) -> (j+1, m), shape (nr - 1, nt). Raises PhaseUnwrapAliasing when
-    the wrapped step along an edge inside the support exceeds ALIAS_GUARD."""
-    left, right = dom.edge_arrays()  # angular edges first, both in flat order
+class _DiskPhase(NamedTuple):
+    """The phase data of a scalar disk element that no cut level changes.
+
+    ang, rad: the integer jumps (wrap(dphi) - dphi) / 2 pi of the angular
+    edges (j, m) -> (j, m+1), shape (nr, nt), and of the radial edges
+    (j, m) -> (j+1, m), shape (nr - 1, nt); int8, as every jump is -1, 0
+    or 1. charged, charges: the flat index (that of node (j, m) for quad
+    (j, m)) and the charge of each charged quad; centre: the charge of the
+    centre polygon (`_face_charges`). alias_level: the largest
+    min(|f_i|, |f_j|) over the edges whose wrapped step exceeds ALIAS_GUARD
+    (-inf when there is none), so an edge inside the support {|f| > delta}
+    aliases iff delta < alias_level.
+    """
+
+    ang: np.ndarray
+    rad: np.ndarray
+    charged: np.ndarray
+    charges: np.ndarray
+    centre: int
+    alias_level: float
+
+
+def _wrapped_steps(ge: GridElement):
+    """(wrapped, raw) phase steps along the edges of `edge_arrays`."""
+    left, right = ge.domain.edge_arrays()  # angular edges first, both in flat order
+    phase = np.angle(ge.values[:, 0, 0])
     dphi = phase[right] - phase[left]
-    step = _principal(dphi)
-    aliased = support[left] & support[right] & (np.abs(step) > ALIAS_GUARD)
-    if aliased.any():
-        k = int(np.argmax(aliased))
-        raise PhaseUnwrapAliasing(
-            f"phase jump {abs(step[k]):.3f} > pi/2 between nodes {left[k]} and "
-            f"{right[k]}; refine the grid")
-    jump = np.rint((step - dphi) / (2.0 * np.pi)).astype(np.int64)
-    nr, nt = dom.n_radial, dom.n_angular
-    return jump[: nr * nt].reshape(nr, nt), jump[nr * nt:].reshape(nr - 1, nt)
+    return _principal(dphi), dphi
+
+
+def _disk_phase(ge: GridElement) -> _DiskPhase:
+    """The `_DiskPhase` of a scalar disk element, computed on first use and
+    kept on it, as `spectrum()` keeps the SVD. It keeps about 2 bytes per
+    node: the float phase and steps would hold 16 per edge."""
+    if ge._phase is None:
+        dom = ge.domain
+        nr, nt = dom.n_radial, dom.n_angular
+        step, dphi = _wrapped_steps(ge)
+        jump = np.rint((step - dphi) / (2.0 * np.pi)).astype(np.int8)
+        ang, rad = jump[: nr * nt].reshape(nr, nt), jump[nr * nt:].reshape(nr - 1, nt)
+        quads, centre = _face_charges(ang, rad)
+        charged = np.flatnonzero(quads)
+        aliased = np.abs(step) > ALIAS_GUARD
+        level = -math.inf
+        if aliased.any():
+            left, right = dom.edge_arrays()
+            mags = np.abs(ge.values[:, 0, 0])
+            level = float(np.minimum(mags[left[aliased]], mags[right[aliased]]).max())
+        ge._phase = _DiskPhase(ang, rad, charged, quads.ravel()[charged], centre, level)
+    return ge._phase
+
+
+def _aliasing(ge: GridElement, delta: float) -> PhaseUnwrapAliasing:
+    """The error for the first edge inside the support {|f| > delta} whose
+    wrapped step exceeds ALIAS_GUARD."""
+    left, right = ge.domain.edge_arrays()
+    step, _ = _wrapped_steps(ge)
+    support = np.abs(ge.values[:, 0, 0]) > delta
+    k = int(np.argmax(support[left] & support[right] & (np.abs(step) > ALIAS_GUARD)))
+    return PhaseUnwrapAliasing(
+        f"phase jump {abs(step[k]):.3f} > pi/2 between nodes {left[k]} and "
+        f"{right[k]}; refine the grid")
 
 
 def _face_charges(ang: np.ndarray, rad: np.ndarray):
@@ -574,69 +633,162 @@ def _face_charges(ang: np.ndarray, rad: np.ndarray):
     return quads, int(ang[0].sum())
 
 
-def _blocked_windings(quads: np.ndarray, centre: int, free: np.ndarray,
-                      table: np.ndarray) -> list:
+def _run_starts(mask: np.ndarray) -> np.ndarray:
+    """Where a run of set nodes along a ring of an (nr, nt) mask begins, the
+    seam (column nt - 1 -> 0) cutting every run."""
+    starts = mask.copy()
+    starts[:, 1:] &= ~mask[:, :-1]
+    return starts
+
+
+def _ring_runs(mask: np.ndarray):
+    """The runs of set nodes along each ring of an (nr, nt) mask, cut at the
+    seam: the run of each node, numbered in flat order of the runs' first
+    nodes (-1 off the mask), shape (nr, nt), and the flat index of each
+    run's first node."""
+    starts = _run_starts(mask)
+    runs = np.cumsum(starts) - 1
+    runs[~mask.ravel()] = -1
+    return runs.reshape(mask.shape), np.flatnonzero(starts)
+
+
+def _overlaps(mask: np.ndarray) -> np.ndarray:
+    """The flat index of the first node (j, m) of each stretch of columns
+    set on both ring j and ring j + 1: one for each pair of runs of adjacent
+    rings that share a column, as two runs cut at the seam overlap in one
+    stretch."""
+    return np.flatnonzero(_run_starts(mask[:-1] & mask[1:]))
+
+
+def _beside(idx: np.ndarray, nt: int) -> np.ndarray:
+    """The flat index of node (j, m+1) for node (j, m), across the seam."""
+    return idx + np.where(idx % nt == nt - 1, 1 - nt, 1)
+
+
+def _seam(runs: np.ndarray):
+    """The rings whose runs meet across the seam, as a mask over rings."""
+    return (runs[:, -1] >= 0) & (runs[:, 0] >= 0)
+
+
+def _blocked_windings(phase: _DiskPhase, free: np.ndarray) -> list:
     """Sorted |total charge| of the blocked holes of the support.
 
-    A hole is a connected set of free (non-support) nodes, 8-connected over
-    `table`, together with the faces that touch it; the free nodes of ring 0
-    are one hole, joined through the centre polygon, and a charged face with
-    no free corner is a hole on its own. The winding of the phase along any
-    support cycle is the sum of the charges it encloses, so a hole with
-    non-zero total charge blocks the extension unless it reaches the rim,
-    where no support cycle can enclose it. The hole of ring 0 and each hole
-    that holds charge are flooded once.
+    A hole is a connected set of free (non-support) nodes, 8-connected,
+    together with the faces that touch it; the free nodes of ring 0 are one
+    hole, joined through the centre polygon, and a charged face with no free
+    corner is a hole on its own. The winding of the phase along any support
+    cycle is the sum of the charges it encloses, so a hole with non-zero
+    total charge blocks the extension unless it reaches the rim, where no
+    support cycle can enclose it.
+
+    Holes are labelled by runs (Rosenfeld & Pfaltz, JACM 13(4), 1966): the
+    free runs of each ring (`_ring_runs`) are joined by a union-find across
+    the seam, all of ring 0 to its first run, and each to the runs of the
+    next ring it touches. Two such runs touch where they share a column
+    (`_overlaps`) or, diagonally, where one ends at column m and the other
+    starts at m + 1; every other diagonal contact is also a path through a
+    shared column or along a ring.
     """
-    charged = np.flatnonzero(quads)  # quad (j, m) has the flat index of node (j, m)
+    charged, charges, centre = phase.charged, phase.charges, phase.centre
     if not charged.size and centre == 0:
         return []
-    # corners (j, m), (j, m+1), (j+1, m), (j+1, m+1): all 8-neighbours, so one hole
-    corners = np.column_stack([charged, table[charged][:, [0, 2, 4]]])
-    open_ = np.append(free.ravel(), False)
-    free_corner = open_[corners]
+    nr, nt = free.shape
+    runs, first = _ring_runs(free)
+    flat = runs.ravel()
+    shared = _overlaps(free)
+    after = np.roll(free, -1, axis=1)  # free at the next column
+    ends, begins = free & ~after, after & ~free
+    out = np.flatnonzero(ends[:-1] & begins[1:])  # (j, m) touches (j+1, m+1)
+    into = np.flatnonzero(begins[:-1] & ends[1:])  # (j, m+1) touches (j+1, m)
+    seam = _seam(runs)
+    ring0 = np.flatnonzero(first < nt)  # ring 0's runs are the first labels
+    root = _roots(first.size, np.concatenate([
+        flat[shared], flat[out], flat[_beside(into, nt)], runs[seam, -1], np.zeros_like(ring0)]),
+        np.concatenate([flat[shared + nt], flat[_beside(out, nt) + nt], flat[into + nt],
+                        runs[seam, 0], ring0]))
+    # corners (j, m), (j, m+1), (j+1, m), (j+1, m+1) of each charged quad
+    beside = _beside(charged, nt)
+    corners = flat[np.column_stack([charged, beside, charged + nt, beside + nt])]
+    free_corner = corners >= 0
     touches = free_corner.any(axis=1)
-    values = quads.ravel()[charged]
-    windings = set(np.abs(values[~touches]).tolist())
-    # each open quad hands its charge to its first free corner
-    first = corners[np.arange(charged.size), free_corner.argmax(axis=1)]
-    charge = np.zeros(free.size, dtype=np.int64)
-    np.add.at(charge, first[touches], values[touches])
-    ring0 = np.flatnonzero(free[0])
+    windings = set(np.abs(charges[~touches]).tolist())
+    total = np.zeros(first.size, dtype=np.int64)
+    # each open quad hands its charge to the hole of its first free corner
+    holder = corners[np.arange(charged.size), free_corner.argmax(axis=1)]
+    np.add.at(total, root[holder[touches]], charges[touches])
     if ring0.size:
-        charge[ring0[0]] += centre
+        total[0] += centre
     elif centre:
         windings.add(abs(centre))
-    rim = free.size - free.shape[1]  # the first node of the last ring
-    # ring 0 first, so that all its free nodes start one flood
-    for front in [ring0, *np.flatnonzero(charge)[:, None]]:
-        if front.size and open_[front[0]]:  # a hole not flooded yet
-            hole = np.concatenate(list(_layers(table, front, open_)))
-            total = int(charge[hole].sum())
-            if total and hole.max() < rim:
-                windings.add(abs(total))
+    total[root[first >= (nr - 1) * nt]] = 0  # holes that reach the rim block nothing
+    windings.update(np.abs(total[total != 0]).tolist())
     return sorted(windings)
 
 
-def _unwrap(phase: np.ndarray, ang: np.ndarray, rad: np.ndarray,
-            support: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _roots(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The root, the lowest label, of each of `count` labels once each pair
+    (a[k], b[k]) is joined, by union-find with path halving."""
+    parent = list(range(count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+    for x, y in zip(a.tolist(), b.tolist()):
+        x, y = find(x), find(y)
+        if x != y:
+            parent[max(x, y)] = min(x, y)
+    for x in range(count):  # a parent is a lower label, already at its root
+        parent[x] = parent[parent[x]]
+    return np.array(parent, dtype=np.intp)
+
+
+def _unwrap(phase: np.ndarray, jumps: _DiskPhase, support: np.ndarray) -> np.ndarray:
     """phase + 2 pi n on the support, with n the integer potential of the
-    edge jumps: breadth-first layers over the support from its first node
-    per component, where n = 0, each node taking n from a neighbour in an
-    earlier layer. Path-independent when no hole is blocked."""
-    # the jump from each node to each entry of its row of the neighbour table
-    jumps = np.stack([ang, -np.roll(ang, 1, axis=1), np.pad(rad, ((0, 1), (0, 0))),
-                      -np.pad(rad, ((1, 0), (0, 0)))], axis=-1).reshape(-1, 4)
+    edge jumps, 0 at the first node in flat order of each 4-connected
+    component of the support: n rises by its jump along every edge.
+
+    Within a run of the support along a ring (`_ring_runs`) n is a prefix
+    sum of the angular jumps. One radial edge for each pair of runs of
+    adjacent rings that share a column (`_overlaps`), and the seam, then
+    give each run its offset over a spanning forest of the runs, grown from
+    the lowest run of each component, whose first node is the component's
+    first. n is path-independent when no hole is blocked, so it does not
+    depend on the spanning forest."""
+    ang, rad = jumps.ang, jumps.rad
+    nr, nt = ang.shape
+    supp = support.reshape(nr, nt)
+    runs, first = _ring_runs(supp)
+    along = np.cumsum(ang, axis=1, dtype=np.int64)
+    before = (along - ang).ravel()  # n(j, m) - n(j, 0) along ring j, short of the seam
+    flat = runs.ravel()
+    shared = _overlaps(supp)
+    seam = _seam(runs)
+    # each contact (a, b, d): n at a node of run b is d above n at its
+    # neighbour in run a
+    contacts = zip(np.concatenate([flat[shared], runs[seam, -1]]).tolist(),
+                   np.concatenate([flat[shared + nt], runs[seam, 0]]).tolist(),
+                   np.concatenate([before[shared] + rad.ravel()[shared] - before[shared + nt],
+                                   along[seam, -1]]).tolist())
+    adjacent = [[] for _ in range(first.size)]
+    for x, y, d in contacts:
+        adjacent[x].append((y, d))
+        adjacent[y].append((x, -d))
+    # a run's offset is n at its nodes less their `before`
+    offset = [None] * first.size
+    start = before[first].tolist()
+    for root in range(first.size):
+        if offset[root] is None:
+            offset[root] = -start[root]
+            todo = [root]
+            while todo:
+                x = todo.pop()
+                for y, d in adjacent[x]:
+                    if offset[y] is None:
+                        offset[y] = offset[x] + d
+                        todo.append(y)
     turns = np.zeros(support.size, dtype=np.int64)
-    todo = np.append(support, False)
-    reached = np.zeros_like(todo)
-    while todo.any():
-        layers = _layers(table, np.array([np.argmax(todo)]), todo)
-        reached[next(layers)] = True
-        for layer in layers:
-            around = table[layer]
-            k = reached[around].argmax(axis=1)
-            turns[layer] = turns[around[np.arange(layer.size), k]] - jumps[layer, k]
-            reached[layer] = True
+    turns[support] = np.array(offset, dtype=np.int64)[flat[support]] + before[support]
     return phase + 2.0 * np.pi * turns
 
 
@@ -680,46 +832,43 @@ def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
         witness = GridElement(domain=ge.domain, values=np.zeros_like(ge.values))
         return ExtensionReport(exists=True, witness=witness, obstruction=None,
                                witness_modulus=0.0, modulus_bound=bound, delta=delta)
-    *steps, windings = cut
+    support, windings = cut
     if windings:
         return ExtensionReport(
             exists=False, witness=None,
             obstruction={"kind": "winding", "windings": windings},
             witness_modulus=math.inf, modulus_bound=bound, delta=delta)
-    return _held_to_bound(_phase_witness(ge, *steps), bound, delta, "modulus")
+    return _held_to_bound(_phase_witness(ge, support), bound, delta, "modulus")
 
 
 def _disk_cut(ge: GridElement, delta: float):
     """The steps of polar_extension_2d_scalar before its witness: the
     domain and separation checks, the support {|f| > delta} and, unless it
-    is empty (None), the edge jumps of the phase (PhaseUnwrapAliasing), the
-    face charges and the blocked holes. Returns (support, phase, ang, rad,
+    is empty (None), the aliasing check (PhaseUnwrapAliasing) and the
+    blocked holes, on the element's kept `_DiskPhase`. Returns (support,
     windings), with windings as in the obstruction."""
     if ge.domain.kind != "disk-2d-polar" or not ge.is_scalar:
         raise ValueError("polar_extension_2d_scalar needs a scalar disk element")
-    dom = ge.domain
     mags = ge.singular_values().ravel()
     opcore.check_clear(delta, mags, guard_band(ge))
     support = mags > delta
     if not support.any():
         return None
-    phase = np.angle(ge.values[:, 0, 0])
-    ang, rad = _edge_jumps(dom, phase, support)
-    quads, centre = _face_charges(ang, rad)
-    free = ~support.reshape(dom.n_radial, dom.n_angular)
-    return (support, phase, ang, rad,
-            _blocked_windings(quads, centre, free, _neighbour_table(dom, True)))
+    phase = _disk_phase(ge)
+    if delta < phase.alias_level:
+        raise _aliasing(ge, delta)
+    return support, _blocked_windings(phase, ~support.reshape(phase.ang.shape))
 
 
-def _phase_witness(ge: GridElement, support: np.ndarray, phase: np.ndarray,
-                   ang: np.ndarray, rad: np.ndarray) -> GridElement:
+def _phase_witness(ge: GridElement, support: np.ndarray) -> GridElement:
     """The unwrapped phase filled into the holes and exponentiated, with the
     exact phase f/|f| on the support: a witness when no hole is blocked."""
     f = ge.values[:, 0, 0]
     w = np.empty_like(f)
     if not support.all():
-        table = _neighbour_table(ge.domain, False)
-        w[:] = np.exp(1j * _fill(_unwrap(phase, ang, rad, support, table), support, table))
+        table = _neighbour_table(ge.domain)
+        theta = _unwrap(np.angle(f), _disk_phase(ge), support)
+        w[:] = np.exp(1j * _fill(theta, support, table))
     w[support] = f[support] / np.abs(f[support])
     return GridElement(domain=ge.domain, values=w.reshape(-1, 1, 1))
 
@@ -754,10 +903,10 @@ def _extends(ge: GridElement, delta: float) -> bool:
         cut = _disk_cut(ge, delta)
         if cut is None:
             return True
-        *steps, windings = cut
+        support, windings = cut
         if windings:
             return False
-        build, kind = partial(_phase_witness, ge, *steps), "modulus"
+        build, kind = partial(_phase_witness, ge, support), "modulus"
     bound = _modulus_bound(ge, delta)
     return bound >= WITNESS_MODULUS_MAX or _held_to_bound(build(), bound, delta, kind).exists
 

@@ -205,12 +205,17 @@ class SVDFrame:
         keep = self.s > level
         return self.u[:, :k][:, keep], self.s[keep], self.vh[:k][keep].conj().T
 
+    def isometry(self) -> np.ndarray:
+        """The v of `polar()` alone, for a caller that needs no other part."""
+        ur, _, wr = self.above(TAU_RANK * self.norm)
+        return ur @ wr.conj().T
+
     def polar(self) -> PolarParts:
         """Canonical polar decomposition at the rank cut: v sums u_i w_i*
         over the singular triples above it, so v vanishes on ker |a| and
         v*v, vv* are the support projections of |a| and |a*|."""
         ur, _, wr = self.above(TAU_RANK * self.norm)
-        return PolarParts(v=ur @ wr.conj().T, abs_a=self.fn_abs(identity_fn),
+        return PolarParts(v=self.isometry(), abs_a=self.fn_abs(identity_fn),
                           supp_right=wr @ wr.conj().T, supp_left=ur @ ur.conj().T)
 
     def cutdown(self, delta: float) -> np.ndarray:

@@ -95,9 +95,8 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
         raise TooFar(f"||a - x|| = {beta:.6g} >= delta = {delta:.6g}")
 
     frame_a = SVDFrame.of(a)
-    parts = frame_a.polar()
-    v = parts.v
-    abs_a = parts.abs_a
+    v = frame_a.isometry()
+    abs_a = frame_a.fn_abs(identity_fn)
     eta = opcore.eta_sep(frame_a.norm)
     s = frame_a.s
     uh, vm = frame_a.u.conj().T, frame_a.vh.conj().T  # U*, V
@@ -164,7 +163,7 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
              - np.eye(kd, n)),
         ]
 
-    w = frame_c.polar().v
+    w = frame_c.isometry()
     residuals += [
         ("partial_isometry", w @ w.conj().T @ w - w),
         ("final_we_delta", uh @ (w @ vm[:, :kd]) - vf[:, :kd]),

@@ -18,6 +18,7 @@ from cstarreg.gridalg import (
     decide_extension,
     disk_domain,
     dist_to_regular,
+    from_svd,
     guard_band,
     interval_domain,
     lift_cutdown,
@@ -129,6 +130,19 @@ class TestSupNormAndLifts:
         a = np.stack([opcore.cutdown(m, 0.3) for m in ge.values])
         b = lift_cutdown(ge, 0.3)
         assert sup_norm(GridElement(domain=ge.domain, values=a - b.values)) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scalar_lift_has_the_bits_of_from_svd(self, seed):
+        """For d = 1 the cut-down skips the einsum, with the same bits:
+        signed zero parts and nodes below the cut included."""
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        f[:8] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), -1.5, -1.5 - 0j, 2j, -2j, -0.25]
+        ge = GridElement(domain=interval_domain(256), values=f.reshape(-1, 1, 1))
+        u, s, vh = ge.spectrum()
+        for delta in (0.0, 0.3, float(np.median(s)), float(s.max())):
+            ref = from_svd(ge.domain, u, np.maximum(s - delta, 0.0), vh)
+            assert lift_cutdown(ge, delta).values.tobytes() == ref.values.tobytes()
 
     def test_modulus_of_linear(self):
         ge = gallery.gallery("linear", 65)
@@ -839,10 +853,10 @@ def _rim_circulation(f_grid):
 
 class TestFaceCharges:
     def _charges(self, ge):
-        dom = ge.domain
-        no_support = np.zeros(dom.size, dtype=bool)  # no aliasing check
-        ang, rad = gridalg._edge_jumps(dom, np.angle(ge.values[:, 0, 0]), no_support)
-        return gridalg._face_charges(ang, rad)
+        kept = gridalg._disk_phase(ge)  # kept whether or not a step aliases
+        quads = np.zeros(kept.rad.shape, dtype=np.int64)
+        quads.flat[kept.charged] = kept.charges
+        return quads, kept.centre
 
     @pytest.mark.parametrize("seed", range(8))
     def test_total_charge_is_rim_circulation(self, seed):
@@ -976,6 +990,193 @@ class TestHandProvedWindings:
         meet only through the centre polygon, so the charged hole reaches
         the rim."""
         assert _assert_matches_unwrap(self._field("rim channel"), 0.06) == "exists"
+
+
+def _reference_neighbour_table(dom, diagonal):
+    """The 4- or 8-neighbour table of the disk nodes, as the floods below
+    walked it: (j, m+1), (j, m-1), (j+1, m), (j-1, m), then with `diagonal`
+    (j+1, m+1), (j+1, m-1), (j-1, m+1), (j-1, m-1); the angular index wraps
+    and a missing radial neighbour is the sentinel `size`."""
+    nr, nt = dom.n_radial, dom.n_angular
+    idx = np.arange(dom.size).reshape(nr, nt)
+    rim = np.full((1, nt), dom.size)
+    outer, inner = np.concatenate([idx[1:], rim]), np.concatenate([rim, idx[:-1]])
+    columns = [np.roll(idx, -1, axis=1), np.roll(idx, 1, axis=1), outer, inner]
+    if diagonal:
+        columns += [np.roll(ring, s, axis=1) for ring in (outer, inner) for s in (-1, 1)]
+    return np.stack(columns, axis=-1).reshape(dom.size, -1)
+
+
+def _reference_edge_jumps(dom, phase, support):
+    """Integer jumps of the angular and radial edges, recomputed from the
+    phase on every call; PhaseUnwrapAliasing for the first aliased edge
+    inside the support."""
+    left, right = dom.edge_arrays()
+    dphi = phase[right] - phase[left]
+    step = (dphi + np.pi) % (2.0 * np.pi) - np.pi
+    aliased = support[left] & support[right] & (np.abs(step) > ALIAS_GUARD)
+    if aliased.any():
+        k = int(np.argmax(aliased))
+        raise PhaseUnwrapAliasing(
+            f"phase jump {abs(step[k]):.3f} > pi/2 between nodes {left[k]} and "
+            f"{right[k]}; refine the grid")
+    jump = np.rint((step - dphi) / (2.0 * np.pi)).astype(np.int64)
+    nr, nt = dom.n_radial, dom.n_angular
+    return jump[: nr * nt].reshape(nr, nt), jump[nr * nt:].reshape(nr - 1, nt)
+
+
+def _reference_blocked_windings(quads, centre, free, table):
+    """Blocked windings by one breadth-first flood per charged hole over the
+    8-neighbour table: the reference for the run labelling."""
+    charged = np.flatnonzero(quads)
+    if not charged.size and centre == 0:
+        return []
+    corners = np.column_stack([charged, table[charged][:, [0, 2, 4]]])
+    open_ = np.append(free.ravel(), False)
+    free_corner = open_[corners]
+    touches = free_corner.any(axis=1)
+    values = quads.ravel()[charged]
+    windings = set(np.abs(values[~touches]).tolist())
+    first = corners[np.arange(charged.size), free_corner.argmax(axis=1)]
+    charge = np.zeros(free.size, dtype=np.int64)
+    np.add.at(charge, first[touches], values[touches])
+    ring0 = np.flatnonzero(free[0])
+    if ring0.size:
+        charge[ring0[0]] += centre
+    elif centre:
+        windings.add(abs(centre))
+    rim = free.size - free.shape[1]
+    for front in [ring0, *np.flatnonzero(charge)[:, None]]:
+        if front.size and open_[front[0]]:
+            hole = np.concatenate(list(gridalg._layers(table, front, open_)))
+            total = int(charge[hole].sum())
+            if total and hole.max() < rim:
+                windings.add(abs(total))
+    return sorted(windings)
+
+
+def _reference_layered_unwrap(phase, ang, rad, support, table):
+    """phase + 2 pi n on the support by breadth-first layers over the
+    4-neighbour table from the first node of each component, where n = 0:
+    the reference for the unwrap by ring runs."""
+    jumps = np.stack([ang, -np.roll(ang, 1, axis=1), np.pad(rad, ((0, 1), (0, 0))),
+                      -np.pad(rad, ((1, 0), (0, 0)))], axis=-1).reshape(-1, 4)
+    turns = np.zeros(support.size, dtype=np.int64)
+    todo = np.append(support, False)
+    reached = np.zeros_like(todo)
+    while todo.any():
+        layers = gridalg._layers(table, np.array([np.argmax(todo)]), todo)
+        reached[next(layers)] = True
+        for layer in layers:
+            around = table[layer]
+            k = reached[around].argmax(axis=1)
+            turns[layer] = turns[around[np.arange(layer.size), k]] - jumps[layer, k]
+            reached[layer] = True
+    return phase + 2.0 * np.pi * turns
+
+
+def _zero_field(rng, n):
+    """A product over seeded points z_k of (z - z_k) or conj(z - z_k): zeros
+    of charge +1 and -1 off the centre, whose holes merge as the level
+    rises."""
+    def fn(z):
+        f = np.ones_like(z)
+        for _ in range(4):
+            zk = rng.uniform(0.1, 0.9) * np.exp(2j * np.pi * rng.random())
+            f = f * ((z - zk) if rng.random() < 0.5 else np.conj(z - zk))
+        return f
+    return _disk_field(fn, n)
+
+
+def _speckle_field(rng):
+    """Seeded modulus and phase at every node of a 16 x 64 disk: charged
+    quads and free nodes everywhere, with many holes that touch only
+    diagonally."""
+    dom = disk_domain(16, 64)
+    f = rng.random(dom.size) * np.exp(2j * np.pi * rng.random(dom.size))
+    return GridElement(domain=dom, values=f.reshape(-1, 1, 1))
+
+
+def _seam_pair(z):
+    """Zeros of charge +1 and -1 either side of the seam at angles +-0.1: the
+    hole that holds both crosses the seam, and its total charge is 0."""
+    return (z - 0.5 * np.exp(0.1j)) * np.conj(z - 0.5 * np.exp(-0.1j))
+
+
+def _run_kernel_cases():
+    """(element, levels) pairs: seeded fields of winding 0-3 at three sizes
+    and seeded zero and speckle fields, at the 20 LEVELS of the sup-norm;
+    disk-z, the seam pair and the hand-proved fields at the same levels and
+    at the levels their tests name."""
+    for n in (16, 32, 64):
+        for seed in range(4):
+            rng = np.random.default_rng(9100 + 10 * n + seed)
+            yield gallery.random_scalar_field_2d(n, 4 * n, rng, winding=seed), LEVELS
+    for seed in range(4):
+        yield _zero_field(np.random.default_rng(9200 + seed), 32), LEVELS
+        yield _speckle_field(np.random.default_rng(9300 + seed)), LEVELS
+    yield gallery.gallery("disk-z", 32), LEVELS
+    named = {"ring-0 arcs": [0.002], "(z - 0.3)(z + 0.3)": [0.0895, 0.08],
+             "rim channel": [0.06]}
+    for formula, fn in HAND_PROVED.items():
+        ge = _disk_field(fn)
+        yield ge, [*LEVELS, *(lv / sup_norm(ge) for lv in named.get(formula, []))]
+    yield _disk_field(_seam_pair), LEVELS
+    yield _charged_quad_field(), LEVELS
+
+
+def _free_shapes(mask):
+    """What the rings of an (nr, nt) mask hold: a run across the seam, a
+    ring all set, a ring set nowhere."""
+    full, empty = mask.all(axis=1), ~mask.any(axis=1)
+    return {"seam run": bool((mask[:, 0] & mask[:, -1] & ~full).any()),
+            "full ring": bool(full.any()), "empty ring": bool(empty.any())}
+
+
+class TestRunKernelsMatchFloods:
+    """`_blocked_windings` and `_unwrap` by ring runs against the breadth-
+    first floods they replace: the same windings, and the same unwrapped
+    phase byte for byte wherever no hole is blocked."""
+
+    def test_windings_and_unwrap(self):
+        seen = Counter()
+        for ge, levels in _run_kernel_cases():
+            dom = ge.domain
+            f = ge.values[:, 0, 0]
+            phase = np.angle(f)
+            ang, rad = _reference_edge_jumps(dom, phase, np.zeros(dom.size, dtype=bool))
+            quads, centre = rad + ang[1:] - np.roll(rad, -1, axis=1) - ang[:-1], int(ang[0].sum())
+            kept = gridalg._disk_phase(ge)
+            assert np.array_equal(kept.ang, ang) and np.array_equal(kept.rad, rad)
+            top = sup_norm(ge)
+            for lv in levels:
+                support = np.abs(f) > lv * top
+                free = ~support.reshape(dom.n_radial, dom.n_angular)
+                windings = _reference_blocked_windings(
+                    quads, centre, free, _reference_neighbour_table(dom, True))
+                assert gridalg._blocked_windings(kept, free) == windings, (lv, windings)
+                seen["blocked" if windings else "free"] += 1
+                seen.update(f"free {k}" for k, v in _free_shapes(free).items() if v)
+                if windings or support.all() or not support.any():
+                    continue
+                ref = _reference_layered_unwrap(phase, ang, rad, support,
+                                                _reference_neighbour_table(dom, False))
+                assert gridalg._unwrap(phase, kept, support).tobytes() == ref.tobytes(), lv
+                seen["unwrapped"] += 1
+                seen.update(f"support {k}" for k, v in
+                            _free_shapes(~free).items() if v)
+        for key in ("free seam run", "free full ring", "free empty ring",
+                    "support seam run", "support full ring", "support empty ring"):
+            assert seen[key] >= 20, seen
+        assert seen["blocked"] >= 200 and seen["unwrapped"] >= 200, seen
+
+    def test_seam_pair_merges_across_the_seam(self):
+        """Below |z - 0.5 e^{0.1i}| |z - 0.5 e^{-0.1i}| ~ 0.0025 the two
+        zeros sit in two holes of charge 1; above it one hole across the
+        seam holds both, of charge 0."""
+        ge = _disk_field(_seam_pair)
+        assert decide_extension(ge, 0.0005).obstruction["windings"] == [1]
+        assert decide_extension(ge, 0.05).exists
 
 
 class TestCutLevelProvenance:
@@ -1210,6 +1411,59 @@ class TestLowestRung:
             _reference_bisection(ge, tol)
             assert counts[-2] <= counts[-1], counts
         assert counts[-2] == 1  # the winding-0 field
+
+
+class TestKeptPhaseData:
+    def test_second_decision_computes_no_phase_data(self, monkeypatch):
+        calls = Counter()
+        for name in ("_wrapped_steps", "_face_charges"):
+            def counted(*args, name=name, orig=getattr(gridalg, name)):
+                calls[name] += 1
+                return orig(*args)
+            monkeypatch.setattr(gridalg, name, counted)
+        ge = gallery.random_scalar_field_2d(32, 128, np.random.default_rng(8100), winding=1)
+        top = sup_norm(ge)
+        decide_extension(ge, 0.5 * top)
+        assert calls == {"_wrapped_steps": 1, "_face_charges": 1}
+        decide_extension(ge, 0.3 * top)
+        decide_extension(ge, 0.9 * top)
+        dist_to_regular(ge, 0.02)
+        assert calls == {"_wrapped_steps": 1, "_face_charges": 1}
+
+    def test_kept_arrays_are_compact(self):
+        """Under 4 bytes per node on a 32 x 128 element: the kept data must
+        not grow the memory of a pool of elements by the float phase."""
+        for winding in range(4):
+            ge = gallery.random_scalar_field_2d(32, 128, np.random.default_rng(8200 + winding),
+                                                winding=winding)
+            kept = gridalg._disk_phase(ge)
+            held = sum(x.nbytes for x in kept if isinstance(x, np.ndarray))
+            assert held < 4 * ge.domain.size, held
+
+    @pytest.mark.parametrize("fn, tol, n", [*((fn, tol, 32) for fn, tol in ALIASING_RUNGS),
+                                            *((lambda z, k=k: z**k, 0.02, 16)
+                                              for k in (18, 20, 24, 28))])
+    def test_aliasing_messages_match_reference(self, fn, tol, n):
+        """At the aliasing rungs of test_aliasing_rung_bisects, and along the
+        levels of z^k on 16 x 64 nodes, whose angular step k pi / 32 is over
+        pi/2, the error is raised where the reference raises it, with the
+        same message."""
+        ge = _disk_field(fn, n)
+        levels = [_rung(ge, tol), *(lv * sup_norm(ge) for lv in LEVELS)]
+        raised = 0
+        for level in levels:
+            delta = gridalg._cleared(ge, level)
+            f = ge.values[:, 0, 0]
+            try:
+                _reference_edge_jumps(ge.domain, np.angle(f), np.abs(f) > delta)
+            except PhaseUnwrapAliasing as exc:
+                with pytest.raises(PhaseUnwrapAliasing) as got:
+                    decide_extension(ge, level)
+                assert str(got.value) == str(exc)
+                raised += 1
+                continue
+            decide_extension(ge, level)
+        assert raised >= 1
 
 
 def _same_decision(ge, delta, held):

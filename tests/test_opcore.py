@@ -160,6 +160,14 @@ class TestPolar:
         assert op_norm(parts.v.conj().T @ parts.v - parts.supp_right) <= 1e-10
         assert op_norm(parts.v @ parts.v.conj().T - parts.supp_left) <= 1e-10
 
+    def test_isometry_is_the_v_of_polar(self, rng):
+        """isometry() has the bits of polar().v, which keeps its formula."""
+        for shape in ((6, 4), (4, 6), (5, 5)):
+            frame = SVDFrame.of(random_complex(rng, *shape))
+            ur, _, wr = frame.above(TAU_RANK * frame.norm)
+            assert frame.isometry().tobytes() == frame.polar().v.tobytes()
+            assert frame.isometry().tobytes() == (ur @ wr.conj().T).tobytes()
+
 
 def _ramp(delta):
     return lambda t: np.maximum(t - delta, 0.0)

@@ -337,6 +337,21 @@ class TestFactorizations:
         assert trace.short_circuit
         assert svd_inputs == [(a.shape, a.tobytes()), (x.shape, x.tobytes())]
 
+    def test_builds_only_the_polar_parts_it_reads(self, monkeypatch):
+        """v and |a| of a and the v of c, with the bits of polar(); the
+        support projections are never built."""
+        a, x = _instance(5, 6, 0.5)
+        parts_a = SVDFrame.of(a).polar()
+
+        def refuse(self):
+            raise AssertionError("polar() builds parts the pipeline does not read")
+
+        monkeypatch.setattr(SVDFrame, "polar", refuse)
+        trace = construct_partial_isometry(a, x, 0.5)
+        assert not trace.short_circuit
+        assert trace.v.tobytes() == parts_a.v.tobytes()
+        assert trace.abs_a.tobytes() == parts_a.abs_a.tobytes()
+
     def test_approx_polar_reads_abs_a_off_the_trace(self, linalg_calls):
         a, x = _instance(5, 6, 0.5)
         w, err = approx_polar_from_pipeline(a, x, 0.5)
