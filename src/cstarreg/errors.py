@@ -9,25 +9,6 @@ class ShapeMismatch(CstarRegError):
     pass
 
 
-class NotHermitian(CstarRegError):
-    pass
-
-
-class EigenvalueTooCloseToCut(CstarRegError):
-    """An eigenvalue sits inside the guard band around the cut level.
-
-    Callers sweeping the cut level should perturb it by 2*eta_sep and retry.
-    """
-
-    def __init__(self, cut, eigenvalue, eta_sep):
-        super().__init__(
-            f"eigenvalue {eigenvalue:.6g} within {eta_sep:.3g} of cut {cut:.6g}"
-        )
-        self.cut = cut
-        self.eigenvalue = eigenvalue
-        self.eta_sep = eta_sep
-
-
 class BadOrdering(CstarRegError):
     pass
 

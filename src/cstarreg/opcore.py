@@ -1,7 +1,5 @@
-"""Dense complex linear algebra: norms, canonical polar decompositions and
-cut-downs, all read off one SVD frame per matrix. The Hermitian calculus
-(eigendecompositions, functional calculus, spectral projections) is kept
-only because the benchmark's tracing names it.
+"""Dense complex linear algebra: norms, canonical polar decompositions,
+functions of |a| and cut-downs, all read off one SVD frame per matrix.
 
 Matrices are plain complex numpy arrays (row-major, finite entries).
 Everything here is a pure function of its inputs.
@@ -14,17 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadOrdering, EigenvalueTooCloseToCut, NotHermitian, SpectralCollision
+from .errors import BadOrdering, SpectralCollision
 
 # Tolerances (relative, see module notes):
 #   TAU_RANK      singular values at or below it count as zero (polar parts, grid gap test)
-#   TAU_HERM      hermiticity acceptance for inputs built from products a*a
-#   ETA_SEP       guard band separating spectral-projection cuts from eigenvalues
+#   ETA_SEP       guard band separating cut levels from singular values
 #   TAU_NONZERO   below it (x (1 + largest)) a singular value is rounding noise of a zero
 #   MODULUS_SLACK a witness modulus over its bound by less is rounding, not a failure
 #   MAX_NUDGES    steps of 2 ETA_SEP off the spectrum before a cut level counts as colliding
 TAU_RANK = 1e-9
-TAU_HERM = 1e-8
 ETA_SEP_BASE = 1e-8
 TAU_NONZERO = 1e-13
 MODULUS_SLACK = 1e-9
@@ -72,11 +68,11 @@ def eta_sep(norm: float) -> float:
 
 
 def check_level(level: float) -> None:
-    """ValueError for a NaN cut level: it is within eta of nothing and
-    compares False with every singular value, so it would pass each check
-    and cut nothing."""
-    if math.isnan(level):
-        raise ValueError("cut level must be a number, got nan")
+    """ValueError for a negative or NaN cut level. A NaN is within eta of
+    nothing and compares False with every singular value, so it would pass
+    each other check and cut nothing."""
+    if not level >= 0:  # NaN included
+        raise ValueError(f"cut level must be nonnegative, got {level}")
 
 
 def _collides(level: float, s, eta: float) -> bool:
@@ -106,14 +102,6 @@ def clear_of(level: float, s, eta: float, below: float = math.inf) -> float:
 
 
 @dataclass(frozen=True)
-class SpectralData:
-    """Ascending eigenvalues with an orthonormal eigenvector frame."""
-
-    values: np.ndarray  # real, ascending
-    frame: np.ndarray  # unitary, columns are eigenvectors
-
-
-@dataclass(frozen=True)
 class PolarParts:
     """Canonical polar decomposition a = v |a| with support projections."""
 
@@ -135,26 +123,6 @@ def proof_f(gamma: float):
 def proof_g(gamma: float):
     """g = t/gamma^2 on [0, gamma] and 1/t above."""
     return lambda t: np.where(t <= gamma, t / gamma**2, 1.0 / np.maximum(t, gamma))
-
-
-def check_hermitian(h) -> np.ndarray:
-    h = as_matrix(h)
-    scale = 1.0 + op_norm(h)
-    dev = op_norm(h - h.conj().T)
-    if dev > TAU_HERM * scale:
-        raise NotHermitian(f"||h - h*|| = {dev:.3g} exceeds {TAU_HERM:.1g}*(1+||h||)")
-    return 0.5 * (h + h.conj().T)
-
-
-def hermitian_eig(h) -> SpectralData:
-    """Eigendecomposition of a Hermitian matrix, ascending eigenvalues.
-
-    LAPACK's divide-and-conquer path is deterministic for identical input
-    bytes, which is what report reproducibility needs.
-    """
-    h = check_hermitian(h)
-    values, frame = np.linalg.eigh(h)
-    return SpectralData(values=values, frame=frame)
 
 
 def svd(a):
@@ -234,34 +202,9 @@ def polar(a) -> PolarParts:
     return SVDFrame.of(a).polar()
 
 
-def apply_function(h, fn) -> np.ndarray:
-    """Functional calculus of a Hermitian h: frame * diag(fn(values)) * frame^*."""
-    sd = hermitian_eig(h)
-    return (sd.frame * fn(sd.values)) @ sd.frame.conj().T
-
-
-def spectral_projection(h, delta: float, eta: float | None = None) -> np.ndarray:
-    """Spectral projection of a Hermitian PSD matrix onto (delta, inf).
-
-    Raises EigenvalueTooCloseToCut when an eigenvalue sits within the guard
-    band around delta; sweeping callers perturb delta by 2*eta and retry.
-    """
-    sd = hermitian_eig(h)
-    if eta is None:
-        eta = eta_sep(op_norm(h))
-    close = np.abs(sd.values - delta) <= eta
-    if np.any(close):
-        bad = float(sd.values[close][0])
-        raise EigenvalueTooCloseToCut(delta, bad, eta)
-    keep = sd.values > delta
-    cols = sd.frame[:, keep]
-    return cols @ cols.conj().T
-
-
 def cutdown(a, delta: float) -> np.ndarray:
     """delta-cut-down v (|a| - delta)_+ using the canonical polar part."""
-    if not delta >= 0:  # NaN included
-        raise ValueError("delta must be nonnegative")
+    check_level(delta)
     return SVDFrame.of(a).cutdown(delta)
 
 
@@ -272,3 +215,18 @@ def make_h_pair(gamma: float, mu1: float, delta: float):
         raise BadOrdering(f"need 0 < gamma < mu1 < delta, got {gamma}, {mu1}, {delta}")
     return (lambda t: np.clip((mu1 - t) / (mu1 - gamma), 0.0, 1.0),
             lambda t: np.clip((delta - t) / (delta - mu1), 0.0, 1.0))
+
+
+# The Hermitian calculus is deleted: every spectral object comes off SVDFrame.
+# benchmark/spans.py PUBLIC still looks up and wraps these four names, one
+# object each, so they stay bound until ROADMAP item 5 drops them from PUBLIC.
+def _removed(name: str):
+    def removed(*args, **kwargs):
+        raise NotImplementedError(f"opcore.{name} was removed; use SVDFrame")
+    return removed
+
+
+check_hermitian = _removed("check_hermitian")
+hermitian_eig = _removed("hermitian_eig")
+apply_function = _removed("apply_function")
+spectral_projection = _removed("spectral_projection")

@@ -76,6 +76,11 @@ def grid_element_from_dict(d: dict) -> GridElement:
         points = [matrix_from_dict(p) for p in d["points"]]
     except (KeyError, TypeError) as exc:
         raise InputParse(f"bad grid element JSON: {exc}") from exc
+    shape = d.get("shape", list(points[0].shape) if points else None)
+    for k, p in enumerate(points):
+        if list(p.shape) != shape:
+            raise InputParse(f"bad grid element JSON: point {k} has shape {list(p.shape)}, "
+                             f"not {shape}")
     values = np.stack(points)
     if not np.all(np.isfinite(values)):
         raise InputParse(NOT_FINITE)

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from cstarreg import gallery, harness, pipeline, regularity
+from cstarreg import gallery, harness, pipeline
 from cstarreg.gridalg import (
     GridElement,
     decide_extension,

@@ -286,3 +286,31 @@ class TestCliCommands:
         f.write_text(json.dumps(top))
         assert main(["dist", "--input", str(f)]) == 1
         assert capsys.readouterr().err.startswith("error: bad grid element JSON: ")
+
+    @pytest.mark.parametrize("shape", [[2, 2], [1, 2]])
+    def test_grid_file_shape_mismatch_exits_one(self, tmp_path, capsys, shape):
+        """A declared shape is checked against every point: [2, 2] over 1 x 1
+        points loaded as a scalar element."""
+        d = serialize.grid_element_to_dict(gallery.gallery("linear", 32))
+        d["shape"] = shape
+        f = tmp_path / "bad.json"
+        serialize.dump_json(d, f)
+        assert main(["dist", "--input", str(f)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad grid element JSON: ")
+
+    def test_grid_file_mixed_point_sizes_exits_one(self, tmp_path, capsys):
+        """Points of two sizes are an input error, not numpy's stacking message."""
+        d = serialize.grid_element_to_dict(gallery.gallery("rankdrop", 32))
+        d["points"][3] = serialize.matrix_to_dict(np.eye(3))
+        f = tmp_path / "bad.json"
+        serialize.dump_json(d, f)
+        assert main(["theorem", "--input", str(f), "--deltas", "0.5"]) == 1
+        assert capsys.readouterr().err == ("error: bad grid element JSON: point 3 has shape "
+                                           "[3, 3], not [2, 2]\n")
+
+    def test_negative_cut_level_exits_one(self, capsys):
+        """The grid side refuses a negative level as opcore.cutdown does; it
+        used to report (2)-(4) true at delta = -0.5 and exit 0."""
+        assert main(["theorem", "--input", "linear", "--gridN", "32", "--gamma", "-1",
+                     "--deltas=-0.5,0.5"]) == 1
+        assert capsys.readouterr().err == "error: cut level must be nonnegative, got -0.5\n"

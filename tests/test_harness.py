@@ -236,7 +236,11 @@ class TestRampBoundsMatchEveryPrefix:
 class TestNanCutLevel:
     """A NaN cut level passed every separation check: decisions returned
     False on osc and True on disk-z, raised LinAlgError on rankdrop, and
-    condition (4) held on osc. It is a ValueError through every routine."""
+    condition (4) held on osc. A negative level passed them too, and
+    lift_cutdown built u (|f| + 0.5) on disk-z, while opcore.cutdown refused
+    it. Both are a ValueError through every routine, from one check."""
+
+    LEVELS = ((math.nan, "nan"), (-0.5, "nonnegative, got -0.5"))
 
     @pytest.mark.parametrize("name", ["osc", "rankdrop", "disk-z"])
     def test_refused_by_every_decision(self, name):
@@ -245,18 +249,22 @@ class TestNanCutLevel:
                     lambda ge, delta: regular_approximant(ge, delta, 0.01),
                     lambda ge, delta: check_condition3(ge, delta, None),
                     check_condition4]
-        for routine in routines:
-            with pytest.raises(ValueError, match="nan"):
-                routine(ge, math.nan)
+        for level, match in self.LEVELS:
+            for routine in routines:
+                with pytest.raises(ValueError, match=match):
+                    routine(ge, level)
 
     def test_refused_by_the_level_checks(self):
         s = np.array([0.2, 0.8])
-        with pytest.raises(ValueError, match="nan"):
-            opcore.check_clear(math.nan, s, 1e-8)
-        with pytest.raises(ValueError, match="nan"):
-            opcore.clear_of(math.nan, s, 1e-8)
+        for level, match in self.LEVELS:
+            with pytest.raises(ValueError, match=match):
+                opcore.check_clear(level, s, 1e-8)
+            with pytest.raises(ValueError, match=match):
+                opcore.clear_of(level, s, 1e-8)
         with pytest.raises(ValueError, match="nonnegative"):
             opcore.cutdown(np.eye(2), math.nan)
+        with pytest.raises(ValueError, match="nonnegative, got -0.5"):
+            opcore.cutdown(np.eye(2), -0.5)
 
 
 class TestCondition4FromWitness:

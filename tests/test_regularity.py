@@ -325,3 +325,36 @@ class TestBlockFactorize:
             x, p, q, a_dag = _block_instance(rng, n=5, rank=2)
             x_reg, d_reg = block_regular_iff(x, p, q, a_dag)
             assert x_reg == d_reg
+
+    def test_gap_bounds_through_the_factorization(self):
+        """The quantitative form of criterion 3's flag agreement, on its 200
+        seeded instances. Write eps(y) for the smallest singular value of y
+        above the rank cut. D = a + d with a = q x p and d = (1-q) x (1-p)
+        acting between orthogonal pairs of subspaces, so the singular values
+        of D are those of a and of d together and eps(D) = min(eps(a),
+        eps(d)) =: m. With x = L D and L invertible, x and D have the same
+        rank, and the r-th singular value of a product obeys
+        s_r(L D) >= s_min(L) s_r(D) = s_r(D) / ||L^-1|| and, from
+        D = L^-1 x, s_r(D) >= s_r(x) / ||L||. So
+        eps(x) >= m / ||L^-1|| and m >= eps(x) / ||L||. The first of these
+        came within 1% of equality on these seeds, so a gap certificate off
+        by more than that fails."""
+        ratios = []
+        for seed in range(200):
+            rng = np.random.default_rng(2000 + seed)
+            n = 4 + seed % 4
+            rank = 1 + seed % (n - 1)
+            x, p, q, a_dag = _block_instance(rng, n=n, rank=rank)
+            ell, dd = block_factorize(x, p, q, a_dag)
+            eye = np.eye(n)
+            eps_a = is_regular(q @ x @ p).gap.epsilon
+            eps_d = is_regular((eye - q) @ x @ (eye - p)).gap.epsilon
+            eps_dd = is_regular(dd).gap.epsilon
+            eps_x = is_regular(x).gap.epsilon
+            m = min(eps_a, eps_d)
+            inv_norm = op_norm(np.linalg.inv(ell))
+            assert abs(eps_dd - m) <= 1e-12 * m, seed
+            assert eps_x >= m / inv_norm, seed
+            assert m >= eps_x / op_norm(ell), seed
+            ratios.append(eps_x * inv_norm / m)
+        assert min(ratios) < 1.1  # the bound is tight on this set
