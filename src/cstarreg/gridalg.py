@@ -30,7 +30,9 @@ bisection rung first, which settles the bracket in one decision whenever
 the distance is 0, as everywhere in C([0,1], M_d).
 
 The bisection reads only whether an extension exists, so it decides each
-level by `_extends`, which builds no witness that cannot fail. Every
+level by `_extends`, which builds no witness that cannot fail; it shares
+with both extension procedures one step, `_decide_at`, that decides a
+level clear of the spectrum off the singular values read once. Every
 witness is unitary at every node, or zero, so its modulus is at most
 WITNESS_MODULUS_MAX = 2 to rounding; where the modulus bound is at least
 that, the modulus check passes whatever the witness, and the answer is
@@ -68,6 +70,7 @@ WITNESS_MODULUS_MAX = 2.0
 # another jump's lower bound before GridElement.modulus drops it unfactorized
 MODULUS_SCREEN = 1e-8
 NOT_FINITE = "grid values must be finite"
+NOT_SCALAR_DISK = "polar_extension_2d_scalar needs a scalar disk element"
 
 
 @dataclass(frozen=True)
@@ -309,14 +312,13 @@ def _nearest_below(s_all: np.ndarray, delta: float) -> float:
     return float(below.max()) if below.size else 0.0
 
 
-def _modulus_bound(ge: GridElement, delta: float) -> float:
-    """Perturbation-style bound on the allowed witness modulus."""
-    s_all = ge.singular_values().ravel()
-    spread = delta - _nearest_below(s_all, delta)
-    cut_mod = lift_cutdown(ge, delta).modulus()
+def _modulus_bound(ge: GridElement, delta: float, s: np.ndarray) -> float:
+    """Perturbation-style bound on the allowed witness modulus, with s the
+    element's flat singular values."""
+    spread = delta - _nearest_below(s, delta)
     if spread <= 0:
         return math.inf
-    return MODULUS_BOUND_FACTOR * cut_mod / spread
+    return MODULUS_BOUND_FACTOR * lift_cutdown(ge, delta).modulus() / spread
 
 
 def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
@@ -330,17 +332,12 @@ def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
     existence reduces to the transported frame staying within the modulus
     bound.
     """
-    _interval_cut(ge, delta)
-    return _held_to_bound(_frame_witness(ge, delta), _modulus_bound(ge, delta), delta,
-                          "frame-transport")
-
-
-def _interval_cut(ge: GridElement, delta: float) -> None:
-    """The checks of polar_extension_1d before its witness: the domain and
-    the separation of delta from the pointwise singular values."""
     if ge.domain.kind != "interval-1d":
         raise ValueError("polar_extension_1d needs an interval domain")
-    opcore.check_clear(delta, ge.singular_values(), guard_band(ge))
+    s = ge.singular_values().ravel()
+    opcore.check_clear(delta, s, guard_band(ge))
+    _, build = _decide_at(ge, delta, s)
+    return _held_to_bound(build(), _modulus_bound(ge, delta, s), delta, "frame-transport")
 
 
 def _frame_witness(ge: GridElement, delta: float) -> GridElement:
@@ -826,38 +823,19 @@ def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
     potential of the jumps, filled into the holes layer by layer,
     exponentiated, and the witness is held to the modulus bound.
     """
-    cut = _disk_cut(ge, delta)
-    bound = _modulus_bound(ge, delta)
-    if cut is None:
-        witness = GridElement(domain=ge.domain, values=np.zeros_like(ge.values))
-        return ExtensionReport(exists=True, witness=witness, obstruction=None,
-                               witness_modulus=0.0, modulus_bound=bound, delta=delta)
-    support, windings = cut
+    if ge.domain.kind != "disk-2d-polar" or not ge.is_scalar:
+        raise ValueError(NOT_SCALAR_DISK)
+    s = ge.singular_values().ravel()
+    opcore.check_clear(delta, s, guard_band(ge))
+    windings, build = _decide_at(ge, delta, s)
+    bound = _modulus_bound(ge, delta, s)
     if windings:
         return ExtensionReport(
             exists=False, witness=None,
             obstruction={"kind": "winding", "windings": windings},
             witness_modulus=math.inf, modulus_bound=bound, delta=delta)
-    return _held_to_bound(_phase_witness(ge, support), bound, delta, "modulus")
-
-
-def _disk_cut(ge: GridElement, delta: float):
-    """The steps of polar_extension_2d_scalar before its witness: the
-    domain and separation checks, the support {|f| > delta} and, unless it
-    is empty (None), the aliasing check (PhaseUnwrapAliasing) and the
-    blocked holes, on the element's kept `_DiskPhase`. Returns (support,
-    windings), with windings as in the obstruction."""
-    if ge.domain.kind != "disk-2d-polar" or not ge.is_scalar:
-        raise ValueError("polar_extension_2d_scalar needs a scalar disk element")
-    mags = ge.singular_values().ravel()
-    opcore.check_clear(delta, mags, guard_band(ge))
-    support = mags > delta
-    if not support.any():
-        return None
-    phase = _disk_phase(ge)
-    if delta < phase.alias_level:
-        raise _aliasing(ge, delta)
-    return support, _blocked_windings(phase, ~support.reshape(phase.ang.shape))
+    witness = build() if build else GridElement(ge.domain, np.zeros_like(ge.values))
+    return _held_to_bound(witness, bound, delta, "modulus")
 
 
 def _phase_witness(ge: GridElement, support: np.ndarray) -> GridElement:
@@ -889,25 +867,41 @@ def _cleared(ge: GridElement, delta: float) -> float:
     return opcore.clear_of(delta, ge.singular_values(), guard_band(ge))
 
 
+def _decide_at(ge: GridElement, delta: float, s: np.ndarray):
+    """The decision at a level delta already clear of s, the element's flat
+    singular values: (windings, build), with windings the sorted |total
+    charge| of the blocked holes (None on the interval) and build the
+    witness builder (None when the disk support {|f| > delta} is empty). On
+    the disk it checks aliasing (PhaseUnwrapAliasing) and labels the holes
+    on the element's kept `_DiskPhase`. A matrix element on the disk is a
+    ValueError here too, for `_extends`, which reaches it after the cut."""
+    if ge.domain.kind == "interval-1d":
+        return None, partial(_frame_witness, ge, delta)
+    if not ge.is_scalar:
+        raise ValueError(NOT_SCALAR_DISK)
+    support = s > delta
+    if not support.any():
+        return [], None
+    phase = _disk_phase(ge)
+    if delta < phase.alias_level:
+        raise _aliasing(ge, delta)
+    return (_blocked_windings(phase, ~support.reshape(phase.ang.shape)),
+            partial(_phase_witness, ge, support))
+
+
 def _extends(ge: GridElement, delta: float) -> bool:
     """decide_extension(ge, delta).exists, raising as it does, without the
-    witnesses that cannot fail: the same cut, checks and winding decision,
-    then, when the modulus bound is at least WITNESS_MODULUS_MAX, True with
-    no witness built, since no witness can exceed that modulus. Below it,
-    the witness is built and held to the bound as in polar_extension."""
-    delta = _cleared(ge, delta)
-    if ge.domain.kind == "interval-1d":
-        _interval_cut(ge, delta)
-        build, kind = partial(_frame_witness, ge, delta), "frame-transport"
-    else:
-        cut = _disk_cut(ge, delta)
-        if cut is None:
-            return True
-        support, windings = cut
-        if windings:
-            return False
-        build, kind = partial(_phase_witness, ge, support), "modulus"
-    bound = _modulus_bound(ge, delta)
+    witnesses that cannot fail: the same cut and `_decide_at` step, then,
+    when the modulus bound is at least WITNESS_MODULUS_MAX, True with no
+    witness built, since no witness can exceed that modulus. Below it, the
+    witness is built and held to the bound as in polar_extension."""
+    s = ge.singular_values().ravel()
+    delta = opcore.clear_of(delta, s, guard_band(ge))
+    windings, build = _decide_at(ge, delta, s)
+    if windings or build is None:
+        return not windings
+    bound = _modulus_bound(ge, delta, s)
+    kind = "frame-transport" if windings is None else "modulus"
     return bound >= WITNESS_MODULUS_MAX or _held_to_bound(build(), bound, delta, kind).exists
 
 
@@ -916,7 +910,8 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     level: the cut-down of the element admits a polar decomposition in the
     grid algebra iff the extension at that level exists (Theorem condition
     (4)), and each successful extension certifies distance <= level via the
-    explicit regular approximant. Returns (lower, upper); the interval never
+    explicit regular approximant. Returns (lower, upper), at most
+    tol_bisect apart unless they are adjacent floats; the interval never
     collapses to a point because grid error is irreducible. ValueError when
     tol_bisect is not finite and positive, or the element's values are not
     finite.
@@ -946,8 +941,7 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     except (SpectralCollision, PhaseUnwrapAliasing):
         pass
     lo = 0.0
-    while hi - lo > tol_bisect:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > tol_bisect and lo < (mid := 0.5 * (lo + hi)) < hi:
         if _extends(ge, mid):
             hi = mid
         else:

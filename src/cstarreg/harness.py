@@ -132,12 +132,9 @@ def _min_positive_singular(ge: GridElement) -> float:
 def _decide_polar_decomposable(ge: GridElement) -> ExtensionReport:
     """Does the grid element admit a polar decomposition in the algebra?
     Decided by the extension machinery at a cut just below the smallest
-    positive singular value, so the probed support is the full support."""
-    m = _min_positive_singular(ge)
-    if m == 0.0:
-        witness = GridElement(domain=ge.domain, values=np.zeros_like(ge.values))
-        return ExtensionReport(exists=True, witness=witness, obstruction=None)
-    return decide_extension(ge, m / 2.0)
+    positive singular value (0, nudged off, when none is), so the probed
+    support is the full support."""
+    return decide_extension(ge, _min_positive_singular(ge) / 2.0)
 
 
 def check_condition3(ge: GridElement, delta: float,

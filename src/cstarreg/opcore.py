@@ -121,8 +121,11 @@ def proof_f(gamma: float):
 
 
 def proof_g(gamma: float):
-    """g = t/gamma^2 on [0, gamma] and 1/t above."""
-    return lambda t: np.where(t <= gamma, t / gamma**2, 1.0 / np.maximum(t, gamma))
+    """g = t/gamma^2 on [0, gamma] and 1/t above. gamma^2 is inf past the
+    float range, where t/gamma^2 rounds to 0 anyway."""
+    with np.errstate(over="ignore"):
+        gamma2 = np.float64(gamma) ** 2
+    return lambda t: np.where(t <= gamma, t / gamma2, 1.0 / np.maximum(t, gamma))
 
 
 def svd(a):

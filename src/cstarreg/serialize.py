@@ -76,6 +76,8 @@ def grid_element_from_dict(d: dict) -> GridElement:
         points = [matrix_from_dict(p) for p in d["points"]]
     except (KeyError, TypeError) as exc:
         raise InputParse(f"bad grid element JSON: {exc}") from exc
+    if len(points) != dom.size:
+        raise InputParse(f"bad grid element JSON: need {dom.size} points, got {len(points)}")
     shape = d.get("shape", list(points[0].shape) if points else None)
     for k, p in enumerate(points):
         if list(p.shape) != shape:

@@ -126,6 +126,13 @@ class TestCliCommands:
         assert rep["short_circuit"] is True
         assert set(rep["checks"]) == {"partial_isometry", "final_we_delta", "final_f_delta_w"}
 
+    def test_lemma3_huge_delta(self, capsys):
+        """gamma = 7.5e299 overflowed Python's float power in proof_g
+        (OverflowError); gamma^2 is inf now, where t/gamma^2 rounds to 0."""
+        assert main(["lemma3", "--n", "4", "--delta", "1e300"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["checks"] and all(0.0 <= v <= 1e-7 for v in rep["checks"].values())
+
     def test_parses_leave_no_state(self, capsys):
         """main builds no parser of its own: two in-process calls, with and
         then without --deltas, print what each prints alone in a new
@@ -307,6 +314,19 @@ class TestCliCommands:
         assert main(["theorem", "--input", str(f), "--deltas", "0.5"]) == 1
         assert capsys.readouterr().err == ("error: bad grid element JSON: point 3 has shape "
                                            "[3, 3], not [2, 2]\n")
+
+    @pytest.mark.parametrize("count", [1, 0])
+    def test_grid_file_point_count_exits_one(self, tmp_path, capsys, count):
+        """One point or none over 32 nodes: the count is checked against the
+        domain, where it ended in "bad grid value shape (1, 1, 1)" and in
+        numpy's "need at least one array to stack"."""
+        d = serialize.grid_element_to_dict(gallery.gallery("linear", 32))
+        d["points"] = d["points"][:count]
+        f = tmp_path / "bad.json"
+        serialize.dump_json(d, f)
+        assert main(["dist", "--input", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bad grid element JSON: need 32 points, got {count}\n"
 
     def test_negative_cut_level_exits_one(self, capsys):
         """The grid side refuses a negative level as opcore.cutdown does; it

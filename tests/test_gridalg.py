@@ -1232,6 +1232,23 @@ class TestDistToRegular:
         lo, up = dist_to_regular(ge, 0.01)
         assert lo <= up <= lo + 0.011
 
+    def test_stops_at_float_resolution(self, monkeypatch):
+        """With tol_bisect below the float spacing at the distance, disk-z
+        decided 0.9999999799999999 over and over; the bracket now ends at
+        two adjacent floats. The cap on decisions turns a stall into a
+        failure."""
+        calls = Counter()
+        orig = gridalg._extends
+
+        def capped(ge, delta):
+            calls["decisions"] += 1
+            if calls["decisions"] > 200:
+                raise RuntimeError("the bisection does not stop")
+            return orig(ge, delta)
+        monkeypatch.setattr(gridalg, "_extends", capped)
+        lo, up = dist_to_regular(gallery.gallery("disk-z", 32), 1e-17)
+        assert 0.95 <= lo < up <= 1.05 and np.nextafter(lo, up) == up
+
     @pytest.mark.parametrize("name, tol", [("disk-z", -1.0), ("linear", 0.0),
                                            ("linear", math.nan), ("linear", math.inf)])
     def test_rejects_tolerance_not_finite_positive(self, name, tol):
@@ -1492,6 +1509,30 @@ def _same_decision(ge, delta, held):
     if rep.obstruction is None or rep.obstruction["kind"] != "winding":  # a witness was built
         assert rep.witness_modulus <= WITNESS_MODULUS_MAX + 1e-12
     return rep
+
+
+class TestOneReadPerDecision:
+    @pytest.mark.parametrize("make", [
+        lambda: gallery.random_scalar_field_2d(32, 128, np.random.default_rng(8100)),
+        lambda: gallery.gallery("rankdrop", 128)], ids=["disk-32x128", "rankdrop"])
+    def test_one_collision_test_and_two_reads(self, monkeypatch, make):
+        """One `_extends` call tests its level against the spectrum once and
+        reads the singular values twice, once for the cut and once for the
+        guard band (it read them five times, with two collision tests)."""
+        ge = make()
+        level = 0.5 * sup_norm(ge)
+        calls = Counter()
+
+        def counted(name, orig):
+            def wrapper(*args):
+                calls[name] += 1
+                return orig(*args)
+            return wrapper
+        monkeypatch.setattr(GridElement, "singular_values",
+                            counted("reads", GridElement.singular_values))
+        monkeypatch.setattr(opcore, "_collides", counted("collides", opcore._collides))
+        gridalg._extends(ge, level)
+        assert calls["collides"] == 1 and calls["reads"] <= 2, calls
 
 
 class TestExtendsMatchesDecision:
