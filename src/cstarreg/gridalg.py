@@ -29,17 +29,26 @@ offset per run. Only the fill walks the grid in breadth-first layers
 bisection rung first, which settles the bracket in one decision whenever
 the distance is 0, as everywhere in C([0,1], M_d).
 
+Every entry point reads the element's flat singular values s once and
+derives the rest from them: the guard band (`_band`, which `guard_band`
+shares), the collision test, the modulus bound and, for d = 1, the
+cut-down u (|f| - delta)_+ with u = f/|f|, so no scalar decision rebuilds
+`spectrum()`; for d > 1 the cut-down comes off the kept SVD. One
+`_extends` or extension call is one read, `decide_extension` two (the
+clearing, then its `polar_extension`), and `dist_to_regular` one more
+than its decisions.
+
 The bisection reads only whether an extension exists, so it decides each
 level by `_extends`, which builds no witness that cannot fail; it shares
 with both extension procedures one step, `_decide_at`, that decides a
-level clear of the spectrum off the singular values read once. Every
-witness is unitary at every node, or zero, so its modulus is at most
-WITNESS_MODULUS_MAX = 2 to rounding; where the modulus bound is at least
-that, the modulus check passes whatever the witness, and the answer is
-the winding decision alone. This is exact: `_extends` agrees with
-`decide_extension(...).exists` at every level. Elements whose values are
-not finite are refused (ValueError) by `guard_band`, which every decision
-asks first.
+level clear of the spectrum off s, and the procedures share one report
+step, `_report`. Every witness is unitary at every node, or zero, so its
+modulus is at most WITNESS_MODULUS_MAX = 2 to rounding; where the modulus
+bound is at least that, the modulus check passes whatever the witness,
+and the answer is the winding decision alone. This is exact: `_extends`
+agrees with `decide_extension(...).exists` at every level. Elements whose
+values are not finite are refused (ValueError) by the guard band, which
+every decision asks first.
 """
 
 from __future__ import annotations
@@ -208,8 +217,8 @@ class GridElement:
         d = 1: s = |f|, u = f/|f| (1 where f = 0) and vh = 1, which is what
         LAPACK returns for a 1 x 1 matrix. The real and imaginary parts are
         divided separately so that a real positive sample has phase exactly
-        1. Not kept: rebuilding it costs about as much as a lookup, and
-        keeping it would hold three more arrays per element.
+        1. Not kept, as it would hold three more arrays per element; no
+        decision calls it, as they work off `singular_values()`.
         """
         if self.dim == 1:
             f = self.values[:, 0, 0]
@@ -256,8 +265,7 @@ class ExtensionReport:
 
 
 def sup_norm(ge: GridElement) -> float:
-    s = ge.singular_values()
-    return float(s.max()) if s.size else 0.0
+    return float(ge.singular_values().max(initial=0.0))
 
 
 def guard_band(ge: GridElement) -> float:
@@ -265,7 +273,12 @@ def guard_band(ge: GridElement) -> float:
     singular value collides with the cut. ValueError for an element whose
     values are not finite, which is the first thing every decision asks:
     a NaN or inf entry makes the sup-norm NaN or inf."""
-    norm = sup_norm(ge)
+    return _band(ge.singular_values())
+
+
+def _band(s: np.ndarray) -> float:
+    """`guard_band` off s, the element's singular values."""
+    norm = float(s.max(initial=0.0))
     if not math.isfinite(norm):
         raise ValueError(NOT_FINITE)
     return opcore.eta_sep(norm)
@@ -280,13 +293,20 @@ def from_svd(domain: GridDomain, u: np.ndarray, s: np.ndarray, vh: np.ndarray) -
 def lift_cutdown(ge: GridElement, delta: float) -> GridElement:
     # batched equivalent of the pointwise opcore.cutdown
     opcore.check_level(delta)
-    u, s, vh = ge.spectrum()
-    cut = np.maximum(s - delta, 0.0)
+    return _cutdown(ge, delta, ge.singular_values().ravel())
+
+
+def _cutdown(ge: GridElement, delta: float, s: np.ndarray) -> GridElement:
+    """`lift_cutdown` off s, the element's flat singular values; for d > 1
+    off the kept SVD, whose s they are."""
     if ge.is_scalar:
-        # vh = 1, so u (|f| - delta)_+ needs no einsum; adding 0.0 turns a -0
-        # part into +0 as the einsum's sum from zero does: the bits of from_svd
-        return GridElement(ge.domain, u * cut[:, :, None] + 0.0)
-    return from_svd(ge.domain, u, cut, vh)
+        # u (|f| - delta)_+ with u = f/|f| from s and no einsum, as vh = 1;
+        # adding 0.0 turns a -0 part into +0 as the einsum's sum from zero
+        # does: the bits of from_svd
+        cut = _unit(ge.values[:, 0, 0], s) * np.maximum(s - delta, 0.0) + 0.0
+        return GridElement(ge.domain, cut.reshape(-1, 1, 1))
+    u, s, vh = ge.spectrum()
+    return from_svd(ge.domain, u, np.maximum(s - delta, 0.0), vh)
 
 
 def uniform_gap_regular(ge: GridElement, gap_min: float | None = None):
@@ -318,7 +338,7 @@ def _modulus_bound(ge: GridElement, delta: float, s: np.ndarray) -> float:
     spread = delta - _nearest_below(s, delta)
     if spread <= 0:
         return math.inf
-    return MODULUS_BOUND_FACTOR * lift_cutdown(ge, delta).modulus() / spread
+    return MODULUS_BOUND_FACTOR * _cutdown(ge, delta, s).modulus() / spread
 
 
 def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
@@ -334,10 +354,26 @@ def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
     """
     if ge.domain.kind != "interval-1d":
         raise ValueError("polar_extension_1d needs an interval domain")
+    return _report(ge, delta, "frame-transport")
+
+
+def _report(ge: GridElement, delta: float, kind: str) -> ExtensionReport:
+    """The report of both extension procedures at delta, off one read of
+    the singular values: the collision test, the `_decide_at` step, then a
+    winding obstruction or the witness held to the modulus bound, whose
+    failure is an obstruction of `kind`. An empty disk support gives the
+    zero witness."""
     s = ge.singular_values().ravel()
-    opcore.check_clear(delta, s, guard_band(ge))
-    _, build = _decide_at(ge, delta, s)
-    return _held_to_bound(build(), _modulus_bound(ge, delta, s), delta, "frame-transport")
+    opcore.check_clear(delta, s, _band(s))
+    windings, build = _decide_at(ge, delta, s)
+    bound = _modulus_bound(ge, delta, s)
+    if windings:
+        return ExtensionReport(
+            exists=False, witness=None,
+            obstruction={"kind": "winding", "windings": windings},
+            witness_modulus=math.inf, modulus_bound=bound, delta=delta)
+    witness = build() if build else GridElement(ge.domain, np.zeros_like(ge.values))
+    return _held_to_bound(witness, bound, delta, kind)
 
 
 def _frame_witness(ge: GridElement, delta: float) -> GridElement:
@@ -825,17 +861,7 @@ def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
     """
     if ge.domain.kind != "disk-2d-polar" or not ge.is_scalar:
         raise ValueError(NOT_SCALAR_DISK)
-    s = ge.singular_values().ravel()
-    opcore.check_clear(delta, s, guard_band(ge))
-    windings, build = _decide_at(ge, delta, s)
-    bound = _modulus_bound(ge, delta, s)
-    if windings:
-        return ExtensionReport(
-            exists=False, witness=None,
-            obstruction={"kind": "winding", "windings": windings},
-            witness_modulus=math.inf, modulus_bound=bound, delta=delta)
-    witness = build() if build else GridElement(ge.domain, np.zeros_like(ge.values))
-    return _held_to_bound(witness, bound, delta, "modulus")
+    return _report(ge, delta, "modulus")
 
 
 def _phase_witness(ge: GridElement, support: np.ndarray) -> GridElement:
@@ -864,7 +890,8 @@ def decide_extension(ge: GridElement, delta: float) -> ExtensionReport:
 
 
 def _cleared(ge: GridElement, delta: float) -> float:
-    return opcore.clear_of(delta, ge.singular_values(), guard_band(ge))
+    s = ge.singular_values().ravel()
+    return opcore.clear_of(delta, s, _band(s))
 
 
 def _decide_at(ge: GridElement, delta: float, s: np.ndarray):
@@ -896,7 +923,7 @@ def _extends(ge: GridElement, delta: float) -> bool:
     witness built, since no witness can exceed that modulus. Below it, the
     witness is built and held to the bound as in polar_extension."""
     s = ge.singular_values().ravel()
-    delta = opcore.clear_of(delta, s, guard_band(ge))
+    delta = opcore.clear_of(delta, s, _band(s))
     windings, build = _decide_at(ge, delta, s)
     if windings or build is None:
         return not windings
@@ -911,10 +938,10 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     grid algebra iff the extension at that level exists (Theorem condition
     (4)), and each successful extension certifies distance <= level via the
     explicit regular approximant. Returns (lower, upper), at most
-    tol_bisect apart unless they are adjacent floats; the interval never
-    collapses to a point because grid error is irreducible. ValueError when
-    tol_bisect is not finite and positive, or the element's values are not
-    finite.
+    tol_bisect apart, unless adjacent floats or inside one guard band; the
+    interval never collapses to a point because grid error is irreducible.
+    ValueError when tol_bisect is not finite and positive, or the element's
+    values are not finite.
 
     The bisection runs on (0, hi), hi above the sup-norm. Its lowest rung
     hi 2^-k at or below tol_bisect, the last midpoint when every decision
@@ -922,6 +949,12 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     on the interval, as C([0,1], M_d) has stable rank one, and on the disk
     at distance 0. A rung that fails, collides or aliases hands over to the
     bisection.
+
+    Every level, the rung and each midpoint, is first cleared of the
+    singular values read once here (opcore.clear_of), and the cleared level
+    is the one decided and returned, so an end of the bracket that a
+    decision set is a level decided as it stands. A midpoint cleared to hi
+    or above ends the bisection.
 
     Each level is decided by `_extends`, which reads only whether an
     extension exists. It is exact, not a shortcut that can differ from
@@ -931,17 +964,23 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     """
     if not 0.0 < tol_bisect < math.inf:
         raise ValueError(f"tol_bisect must be finite and positive, got {tol_bisect}")
-    hi = sup_norm(ge) + max(tol_bisect, TOP_HEADROOM * guard_band(ge))
+    s = ge.singular_values().ravel()
+    eta = _band(s)
+    hi = float(s.max(initial=0.0)) + max(tol_bisect, TOP_HEADROOM * eta)
     rung = hi
     while rung > tol_bisect:
         rung *= 0.5  # 0.5 * (0 + hi), as a midpoint
     try:
+        rung = opcore.clear_of(rung, s, eta)
         if _extends(ge, rung):
             return 0.0, rung
     except (SpectralCollision, PhaseUnwrapAliasing):
         pass
     lo = 0.0
     while hi - lo > tol_bisect and lo < (mid := 0.5 * (lo + hi)) < hi:
+        mid = opcore.clear_of(mid, s, eta)
+        if mid >= hi:
+            break
         if _extends(ge, mid):
             hi = mid
         else:

@@ -11,7 +11,7 @@ import pytest
 from cstarreg import cli, gallery, harness, serialize
 from cstarreg.cli import main
 from cstarreg.errors import InputParse
-from cstarreg.gridalg import GridElement, decide_extension, interval_domain
+from cstarreg.gridalg import GridElement, decide_extension, disk_domain, interval_domain
 from cstarreg.opcore import op_norm
 
 from conftest import random_complex, random_projection
@@ -327,6 +327,41 @@ class TestCliCommands:
         assert main(["dist", "--input", str(f)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: bad grid element JSON: need 32 points, got {count}\n"
+
+    def test_disk_file_round_trip(self, tmp_path, capsys):
+        """disk-z written to a file and read back is the gallery element:
+        `dist` on the file prints the bracket of `--input disk-z`."""
+        ge = gallery.gallery("disk-z", 32)
+        f = tmp_path / "disk.json"
+        serialize.dump_json(serialize.grid_element_to_dict(ge), f)
+        back = serialize.grid_element_from_dict(json.loads(f.read_text()))
+        assert back.domain == ge.domain and np.array_equal(back.values, ge.values)
+        assert main(["dist", "--input", "disk-z", "--gridN", "32", "--tol", "0.02"]) == 0
+        expected = json.loads(capsys.readouterr().out)["cond1"]
+        assert main(["dist", "--input", str(f), "--tol", "0.02"]) == 0
+        assert json.loads(capsys.readouterr().out)["cond1"] == expected
+
+    @pytest.mark.parametrize("command", [["dist"], ["theorem", "--deltas", "0.5"]])
+    def test_matrix_disk_file_exits_one(self, tmp_path, capsys, command):
+        """The disk procedure is scalar only: a 2 x 2 disk file is an input
+        error with its reason."""
+        dom = disk_domain(16, 64)
+        values = np.tile(np.diag([1.0, 0.5]).astype(complex), (dom.size, 1, 1))
+        f = tmp_path / "disk2.json"
+        serialize.dump_json(serialize.grid_element_to_dict(GridElement(dom, values)), f)
+        assert main([*command, "--input", str(f), "--tol", "0.05"]) == 1
+        assert capsys.readouterr().err == (
+            "error: polar_extension_2d_scalar needs a scalar disk element\n")
+
+    def test_suite_is_consistent(self, capsys):
+        assert main(["suite", "--gridN", "32"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["ok"] is True
+        assert sorted(out["suite"]) == ["const-unitary", "disk-z", "linear", "osc", "rankdrop"]
+
+    def test_bad_deltas_exits_one(self, capsys):
+        assert main(["theorem", "--input", "linear", "--gridN", "32", "--deltas", "0.5,abc"]) == 1
+        assert capsys.readouterr().err.startswith("error: bad --deltas: ")
 
     def test_negative_cut_level_exits_one(self, capsys):
         """The grid side refuses a negative level as opcore.cutdown does; it

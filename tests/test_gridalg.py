@@ -1179,6 +1179,20 @@ class TestRunKernelsMatchFloods:
         assert decide_extension(ge, 0.05).exists
 
 
+class TestMatrixDisk:
+    @pytest.mark.parametrize("decide", [
+        lambda ge: polar_extension(ge, 0.75), lambda ge: decide_extension(ge, 0.75),
+        lambda ge: dist_to_regular(ge, 0.05)])
+    def test_refused(self, decide):
+        """The disk procedure is scalar only. polar_extension refuses a 2 x 2
+        disk element before its cut, dist_to_regular after it, in
+        `_decide_at`."""
+        dom = disk_domain(16, 64)
+        ge = GridElement(dom, np.tile(np.diag([1.0, 0.5]).astype(complex), (dom.size, 1, 1)))
+        with pytest.raises(ValueError, match="needs a scalar disk element"):
+            decide(ge)
+
+
 class TestCutLevelProvenance:
     def test_level_kept_off_the_guard_band(self):
         rep = decide_extension(gallery.gallery("disk-z", 32), 0.3 + 1e-6)
@@ -1234,9 +1248,12 @@ class TestDistToRegular:
 
     def test_stops_at_float_resolution(self, monkeypatch):
         """With tol_bisect below the float spacing at the distance, disk-z
-        decided 0.9999999799999999 over and over; the bracket now ends at
-        two adjacent floats. The cap on decisions turns a stall into a
-        failure."""
+        decided 0.9999999799999999 over and over; the bisection now stops
+        within a guard band of the distance, its upper end a level that was
+        decided as it stands. It used to end at two adjacent floats whose
+        upper one was moved up to 1.00000006 before it was decided, so the
+        bracket missed the smallest rim modulus. The cap on decisions turns
+        a stall into a failure."""
         calls = Counter()
         orig = gridalg._extends
 
@@ -1246,8 +1263,13 @@ class TestDistToRegular:
                 raise RuntimeError("the bisection does not stop")
             return orig(ge, delta)
         monkeypatch.setattr(gridalg, "_extends", capped)
-        lo, up = dist_to_regular(gallery.gallery("disk-z", 32), 1e-17)
-        assert 0.95 <= lo < up <= 1.05 and np.nextafter(lo, up) == up
+        ge = gallery.gallery("disk-z", 32)
+        lo, up = dist_to_regular(ge, 1e-17)
+        rim = np.abs(ge.values[-ge.domain.n_angular:, 0, 0]).min()
+        assert lo <= rim <= up and up - lo <= 4.0 * guard_band(ge)
+        rep = decide_extension(ge, up)
+        assert rep.exists and rep.delta == up
+        assert not decide_extension(ge, lo).exists
 
     @pytest.mark.parametrize("name, tol", [("disk-z", -1.0), ("linear", 0.0),
                                            ("linear", math.nan), ("linear", math.inf)])
@@ -1533,6 +1555,55 @@ class TestOneReadPerDecision:
         monkeypatch.setattr(opcore, "_collides", counted("collides", opcore._collides))
         gridalg._extends(ge, level)
         assert calls["collides"] == 1 and calls["reads"] <= 2, calls
+
+    @pytest.mark.parametrize("make", [
+        lambda: gallery.random_scalar_field_2d(32, 128, np.random.default_rng(8100)),
+        lambda: gallery.gallery("rankdrop", 128)], ids=["disk-32x128", "rankdrop"])
+    def test_one_read_per_entry_point(self, monkeypatch, make):
+        """`_extends` and `polar_extension` read the singular values once
+        and test the level once, `decide_extension` twice each: once to
+        clear the level and once in its `polar_extension`. No scalar
+        decision rebuilds the spectrum. They read 2, 2 and 4 times, and
+        each scalar one called `spectrum()` once."""
+        ge = make()
+        level = gridalg._cleared(ge, 0.5 * sup_norm(ge))
+        calls = _count_reads(monkeypatch)
+        for decide, reads in ((gridalg._extends, 1), (polar_extension, 1),
+                              (decide_extension, 2)):
+            calls.clear()
+            decide(ge, level)
+            assert calls["reads"] == reads and calls["collides"] == reads, (decide, calls)
+            assert calls["spectrum"] == 0 or not ge.is_scalar, (decide, calls)
+
+    def test_one_read_per_bisection_step(self, monkeypatch):
+        """dist_to_regular reads the singular values once for its top and
+        guard band and each decision once more, and never rebuilds the
+        scalar spectrum (14 reads and 2 `spectrum()` calls for 6
+        decisions)."""
+        ge = gallery.random_scalar_field_2d(32, 128, np.random.default_rng(3), winding=2)
+        calls = _count_reads(monkeypatch)
+        monkeypatch.setattr(gridalg, "_extends", _counted(calls, "decisions", gridalg._extends))
+        dist_to_regular(ge, 0.02)
+        assert calls["decisions"] > 1 and calls["spectrum"] == 0, calls
+        assert calls["reads"] <= 1 + calls["decisions"], calls
+
+
+def _counted(calls, name, orig):
+    def wrapper(*args):
+        calls[name] += 1
+        return orig(*args)
+    return wrapper
+
+
+def _count_reads(monkeypatch):
+    """A Counter of the `singular_values()` reads ("reads"), `spectrum()`
+    calls and `opcore._collides` tests made from here on."""
+    calls = Counter()
+    monkeypatch.setattr(GridElement, "singular_values",
+                        _counted(calls, "reads", GridElement.singular_values))
+    monkeypatch.setattr(GridElement, "spectrum", _counted(calls, "spectrum", GridElement.spectrum))
+    monkeypatch.setattr(opcore, "_collides", _counted(calls, "collides", opcore._collides))
+    return calls
 
 
 class TestExtendsMatchesDecision:
