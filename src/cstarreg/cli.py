@@ -125,8 +125,12 @@ def cmd_theorem(cfg: argparse.Namespace) -> int:
     if cfg.deltas:
         deltas = cfg.deltas
     else:
+        # fractions of the sup-norm, so that every default level lies below it
         top = gridalg.sup_norm(ge)
-        lo = max(cfg.gamma + 0.05 * (top - cfg.gamma), 0.05)
+        if top == 0.0:
+            raise InputParse("the element has sup-norm 0, so theorem has no default "
+                             "cut levels; give --deltas")
+        lo = max(cfg.gamma + 0.05 * (top - cfg.gamma), 0.05 * top)
         deltas = list(np.linspace(lo, top * 0.95, 4))
     report = harness.check_equivalences(ge, cfg.gamma, deltas,
                                         tol_bisect=cfg.tol,

@@ -35,8 +35,14 @@ shares), the collision test, the modulus bound and, for d = 1, the
 cut-down u (|f| - delta)_+ with u = f/|f|, so no scalar decision rebuilds
 `spectrum()`; for d > 1 the cut-down comes off the kept SVD. One
 `_extends` or extension call is one read, `decide_extension` two (the
-clearing, then its `polar_extension`), and `dist_to_regular` one more
-than its decisions.
+clearing, then its `polar_extension`). A bisection, a harness report
+and each harness decision on a derived element hold their element
+(`_holding`) while they run: one read of s and the guard band, for d = 1
+the abs/phase spectrum that every decision, cut-down and witness of the
+run then shares, and the levels found clear of s, which are not tested
+again. So `dist_to_regular` reads s once and tests each level once, and a
+report builds the scalar spectrum once. The hold is dropped when the run
+returns, so no scalar element keeps its spectrum.
 
 The bisection reads only whether an extension exists, so it decides each
 level by `_extends`, which builds no witness that cannot fail; it shares
@@ -54,6 +60,7 @@ every decision asks first.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -163,6 +170,7 @@ class GridElement:
     values: np.ndarray  # shape (num_points, d, d)
     _svd: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _phase: _DiskPhase | None = field(default=None, init=False, repr=False, compare=False)
+    _hold: _Hold | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -217,15 +225,16 @@ class GridElement:
         d = 1: s = |f|, u = f/|f| (1 where f = 0) and vh = 1, which is what
         LAPACK returns for a 1 x 1 matrix. The real and imaginary parts are
         divided separately so that a real positive sample has phase exactly
-        1. Not kept, as it would hold three more arrays per element; no
-        decision calls it, as they work off `singular_values()`.
+        1. Kept only while the element is held (`_holding`), as by a
+        bisection or a harness report. Not kept for good: on the
+        `disk-winding` benchmark, whose pool holds 80 scalar disk elements
+        of up to 4,096 nodes, keeping it raised the peak RSS from 53.8 to
+        60.5 MB. No decision outside a hold calls it, as they work off
+        `singular_values()`.
         """
-        if self.dim == 1:
-            f = self.values[:, 0, 0]
-            s = np.abs(f)
-            vh = np.broadcast_to(np.ones((1, 1, 1), dtype=np.complex128), self.values.shape)
-            return _unit(f, s).reshape(-1, 1, 1), s.reshape(-1, 1), vh
         if self._svd is None:
+            if self.dim == 1:
+                return _scalar_spectrum(self.values)
             try:
                 self._svd = np.linalg.svd(self.values)
             except np.linalg.LinAlgError:  # what a NaN entry gives
@@ -237,9 +246,73 @@ class GridElement:
     def singular_values(self) -> np.ndarray:
         """The s of `spectrum()`, so the same values whatever was called
         before: for d > 1 this computes and keeps the full spectrum."""
+        if self._svd is not None:
+            return self._svd[1]
         if self.dim == 1:
             return np.abs(self.values[:, :, 0])
         return self.spectrum()[1]
+
+
+def _scalar_spectrum(values: np.ndarray):
+    """`spectrum()` of a scalar element with these (n, 1, 1) values."""
+    f = values[:, 0, 0]
+    s = np.abs(f)
+    vh = np.broadcast_to(np.ones((1, 1, 1), dtype=np.complex128), values.shape)
+    return _unit(f, s).reshape(-1, 1, 1), s.reshape(-1, 1), vh
+
+
+@dataclass
+class _Hold:
+    """What a hold (`_holding`) keeps of its element while it runs: the
+    flat singular values s, their guard band, and the levels already found
+    clear of s (each one the result of opcore.clear_of)."""
+
+    s: np.ndarray
+    band: float
+    clear: set = field(default_factory=set)
+
+
+@contextmanager
+def _holding(ge: GridElement):
+    """Hold ge for the with block: one read of s and the guard band, and
+    for d = 1 the spectrum, kept on the element as `spectrum()` keeps the
+    SVD for d > 1. A hold inside another one is the outer one. On exit the
+    element is as before: no hold and, for d = 1, no spectrum. ValueError,
+    as `guard_band`, when the values are not finite."""
+    if ge._hold is not None:
+        yield ge._hold
+        return
+    s = ge.singular_values().ravel()
+    ge._hold = _Hold(s, _band(s))
+    if ge.is_scalar:
+        ge._svd = _scalar_spectrum(ge.values)
+    try:
+        yield ge._hold
+    finally:
+        ge._hold = None
+        if ge.is_scalar:
+            ge._svd = None
+
+
+def _read(ge: GridElement):
+    """(s, band): the element's flat singular values and guard band, its
+    hold's while one is on."""
+    if ge._hold is not None:
+        return ge._hold.s, ge._hold.band
+    s = ge.singular_values().ravel()
+    return s, _band(s)
+
+
+def _clear(ge: GridElement, level: float, s: np.ndarray, band: float) -> float:
+    """opcore.clear_of(level, s, band), which a hold asks once per level:
+    a level it cleared before is clear of s as it stands."""
+    hold = ge._hold
+    if hold is not None and level in hold.clear:
+        return level
+    level = opcore.clear_of(level, s, band)
+    if hold is not None:
+        hold.clear.add(level)
+    return level
 
 
 def _unit(f: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -273,7 +346,7 @@ def guard_band(ge: GridElement) -> float:
     singular value collides with the cut. ValueError for an element whose
     values are not finite, which is the first thing every decision asks:
     a NaN or inf entry makes the sup-norm NaN or inf."""
-    return _band(ge.singular_values())
+    return _read(ge)[1]
 
 
 def _band(s: np.ndarray) -> float:
@@ -293,17 +366,20 @@ def from_svd(domain: GridDomain, u: np.ndarray, s: np.ndarray, vh: np.ndarray) -
 def lift_cutdown(ge: GridElement, delta: float) -> GridElement:
     # batched equivalent of the pointwise opcore.cutdown
     opcore.check_level(delta)
-    return _cutdown(ge, delta, ge.singular_values().ravel())
+    s = ge._hold.s if ge._hold is not None else ge.singular_values().ravel()
+    return _cutdown(ge, delta, s)
 
 
 def _cutdown(ge: GridElement, delta: float, s: np.ndarray) -> GridElement:
     """`lift_cutdown` off s, the element's flat singular values; for d > 1
-    off the kept SVD, whose s they are."""
+    off the kept SVD, whose s they are, and for d = 1 off the held u when a
+    hold is on."""
     if ge.is_scalar:
         # u (|f| - delta)_+ with u = f/|f| from s and no einsum, as vh = 1;
         # adding 0.0 turns a -0 part into +0 as the einsum's sum from zero
         # does: the bits of from_svd
-        cut = _unit(ge.values[:, 0, 0], s) * np.maximum(s - delta, 0.0) + 0.0
+        u = _unit(ge.values[:, 0, 0], s) if ge._svd is None else ge._svd[0][:, 0, 0]
+        cut = u * np.maximum(s - delta, 0.0) + 0.0
         return GridElement(ge.domain, cut.reshape(-1, 1, 1))
     u, s, vh = ge.spectrum()
     return from_svd(ge.domain, u, np.maximum(s - delta, 0.0), vh)
@@ -362,9 +438,11 @@ def _report(ge: GridElement, delta: float, kind: str) -> ExtensionReport:
     the singular values: the collision test, the `_decide_at` step, then a
     winding obstruction or the witness held to the modulus bound, whose
     failure is an obstruction of `kind`. An empty disk support gives the
-    zero witness."""
-    s = ge.singular_values().ravel()
-    opcore.check_clear(delta, s, _band(s))
+    zero witness. A level that the element's hold cleared is not tested
+    again."""
+    s, band = _read(ge)
+    if ge._hold is None or delta not in ge._hold.clear:
+        opcore.check_clear(delta, s, band)
     windings, build = _decide_at(ge, delta, s)
     bound = _modulus_bound(ge, delta, s)
     if windings:
@@ -448,7 +526,9 @@ def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
     carried in frame coordinates.
 
     Every node's frame is w = u X vh. X = 1 at every node that keeps all
-    its directions (with d = 1, every supported node) and at the first
+    its directions (with d = 1, every supported node; there w = u + 0.0,
+    which has the bytes of the stacked 1 x 1 product u vh, whose sum from
+    zero turns a -0 part into +0) and at the first
     supported node. At each later node k that keeps some but not all, X is
     1 on the kept block and the r x r unitary U_k on the free block:
     U_k = polar of the free block of T X_prev S, with prev the last
@@ -463,7 +543,7 @@ def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
     between their flanks.
     """
     npts, d, _ = u.shape
-    w = u @ vh
+    w = u + 0.0 if d == 1 else u @ vh
     supported = keeps[:, 0]  # s is descending, so each node keeps a prefix
     idx = np.arange(npts)
     k0 = int(np.argmax(supported))  # 0 when nothing is supported
@@ -890,8 +970,7 @@ def decide_extension(ge: GridElement, delta: float) -> ExtensionReport:
 
 
 def _cleared(ge: GridElement, delta: float) -> float:
-    s = ge.singular_values().ravel()
-    return opcore.clear_of(delta, s, _band(s))
+    return _clear(ge, delta, *_read(ge))
 
 
 def _decide_at(ge: GridElement, delta: float, s: np.ndarray):
@@ -922,8 +1001,8 @@ def _extends(ge: GridElement, delta: float) -> bool:
     when the modulus bound is at least WITNESS_MODULUS_MAX, True with no
     witness built, since no witness can exceed that modulus. Below it, the
     witness is built and held to the bound as in polar_extension."""
-    s = ge.singular_values().ravel()
-    delta = opcore.clear_of(delta, s, _band(s))
+    s, band = _read(ge)
+    delta = _clear(ge, delta, s, band)
     windings, build = _decide_at(ge, delta, s)
     if windings or build is None:
         return not windings
@@ -950,11 +1029,13 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     at distance 0. A rung that fails, collides or aliases hands over to the
     bisection.
 
-    Every level, the rung and each midpoint, is first cleared of the
-    singular values read once here (opcore.clear_of), and the cleared level
-    is the one decided and returned, so an end of the bracket that a
-    decision set is a level decided as it stands. A midpoint cleared to hi
-    or above ends the bisection.
+    Every level, the rung and each midpoint, is first cleared
+    (opcore.clear_of) of the singular values, which the hold on the element
+    (`_holding`) reads once, and the cleared level is the one decided and
+    returned, so an end of the bracket that a decision set is a level
+    decided as it stands. The hold keeps the cleared levels, so their
+    decisions do not test them again. A midpoint cleared to hi or above
+    ends the bisection.
 
     Each level is decided by `_extends`, which reads only whether an
     extension exists. It is exact, not a shortcut that can differ from
@@ -964,28 +1045,28 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     """
     if not 0.0 < tol_bisect < math.inf:
         raise ValueError(f"tol_bisect must be finite and positive, got {tol_bisect}")
-    s = ge.singular_values().ravel()
-    eta = _band(s)
-    hi = float(s.max(initial=0.0)) + max(tol_bisect, TOP_HEADROOM * eta)
-    rung = hi
-    while rung > tol_bisect:
-        rung *= 0.5  # 0.5 * (0 + hi), as a midpoint
-    try:
-        rung = opcore.clear_of(rung, s, eta)
-        if _extends(ge, rung):
-            return 0.0, rung
-    except (SpectralCollision, PhaseUnwrapAliasing):
-        pass
-    lo = 0.0
-    while hi - lo > tol_bisect and lo < (mid := 0.5 * (lo + hi)) < hi:
-        mid = opcore.clear_of(mid, s, eta)
-        if mid >= hi:
-            break
-        if _extends(ge, mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    with _holding(ge) as hold:
+        s, eta = hold.s, hold.band
+        hi = float(s.max(initial=0.0)) + max(tol_bisect, TOP_HEADROOM * eta)
+        rung = hi
+        while rung > tol_bisect:
+            rung *= 0.5  # 0.5 * (0 + hi), as a midpoint
+        try:
+            rung = _clear(ge, rung, s, eta)
+            if _extends(ge, rung):
+                return 0.0, rung
+        except (SpectralCollision, PhaseUnwrapAliasing):
+            pass
+        lo = 0.0
+        while hi - lo > tol_bisect and lo < (mid := 0.5 * (lo + hi)) < hi:
+            mid = _clear(ge, mid, s, eta)
+            if mid >= hi:
+                break
+            if _extends(ge, mid):
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
 
 
 def no_polar_decomposition_witness(ge: GridElement) -> float:

@@ -13,7 +13,17 @@ distance on the disk, or wherever (2) fails) each runs its own extension
 decision. When ||a|| - delta <= 10 the cut ramp is the sampled ramp of slope
 1 and plateau 10, so on the witness path the "(3)=>(4)" cross-check compares
 two readings of one residual; what stays independent of (2) there are the
-"cond4 above/below bracket" checks against the distance."""
+"cond4 above/below bracket" checks against the distance.
+
+`check_equivalences` holds its element while the report runs
+(`gridalg._holding`): the singular values and guard band are read once,
+for d = 1 the abs/phase spectrum is built once, and the bracket, every
+decision, cut-down and witness and `_ramp_bounds` share them; each probed
+level is tested against the spectrum once. The hold is dropped when the
+report returns, so the element keeps nothing. Each decision of a
+no-witness path holds its own derived element the same way. For d = 1
+`_ramp_bounds` takes miss = w - u and the ramps only at the nodes where
+they can hold a maximum."""
 
 from __future__ import annotations
 
@@ -27,6 +37,7 @@ from .errors import NoWitness
 from .gridalg import (
     ExtensionReport,
     GridElement,
+    _holding,
     decide_extension,
     dist_to_regular,
     from_svd,
@@ -99,15 +110,24 @@ def _ramp_bounds(ge: GridElement, delta: float, w: np.ndarray):
     descending and f monotone it is the sum over j of (f(s_j) - f(s_j+1))
     times miss cut to its first j + 1 columns, whose norms c_kj bound every
     f. A column that a nudged cut left free above delta is thus weighted by
-    its own small f(s_j). d = 1: c = |miss|. d > 1: one batched SVD of the
-    prefixes with s_kj > delta; at every other (k, j) each ramp vanishes on
-    s_kj and below, so the step weight is exactly 0.0 and c_kj is never
-    read."""
+    its own small f(s_j). d > 1: one batched SVD of the prefixes with
+    s_kj > delta; at every other (k, j) each ramp vanishes on s_kj and
+    below, so the step weight is exactly 0.0 and c_kj is never read.
+
+    d = 1: vh = 1, so miss = w - u and c = |miss|, and the ramps are taken
+    only at the nodes above delta where w != u, and at one node of largest
+    s. That is exact: every ramp is monotone in s under rounding, and so is
+    its product with c >= RAMP_ROUNDING, so a dropped node, where f(s) = 0
+    or c = RAMP_ROUNDING, never exceeds the node of largest s, and the
+    maxima are the same floats."""
     u, s, vh = ge.spectrum()
-    miss = w @ vh.conj().transpose(0, 2, 1) - u
     if ge.is_scalar:
-        c = np.abs(miss[:, 0])
+        miss = w[:, 0, 0] - u[:, 0, 0]
+        at = np.append(np.flatnonzero((miss != 0) & (s[:, 0] > delta)), np.argmax(s[:, 0]))
+        s = s[at]
+        c = np.abs(miss[at])[:, None]
     else:
+        miss = w @ vh.conj().transpose(0, 2, 1) - u
         c = np.zeros(s.shape)
         k, j = np.nonzero(s > delta)
         if k.size:
@@ -123,8 +143,8 @@ def _ramp_bounds(ge: GridElement, delta: float, w: np.ndarray):
     return bound(_ramps(delta, s)), bound(np.maximum(s - delta, 0.0))
 
 
-def _min_positive_singular(ge: GridElement) -> float:
-    s = ge.singular_values().ravel()
+def _min_positive_singular(s: np.ndarray) -> float:
+    """The smallest of the flat singular values s above rounding of 0."""
     pos = s[s > opcore.TAU_NONZERO * (1.0 + s.max(initial=0.0))]
     return float(pos.min()) if pos.size else 0.0
 
@@ -133,8 +153,10 @@ def _decide_polar_decomposable(ge: GridElement) -> ExtensionReport:
     """Does the grid element admit a polar decomposition in the algebra?
     Decided by the extension machinery at a cut just below the smallest
     positive singular value (0, nudged off, when none is), so the probed
-    support is the full support."""
-    return decide_extension(ge, _min_positive_singular(ge) / 2.0)
+    support is the full support. The element is held for the decision, so
+    its singular values are read once."""
+    with _holding(ge) as hold:
+        return decide_extension(ge, _min_positive_singular(hold.s) / 2.0)
 
 
 def check_condition3(ge: GridElement, delta: float,
@@ -203,38 +225,41 @@ def check_equivalences(ge: GridElement, gamma: float, delta_grid,
     delta_grid = sorted(float(d) for d in delta_grid)
     if not all(math.isfinite(x) for x in (gamma, *delta_grid)):
         raise ValueError("gamma and every probed delta must be finite")
-    eta = guard_band(ge)
-    if any(d <= gamma + eta for d in delta_grid):
-        raise ValueError("all probed deltas must exceed gamma")
-    h = ge.domain.max_spacing()
-    if tol_bisect is None:
-        tol_bisect = 2.0 * h
+    # the element's s, guard band and, for d = 1, spectrum, read once for
+    # every decision of the report and dropped when it returns
+    with _holding(ge):
+        eta = guard_band(ge)
+        if any(d <= gamma + eta for d in delta_grid):
+            raise ValueError("all probed deltas must exceed gamma")
+        h = ge.domain.max_spacing()
+        if tol_bisect is None:
+            tol_bisect = 2.0 * h
 
-    lower, upper = dist_to_regular(ge, tol_bisect)
+        lower, upper = dist_to_regular(ge, tol_bisect)
 
-    cond2, cond3, cond4 = [], [], []
-    inconsistencies = []
-    for delta in delta_grid:
-        rep2 = decide_extension(ge, delta)
-        c2 = ConditionResult(delta=delta, holds=rep2.exists,
-                             detail={"modulus": rep2.witness_modulus,
-                                     "bound": rep2.modulus_bound,
-                                     **({"obstruction": rep2.obstruction}
-                                        if rep2.obstruction else {})})
-        c3 = check_condition3(ge, delta, rep2)
-        c4 = check_condition4(ge, delta, c3)
-        cond2.append(c2)
-        cond3.append(c3)
-        cond4.append(c4)
-        if c2.holds and not c3.holds:
-            inconsistencies.append({"delta": delta, "broken": "(2)=>(3)"})
-        if c3.holds and not c4.holds:
-            inconsistencies.append({"delta": delta, "broken": "(3)=>(4)"})
-        # bracket consistency, outside the undecidable band
-        if delta > upper + BRACKET_BAND * h and not c4.holds:
-            inconsistencies.append({"delta": delta, "broken": "cond4 above bracket"})
-        if lower > 0 and delta < lower - BRACKET_BAND * h and c4.holds:
-            inconsistencies.append({"delta": delta, "broken": "cond4 below bracket"})
+        cond2, cond3, cond4 = [], [], []
+        inconsistencies = []
+        for delta in delta_grid:
+            rep2 = decide_extension(ge, delta)
+            c2 = ConditionResult(delta=delta, holds=rep2.exists,
+                                 detail={"modulus": rep2.witness_modulus,
+                                         "bound": rep2.modulus_bound,
+                                         **({"obstruction": rep2.obstruction}
+                                            if rep2.obstruction else {})})
+            c3 = check_condition3(ge, delta, rep2)
+            c4 = check_condition4(ge, delta, c3)
+            cond2.append(c2)
+            cond3.append(c3)
+            cond4.append(c4)
+            if c2.holds and not c3.holds:
+                inconsistencies.append({"delta": delta, "broken": "(2)=>(3)"})
+            if c3.holds and not c4.holds:
+                inconsistencies.append({"delta": delta, "broken": "(3)=>(4)"})
+            # bracket consistency, outside the undecidable band
+            if delta > upper + BRACKET_BAND * h and not c4.holds:
+                inconsistencies.append({"delta": delta, "broken": "cond4 above bracket"})
+            if lower > 0 and delta < lower - BRACKET_BAND * h and c4.holds:
+                inconsistencies.append({"delta": delta, "broken": "cond4 below bracket"})
 
     verdict = "consistent" if not inconsistencies else "inconsistent"
     return EquivalenceReport(

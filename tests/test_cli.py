@@ -272,6 +272,29 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["cond1"]["lower"] == 0.0
 
+    def test_theorem_default_levels_below_a_small_norm(self, tmp_path, capsys):
+        """Without --deltas the levels are fractions of the sup-norm: on a
+        constant 0.01 they were 0.0095, 0.023, 0.0365 and 0.05, three of
+        them above the norm, where every condition holds trivially."""
+        ge = GridElement(domain=interval_domain(32), values=np.full((32, 1, 1), 0.01 + 0j))
+        f = tmp_path / "small.json"
+        serialize.dump_json(serialize.grid_element_to_dict(ge), f)
+        assert main(["theorem", "--input", str(f), "--tol", "0.05"]) == 0
+        deltas = json.loads(capsys.readouterr().out)["deltas"]
+        assert len(deltas) == 4 and all(0.0 < d < 0.01 for d in deltas), deltas
+        assert deltas == sorted(deltas) and deltas[-1] == 0.95 * 0.01
+
+    def test_theorem_zero_element_needs_deltas(self, tmp_path, capsys):
+        """The zero element has no default levels: an input error naming its
+        sup-norm, not "all probed deltas must exceed gamma"."""
+        ge = GridElement(domain=interval_domain(32), values=np.zeros((32, 1, 1), dtype=complex))
+        f = tmp_path / "zero.json"
+        serialize.dump_json(serialize.grid_element_to_dict(ge), f)
+        assert main(["theorem", "--input", str(f)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the element has sup-norm 0, so theorem has no default cut levels; "
+            "give --deltas\n")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["linear", "rankdrop"])
     @pytest.mark.parametrize("command", [["dist"], ["theorem", "--deltas", "0.5"]])

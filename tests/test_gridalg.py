@@ -8,7 +8,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from cstarreg import gallery, gridalg, opcore
+from cstarreg import gallery, gridalg, harness, opcore
 from cstarreg.errors import PhaseUnwrapAliasing, SpectralCollision
 from cstarreg.gridalg import (
     ALIAS_GUARD,
@@ -1576,16 +1576,61 @@ class TestOneReadPerDecision:
             assert calls["spectrum"] == 0 or not ge.is_scalar, (decide, calls)
 
     def test_one_read_per_bisection_step(self, monkeypatch):
-        """dist_to_regular reads the singular values once for its top and
-        guard band and each decision once more, and never rebuilds the
-        scalar spectrum (14 reads and 2 `spectrum()` calls for 6
-        decisions)."""
+        """dist_to_regular reads the singular values at most once more than
+        it decides, never rebuilds the scalar spectrum (14 reads and 2
+        `spectrum()` calls for 6 decisions), and tests each level against
+        the spectrum once: its decisions do not test the levels it cleared
+        again (12 collision tests for 6 decisions)."""
         ge = gallery.random_scalar_field_2d(32, 128, np.random.default_rng(3), winding=2)
         calls = _count_reads(monkeypatch)
         monkeypatch.setattr(gridalg, "_extends", _counted(calls, "decisions", gridalg._extends))
         dist_to_regular(ge, 0.02)
         assert calls["decisions"] > 1 and calls["spectrum"] == 0, calls
         assert calls["reads"] <= 1 + calls["decisions"], calls
+        assert calls["collides"] == calls["decisions"], calls
+
+
+class TestOneSpectrumPerReport:
+    @pytest.mark.parametrize("make, gamma, fractions", [
+        (lambda: gallery.gallery("osc", 128), 0.0, (0.25, 0.5, 0.75)),
+        (lambda: gallery.random_scalar_field_1d(256, np.random.default_rng(8300)),
+         0.0, (0.25, 0.5, 0.75)),
+        (lambda: gallery.gallery("disk-z", 32), 0.3, (0.5, 0.95))],
+        ids=["osc-128", "random-256", "disk-z-32"])
+    def test_one_build_and_one_read_per_report(self, monkeypatch, make, gamma, fractions):
+        """One check_equivalences builds the scalar spectrum of its element
+        once and reads the singular values at most once more than it
+        decides, on any element (the derived elements of the no-witness
+        paths read their own): the element's own values are read once.
+        osc at 128 built it 10 times and read 9 times. The element keeps
+        no hold and no scalar spectrum afterwards."""
+        ge = make()
+        deltas = [f * sup_norm(ge) for f in fractions]
+        calls = Counter()
+
+        def unit(f, s):
+            calls["builds"] += np.shares_memory(f, ge.values)
+            return orig_unit(f, s)
+
+        def read(self):
+            calls["reads"] += 1
+            calls["own reads"] += self is ge
+            return orig_read(self)
+        orig_unit, orig_read = gridalg._unit, GridElement.singular_values
+        monkeypatch.setattr(gridalg, "_unit", unit)
+        monkeypatch.setattr(GridElement, "singular_values", read)
+        monkeypatch.setattr(gridalg, "_decide_at", _counted(calls, "decisions", gridalg._decide_at))
+        rep = harness.check_equivalences(ge, gamma, deltas)
+        assert rep.verdict == "consistent"
+        assert calls["builds"] == 1 and calls["own reads"] == 1, calls
+        assert calls["reads"] <= 1 + calls["decisions"], calls
+        assert ge._svd is None and ge._hold is None
+
+    def test_hold_dropped_when_the_report_raises(self):
+        ge = gallery.gallery("osc", 64)
+        with pytest.raises(ValueError, match="exceed gamma"):
+            harness.check_equivalences(ge, 0.5, [0.3, 0.7])
+        assert ge._svd is None and ge._hold is None
 
 
 def _counted(calls, name, orig):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from cstarreg.gridalg import (
     ExtensionReport,
     GridElement,
     decide_extension,
+    dist_to_regular,
     from_svd,
     interval_domain,
     lift_cutdown,
@@ -16,10 +18,13 @@ from cstarreg.gridalg import (
     uniform_gap_regular,
 )
 from cstarreg.harness import (
+    BRACKET_BAND,
     RAMP_PLATEAUS,
     RAMP_ROUNDING,
     RAMP_SLOPES,
     RAMP_TOL,
+    ConditionResult,
+    EquivalenceReport,
     _decide_polar_decomposable,
     _ramp_bounds,
     _ramps,
@@ -223,6 +228,51 @@ class TestRampBoundsMatchEveryPrefix:
         got = _ramp_bounds(ge, 0.6, rep.witness.values)
         assert _same_ramp_bounds(got, _reference_ramp_bounds(ge, 0.6, rep.witness.values))
 
+    def test_witness_off_u_at_supported_nodes(self):
+        """d = 1 with a witness that is not u at some nodes above the cut,
+        so that the ramps are taken there as well as at the node of
+        largest s."""
+        for seed in range(4):
+            ge = gallery.random_scalar_field_1d(64, np.random.default_rng(8300 + seed))
+            _, s, _ = ge.spectrum()
+            for delta in np.linspace(0.1, 0.9, 5) * sup_norm(ge):
+                w = decide_extension(ge, delta).witness.values.copy()
+                above = np.flatnonzero(s[:, 0] > delta)
+                turned = above[:: 3]
+                w[turned] *= np.exp(1j * np.linspace(0.01, 0.5, turned.size))[:, None, None]
+                assert _same_ramp_bounds(_ramp_bounds(ge, delta, w),
+                                         _reference_ramp_bounds(ge, delta, w))
+
+    def test_tied_singular_values(self):
+        """const-unitary: every s is 1, so every node has the largest s."""
+        ge = gallery.gallery("const-unitary", 64)
+        for delta in (0.1, 0.5, 0.9):
+            w = decide_extension(ge, delta).witness.values
+            assert _same_ramp_bounds(_ramp_bounds(ge, delta, w),
+                                     _reference_ramp_bounds(ge, delta, w))
+            w = w * np.exp(0.3j * np.linspace(0.0, 1.0, 64))[:, None, None]
+            assert _same_ramp_bounds(_ramp_bounds(ge, delta, w),
+                                     _reference_ramp_bounds(ge, delta, w))
+
+    def test_negative_zero_parts(self):
+        """A real field stored with -0.0 imaginary parts, which u keeps:
+        the witness has the bytes of the transport of the stacked product
+        u @ vh, which turns them into +0.0, and the bounds match."""
+        t = np.linspace(0.0, 1.0, 128)
+        vals = np.empty((128, 1, 1), dtype=complex)
+        vals.real[:, 0, 0] = np.cos(7.0 * t) + 0.3 * t
+        vals.imag[:] = -0.0
+        ge = GridElement(domain=interval_domain(128), values=vals)
+        u, s, vh = ge.spectrum()
+        assert np.signbit(u.imag).all()
+        for delta in (0.05, 0.3, 0.6, 0.9):
+            keeps = s > decide_extension(ge, delta).delta
+            w = gridalg._transport(u, vh, keeps)
+            assert w.tobytes() == gridalg._transport(u @ vh, vh, keeps).tobytes()
+            assert not np.signbit(w.imag[keeps]).any()
+            assert _same_ramp_bounds(_ramp_bounds(ge, delta, w),
+                                     _reference_ramp_bounds(ge, delta, w))
+
     def test_nothing_above_the_cut(self, svd_inputs):
         ge = matrix_field(np.random.default_rng(8200), 64, 3)
         ge.spectrum()
@@ -406,6 +456,66 @@ class TestCheckEquivalences:
         assert d["deltas"] == [0.2, 0.5]
         assert len(d["cond2"]) == len(d["cond3"]) == len(d["cond4"]) == 2
         assert d["verdict"] in ("consistent", "inconsistent")
+
+
+def _reference_report(ge, gamma, deltas, tol):
+    """check_equivalences assembled from the public calls, each on a fresh
+    copy of ge, so that no call reads what another one held."""
+    def fresh():
+        return GridElement(domain=ge.domain, values=ge.values.copy())
+    deltas = sorted(float(d) for d in deltas)
+    h = ge.domain.max_spacing()
+    lower, upper = dist_to_regular(fresh(), tol)
+    cond2, cond3, cond4, broken = [], [], [], []
+    for delta in deltas:
+        rep2 = decide_extension(fresh(), delta)
+        c2 = ConditionResult(delta=delta, holds=rep2.exists,
+                             detail={"modulus": rep2.witness_modulus, "bound": rep2.modulus_bound,
+                                     **({"obstruction": rep2.obstruction}
+                                        if rep2.obstruction else {})})
+        c3 = check_condition3(fresh(), delta, rep2)
+        c4 = check_condition4(fresh(), delta, c3)
+        cond2.append(c2)
+        cond3.append(c3)
+        cond4.append(c4)
+        for failed, name in ((c2.holds and not c3.holds, "(2)=>(3)"),
+                             (c3.holds and not c4.holds, "(3)=>(4)"),
+                             (delta > upper + BRACKET_BAND * h and not c4.holds,
+                              "cond4 above bracket"),
+                             (lower > 0 and delta < lower - BRACKET_BAND * h and c4.holds,
+                              "cond4 below bracket")):
+            if failed:
+                broken.append({"delta": delta, "broken": name})
+    return EquivalenceReport(
+        element="element", gamma=gamma, delta_grid=deltas, cond1=(lower, upper), cond2=cond2,
+        cond3=cond3, cond4=cond4, verdict="inconsistent" if broken else "consistent",
+        inconsistencies=broken)
+
+
+def _interval_report_cases():
+    for name in ("osc", "osc-bounded", "linear", "const-unitary", "rankdrop"):
+        ge = gallery.gallery(name, 128)
+        yield ge, np.linspace(0.1, 0.9, 5) * sup_norm(ge)
+    for ge, deltas in _criterion_8_cases():
+        if ge.domain.kind == "interval-1d":
+            yield ge, deltas
+    for n in (128, 256, 512):
+        for seed in range(3):
+            ge = gallery.random_scalar_field_1d(n, np.random.default_rng(8400 + seed))
+            yield ge, np.array([0.25, 0.5, 0.75]) * sup_norm(ge)
+
+
+class TestReportMatchesPublicCalls:
+    def test_interval_reports(self):
+        """The report on a held element has the bytes of the one assembled
+        from the public calls on fresh copies: the 1-D gallery at 128, the
+        criterion-8 interval fields and seeded scalar fields at 128, 256 and
+        512 nodes."""
+        for ge, deltas in _interval_report_cases():
+            tol = 2.0 * ge.domain.max_spacing()
+            got = check_equivalences(ge, 0.0, deltas, tol_bisect=tol).to_dict()
+            ref = _reference_report(ge, 0.0, deltas, tol).to_dict()
+            assert json.dumps(got, sort_keys=True) == json.dumps(ref, sort_keys=True)
 
 
 class TestRegularApproximant:
