@@ -23,11 +23,14 @@ charge| of each blocked hole. The jumps, the charged faces and the cut
 level below which a step inside the support aliases do not depend on it, so
 the element keeps them (`_disk_phase`); a decision labels the holes by
 runs of free nodes along the rings and a union-find over their contacts,
-and the unwrap sums the jumps along each run of the support, with one
-offset per run. Only the fill walks the grid in breadth-first layers
-(`_layers`). On both domains `dist_to_regular` decides the lowest
-bisection rung first, which settles the bracket in one decision whenever
-the distance is 0, as everywhere in C([0,1], M_d).
+the unwrap sums the jumps along each run of the support, with one offset
+per run, and the witness bridges each free run linearly between the
+unwrapped phases of its flanks on its ring, a step of
+(theta_R - theta_L) / (run length + 1), with rings that have no support
+copying the nearest ring that has some (`_bridge`). On both domains
+`dist_to_regular` decides the lowest bisection rung first, which settles
+the bracket in one decision whenever the distance is 0, as everywhere in
+C([0,1], M_d).
 
 Every entry point reads the element's flat singular values s once and
 derives the rest from them: the guard band (`_band`, which `guard_band`
@@ -325,6 +328,12 @@ def _unit(f: np.ndarray, s: np.ndarray) -> np.ndarray:
     return u
 
 
+def _unit_of(ge: GridElement, s: np.ndarray) -> np.ndarray:
+    """The flat u of a scalar element's `spectrum()` off s, its flat
+    singular values: the held one while a hold is on."""
+    return _unit(ge.values[:, 0, 0], s) if ge._svd is None else ge._svd[0][:, 0, 0]
+
+
 @dataclass
 class ExtensionReport:
     exists: bool
@@ -338,7 +347,9 @@ class ExtensionReport:
 
 
 def sup_norm(ge: GridElement) -> float:
-    return float(ge.singular_values().max(initial=0.0))
+    """The largest singular value over the nodes. ValueError, as
+    `guard_band`, when the values are not finite."""
+    return float(_read(ge)[0].max(initial=0.0))
 
 
 def guard_band(ge: GridElement) -> float:
@@ -366,8 +377,7 @@ def from_svd(domain: GridDomain, u: np.ndarray, s: np.ndarray, vh: np.ndarray) -
 def lift_cutdown(ge: GridElement, delta: float) -> GridElement:
     # batched equivalent of the pointwise opcore.cutdown
     opcore.check_level(delta)
-    s = ge._hold.s if ge._hold is not None else ge.singular_values().ravel()
-    return _cutdown(ge, delta, s)
+    return _cutdown(ge, delta, _read(ge)[0])
 
 
 def _cutdown(ge: GridElement, delta: float, s: np.ndarray) -> GridElement:
@@ -378,8 +388,7 @@ def _cutdown(ge: GridElement, delta: float, s: np.ndarray) -> GridElement:
         # u (|f| - delta)_+ with u = f/|f| from s and no einsum, as vh = 1;
         # adding 0.0 turns a -0 part into +0 as the einsum's sum from zero
         # does: the bits of from_svd
-        u = _unit(ge.values[:, 0, 0], s) if ge._svd is None else ge._svd[0][:, 0, 0]
-        cut = u * np.maximum(s - delta, 0.0) + 0.0
+        cut = _unit_of(ge, s) * np.maximum(s - delta, 0.0) + 0.0
         return GridElement(ge.domain, cut.reshape(-1, 1, 1))
     u, s, vh = ge.spectrum()
     return from_svd(ge.domain, u, np.maximum(s - delta, 0.0), vh)
@@ -392,10 +401,11 @@ def uniform_gap_regular(ge: GridElement, gap_min: float | None = None):
     grid resolution.
 
     Returns (is_regular, gap) with gap the smallest singular value above
-    zero_tol (inf when there is none).
+    zero_tol (inf when there is none). ValueError, as `guard_band`, when the
+    values are not finite.
     """
-    s = ge.singular_values().ravel()
-    zero_tol = opcore.TAU_RANK * (sup_norm(ge) + 1.0)
+    s, _ = _read(ge)
+    zero_tol = opcore.TAU_RANK * (float(s.max(initial=0.0)) + 1.0)
     if gap_min is None:
         gap_min = 2.0 * ge.domain.max_spacing()
     above = s[s > zero_tol]
@@ -640,39 +650,6 @@ def _principal(x):
     return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
-@lru_cache(maxsize=16)
-def _neighbour_table(dom: GridDomain) -> np.ndarray:
-    """Flat indices of the grid neighbours (j, m+1), (j, m-1), (j+1, m),
-    (j-1, m) of each disk node (j, m), shape (size, 4). The angular index
-    wraps; a missing radial neighbour is the sentinel `size`."""
-    nr, nt = dom.n_radial, dom.n_angular
-    idx = np.arange(dom.size).reshape(nr, nt)
-    rim = np.full((1, nt), dom.size)
-    outer, inner = np.concatenate([idx[1:], rim]), np.concatenate([rim, idx[:-1]])
-    table = np.stack([np.roll(idx, -1, axis=1), np.roll(idx, 1, axis=1), outer, inner],
-                     axis=-1).reshape(dom.size, 4)
-    table.setflags(write=False)
-    return table
-
-
-def _layers(table: np.ndarray, front: np.ndarray, open_: np.ndarray):
-    """Breadth-first layers over `table` from the nodes `front`, which is
-    the first layer. A node enters a later layer only while `open_` (one
-    flag per node, then a False sentinel) is set for it, and its flag is
-    cleared as it enters, so every node is yielded once."""
-    open_[front] = False
-    slot = np.empty(open_.size, dtype=np.intp)
-    while front.size:
-        yield front
-        nbrs = table[front].ravel()
-        nbrs = nbrs[open_[nbrs]]
-        # a node reached from several front nodes keeps its last stamp only
-        stamp = np.arange(nbrs.size)
-        slot[nbrs] = stamp
-        front = nbrs[slot[nbrs] == stamp]
-        open_[front] = False
-
-
 class _DiskPhase(NamedTuple):
     """The phase data of a scalar disk element that no cut level changes.
 
@@ -905,20 +882,31 @@ def _unwrap(phase: np.ndarray, jumps: _DiskPhase, support: np.ndarray) -> np.nda
     return phase + 2.0 * np.pi * turns
 
 
-def _fill(theta: np.ndarray, support: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Extend theta from the support over the free nodes layer by layer,
-    each node taking the mean theta of its neighbours filled before its
-    layer."""
-    theta = np.append(theta, 0.0)  # read only where filled
-    filled = np.append(support, False)
-    layers = _layers(table, np.flatnonzero(support), np.append(~support, False))
-    next(layers)  # the support itself
-    for layer in layers:
-        around = table[layer]
-        known = filled[around]
-        theta[layer] = (theta[around] * known).sum(axis=1) / known.sum(axis=1)
-        filled[layer] = True
-    return theta[:-1]
+def _bridge(theta: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """theta, given on the support, carried over the free nodes along the
+    rings. On a ring with support, each run of free nodes takes the linear
+    bridge between the theta of the two supported nodes that flank it on
+    its ring, across the seam too, so it steps by
+    (theta_R - theta_L) / (run length + 1). A ring with no support copies
+    the nearest ring that has some, the inner one on a tie."""
+    nr, nt = support.shape
+    theta = theta.reshape(nr, nt)
+    # the supported column at or before, and at or after, each column of
+    # the ring taken twice round, so that every run has both flanks
+    col = np.arange(2 * nt)
+    twice = np.tile(support, 2)
+    left = np.maximum.accumulate(np.where(twice, col, -1), axis=1)[:, nt:] - nt
+    right = np.minimum.accumulate(np.where(twice, col, 2 * nt)[:, ::-1], axis=1)[:, ::-1][:, :nt]
+    has = support.any(axis=1)
+    j, m = np.nonzero(~support & has[:, None])
+    lo, hi = left[j, m], right[j, m]
+    start = theta[j, lo % nt]
+    out = theta.copy()
+    out[j, m] = start + (theta[j, hi % nt] - start) * ((m - lo) / (hi - lo))
+    ring = np.arange(nr)
+    inner = np.maximum.accumulate(np.where(has, ring, -nr))
+    outer = np.minimum.accumulate(np.where(has, ring, 2 * nr)[::-1])[::-1]
+    return out[np.where(ring - inner <= outer - ring, inner, outer)].ravel()
 
 
 def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
@@ -936,24 +924,28 @@ def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
     is the total charge of the faces in it. The obstruction lists as
     `windings` the sorted |total charge| of each blocked hole. When no hole
     is blocked, the phase is unwrapped over the support by the integer
-    potential of the jumps, filled into the holes layer by layer,
-    exponentiated, and the witness is held to the modulus bound.
+    potential of the jumps, bridged into the holes along the rings in
+    closed form (`_bridge`: each free run steps by
+    (theta_R - theta_L) / (run length + 1) between its flanks), and
+    exponentiated; on the support the witness is the phase u of
+    `spectrum()`. It is held to the modulus bound.
     """
     if ge.domain.kind != "disk-2d-polar" or not ge.is_scalar:
         raise ValueError(NOT_SCALAR_DISK)
     return _report(ge, delta, "modulus")
 
 
-def _phase_witness(ge: GridElement, support: np.ndarray) -> GridElement:
-    """The unwrapped phase filled into the holes and exponentiated, with the
-    exact phase f/|f| on the support: a witness when no hole is blocked."""
-    f = ge.values[:, 0, 0]
-    w = np.empty_like(f)
+def _phase_witness(ge: GridElement, s: np.ndarray, support: np.ndarray) -> GridElement:
+    """The phase u of `spectrum()` on the support, s > delta with s the
+    element's flat singular values, and off it exp(i theta), with theta the
+    unwrapped phase bridged along the rings (`_bridge`): a witness when no
+    hole is blocked."""
+    w = _unit_of(ge, s).copy()
     if not support.all():
-        table = _neighbour_table(ge.domain)
-        theta = _unwrap(np.angle(f), _disk_phase(ge), support)
-        w[:] = np.exp(1j * _fill(theta, support, table))
-    w[support] = f[support] / np.abs(f[support])
+        phase = _disk_phase(ge)
+        theta = _bridge(_unwrap(np.angle(ge.values[:, 0, 0]), phase, support),
+                        support.reshape(phase.ang.shape))
+        w[~support] = np.exp(1j * theta[~support])
     return GridElement(domain=ge.domain, values=w.reshape(-1, 1, 1))
 
 
@@ -992,7 +984,7 @@ def _decide_at(ge: GridElement, delta: float, s: np.ndarray):
     if delta < phase.alias_level:
         raise _aliasing(ge, delta)
     return (_blocked_windings(phase, ~support.reshape(phase.ang.shape)),
-            partial(_phase_witness, ge, support))
+            partial(_phase_witness, ge, s, support))
 
 
 def _extends(ge: GridElement, delta: float) -> bool:
