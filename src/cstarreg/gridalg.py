@@ -10,8 +10,10 @@ d, in frame coordinates w = u X vh of the pointwise SVD: X = 1 except at
 the nodes that keep some but not all singular directions, where its free
 block is the Procrustes step against the last supported node, the polar
 factor of an r x r block read off two stacked products (in closed form for
-r <= 2), run node by node on flat Python complex scalars by
-`_free_blocks`. Nodes that keep none take an index fill, and one batched
+r <= 2), run node by node by `_free_blocks`. For r <= 2 the terms of each
+block that do not meet the carried U are summed for every node at once in
+numpy (`_heads`), with the bits of the Python scalar sums, and the loop
+adds only those that do. Nodes that keep none take an index fill, and one batched
 geodesic bridges their interior runs. For d > 1 the modulus of an element
 screens its jumps by cheap norm bounds and factorizes only those that can
 hold the maximum. The 2-D scalar procedure decides by discrete
@@ -545,7 +547,7 @@ def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
     supported node before k, T = u_k* u_prev and S = vh_prev vh_k*, which
     is the Procrustes completion of the free part against w_prev. T and S
     come in one stacked product each; `_free_blocks` runs the recurrence
-    on their entries as Python complex scalars, and X, written one batched
+    on them, carrying only U from node to node, and X, written one batched
     assignment per kept count, gives w = u X vh at those nodes in one more
     stacked product. Fully free nodes copy the nearest supported frame,
     which is what a Procrustes step from a neighbour gives them, and
@@ -564,10 +566,10 @@ def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
         kept = keeps[part].sum(axis=1)
         counts = kept.tolist()
         blocks = _free_blocks(
-            (u[part].conj().transpose(0, 2, 1) @ u[prev]).reshape(-1, d * d).tolist(),
-            # S transposed, so that each run of d entries is a column of S
-            (vh[part].conj() @ vh[prev].transpose(0, 2, 1)).reshape(-1, d * d).tolist(),
-            counts, (prev[1:] == part[:-1]).tolist(), d)
+            u[part].conj().transpose(0, 2, 1) @ u[prev],
+            # S transposed, so that row j is column j of S
+            vh[part].conj() @ vh[prev].transpose(0, 2, 1),
+            counts, (prev[1:] == part[:-1]).tolist())
         x = np.tile(np.eye(d, dtype=np.complex128), (part.size, 1, 1))
         for m in set(counts):  # not np.unique, which imports numpy.ma
             at = np.flatnonzero(kept == m)
@@ -582,27 +584,39 @@ def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
     return w
 
 
-def _free_blocks(ts: list, ss: list, kept: list, chained: list, d: int) -> list:
+def _free_blocks(ts: np.ndarray, ss: np.ndarray, kept: list, chained: list) -> list:
     """The free blocks U_k of `_transport`, one flat row-major tuple of r x r
     entries per partially kept node, r = d - kept.
 
-    ts[k] holds T and ss[k] S transposed, flat and row-major, so that row i
-    of T is ts[k][i d:(i + 1) d] and column j of S is ss[k][j d:(j + 1) d].
-    chained[k - 1] says that node k's prev is the partial node before it in
-    the list: only then does X_prev carry a free block, the (m, U) carried
-    from the step before. Every entry of a product is a `_dot`, summed left
-    to right from 0, so the frames do not depend on how the step is
-    written. r = 1: U = y/|y| (1 at y = 0, as LAPACK), y the one entry of
-    the free block; r = 2: `_polar2`. A step whose kept count differs from
-    the carried one (rare), and r >= 3, go the general way through
-    `_polar_block`.
+    ts[k] is T and ss[k] S transposed, so that row j of ss[k] is column j of
+    S. chained[k - 1] says that node k's prev is the partial node before it
+    in the list: only then does X_prev carry a free block, the (m, U)
+    carried from the step before. Every entry of a product is a `_dot`,
+    summed left to right from 0, so the frames do not depend on how the
+    step is written. r = 1: U = y/|y| (1 at y = 0, as LAPACK), y the one
+    entry of the free block; r = 2: `_polar2`. A step whose kept count
+    differs from the carried one (rare), and r >= 3, go the general way
+    through `_polar_block`, on the node's entries as Python complex scalars.
+
+    For r <= 2, U_prev acts on the last r entries of each free column of S
+    only, so each entry of the free block, a `_dot` of a row of T with such
+    a column, splits into its first d - r terms, which do not depend on U,
+    and its last r. `_heads` sums the first terms of the bottom-right 2 x 2
+    entries for every node at once, with the bits of `_dot`, and the loop
+    adds the last ones in `_dot`'s order.
     """
+    d = ts.shape[-1]
+    heads = _heads(ts[:, -2:, None, :-1], ss[:, None, -2:, :-1])
+    ys = heads[:, 1, 1, -1].tolist()  # r = 1: the first d - 1 terms of y
+    bs = heads[..., -2].reshape(-1, 4).tolist()  # r = 2: the first d - 2 of each entry
+    tails = np.concatenate([ts[:, -2:, -2:], ss[:, -2:, -2:]], axis=1).reshape(-1, 8).tolist()
     blocks = []
     mp = up = None  # kept count and free block of the step before
     end = d * d
-    for t, s, m, chain in zip(ts, ss, kept, [False, *chained]):
+    for k, (m, chain) in enumerate(zip(kept, [False, *chained])):
         r = d - m
         if r > 2 or (chain and mp != m):
+            t, s = ts[k].ravel().tolist(), ss[k].ravel().tolist()
             cols = [s[j:j + d] for j in range(m * d, end, d)]  # the free columns of S
             if chain:  # of X_prev S: U_prev acts on the last d - mp entries
                 rp = d - mp
@@ -613,23 +627,37 @@ def _free_blocks(ts: list, ss: list, kept: list, chained: list, d: int) -> list:
                                   for i in range(m * d, end, d)])
             up = tuple(z for row in block for z in row)
         elif r == 1:
-            last = s[-1] if not chain else 0 + up[0] * s[-1]
-            y = _dot(t[-d:-1], s[-d:-1]) + t[-1] * last
+            t, s = tails[k][3], tails[k][7]  # the last entries of T and S
+            y = ys[k] + t * (s if not chain else 0 + up[0] * s)
             up = (y / abs(y) if y else 1.0 + 0j,)
         else:
-            cols = [s[-2 * d:-d], s[-d:]]
+            t00, t01, t10, t11, p0, q0, p1, q1 = tails[k]  # (p, q): a column's last two
             if chain:
                 u00, u01, u10, u11 = up
-                for col in cols:
-                    p, q = col[-2:]
-                    col[-2:] = 0 + u00 * p + u01 * q, 0 + u10 * p + u11 * q
-            block = [_dot(t[i:i + d], col) for i in (end - 2 * d, end - d) for col in cols]
+                p0, q0 = 0 + u00 * p0 + u01 * q0, 0 + u10 * p0 + u11 * q0
+                p1, q1 = 0 + u00 * p1 + u01 * q1, 0 + u10 * p1 + u11 * q1
+            b00, b01, b10, b11 = bs[k]
+            block = [b00 + t00 * p0 + t01 * q0, b01 + t00 * p1 + t01 * q1,
+                     b10 + t10 * p0 + t11 * q0, b11 + t10 * p1 + t11 * q1]
             up = _polar2(*block)
             if up is None:
                 up = tuple(z for row in _polar_block([block[:2], block[2:]]) for z in row)
         blocks.append(up)
         mp = m
     return blocks
+
+
+def _heads(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The running sums of `_dot(t, s)` over the last axis, broadcast:
+    out[..., l] sums the first l products, left to right from 0, so that
+    out[..., 0] is 0 and a -0.0 part turns into +0.0 as in `_dot`. Each
+    product is made from real float products by Python's complex formula,
+    so the sums have the bits of `_dot`'s."""
+    shape = np.broadcast_shapes(t.shape, s.shape)
+    prods = np.zeros((*shape[:-1], shape[-1] + 1), dtype=np.complex128)
+    prods.real[..., 1:] = t.real * s.real - t.imag * s.imag
+    prods.imag[..., 1:] = t.real * s.imag + t.imag * s.real
+    return np.add.accumulate(prods, axis=-1)
 
 
 def _geodesic(w1: np.ndarray, w2: np.ndarray, frac: np.ndarray) -> np.ndarray:

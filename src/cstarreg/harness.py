@@ -21,9 +21,9 @@ for d = 1 the abs/phase spectrum is built once, and the bracket, every
 decision, cut-down and witness and `_ramp_bounds` share them; each probed
 level is tested against the spectrum once. The hold is dropped when the
 report returns, so the element keeps nothing. Each decision of a
-no-witness path holds its own derived element the same way. For d = 1
-`_ramp_bounds` takes miss = w - u and the ramps only at the nodes where
-they can hold a maximum."""
+no-witness path holds its own derived element the same way. `_ramp_bounds`
+takes the ramps, and for d > 1 factorizes the prefixes of miss, only at the
+nodes where they can hold a maximum; for d = 1 it takes miss = w - u."""
 
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ import numpy as np
 from . import opcore
 from .errors import NoWitness
 from .gridalg import (
+    MODULUS_SCREEN,
     ExtensionReport,
     GridElement,
     _holding,
@@ -114,6 +115,19 @@ def _ramp_bounds(ge: GridElement, delta: float, w: np.ndarray):
     s_kj > delta; at every other (k, j) each ramp vanishes on s_kj and
     below, so the step weight is exactly 0.0 and c_kj is never read.
 
+    d > 1, the screen: only the nodes that can hold a maximum are
+    factorized. The steps of a ramp at node k are nonnegative and sum to
+    f(s_k0), and every c_kj it weights lies between lo_k, the norm of
+    miss's column 0 (the first prefix; prefix norms grow with j), and up_k,
+    the Frobenius norm of the columns above delta (which bounds the last
+    prefix). So the node's value lies in
+    [f(s_k0) (lo_k + RAMP_ROUNDING), f(s_k0) (up_k + RAMP_ROUNDING)], to a
+    few ulps. A node whose upper value falls short of the largest lower
+    value by more than MODULUS_SCREEN, relative, for every sampled ramp
+    and for the cut ramp, lies below that ramp's maximum, since the margin
+    is far above the rounding of either side or of LAPACK's s1; the node of
+    largest s is kept for the norms. The maxima are then the same floats.
+
     d = 1: vh = 1, so miss = w - u and c = |miss|, and the ramps are taken
     only at the nodes above delta where w != u, and at one node of largest
     s. That is exact: every ramp is monotone in s under rounding, and so is
@@ -128,6 +142,16 @@ def _ramp_bounds(ge: GridElement, delta: float, w: np.ndarray):
         c = np.abs(miss[at])[:, None]
     else:
         miss = w @ vh.conj().transpose(0, 2, 1) - u
+        cols = (miss.real ** 2 + miss.imag ** 2).sum(axis=1)  # squared column norms
+        # f(s_k0) for every sampled ramp and the cut ramp, shape (26, n)
+        top = np.vstack([_ramps(delta, s[:, 0]).reshape(-1, len(s)),
+                         np.maximum(s[:, 0] - delta, 0.0)])
+        low = top * (np.sqrt(cols[:, 0]) + RAMP_ROUNDING)
+        high = top * (np.sqrt((cols * (s > delta)).sum(axis=1)) + RAMP_ROUNDING)
+        keep = (high >= low.max(axis=1, keepdims=True) * (1.0 - MODULUS_SCREEN)).any(axis=0)
+        keep[np.argmax(s[:, 0])] = True
+        at = np.flatnonzero(keep)
+        s, miss = s[at], miss[at]
         c = np.zeros(s.shape)
         k, j = np.nonzero(s > delta)
         if k.size:

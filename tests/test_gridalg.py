@@ -492,6 +492,41 @@ class TestTransportMatchesLoop:
                 assert rep.witness_modulus == _reference_modulus(
                     GridElement(domain=ge.domain, values=ref))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_negative_zero_parts(self, d):
+        """A real field stored with -0.0 imaginary parts, cut at 19 levels:
+        the frames have the reference's bytes."""
+        n = 64
+        t = np.linspace(0.0, 1.0, n)[:, None, None]
+        rng = np.random.default_rng(7500 + d)
+        a, b = rng.standard_normal((2, d, d))
+        vals = np.empty((n, d, d), dtype=complex)
+        vals.real = 0.5 * np.eye(d) + np.cos(np.pi * t) * a + np.sin(np.pi * t) * b
+        vals.imag[:] = -0.0
+        ge = GridElement(domain=interval_domain(n), values=vals)
+        u, s, vh = ge.spectrum()
+        paths = Counter()
+        for frac in np.linspace(0.05, 0.95, 19):
+            keeps = s > frac * s.max()
+            w = gridalg._transport(u, vh, keeps)
+            assert w.tobytes() == _reference_frame_transport(u, vh, keeps).tobytes()
+            paths.update(_loop_paths(keeps))
+        assert np.signbit(ge.values.imag).all() and paths["unchained"] > 0, paths
+
+    def test_running_sums_are_dots(self):
+        """`_heads` against `_dot` on vectors whose parts include -0.0 and
+        +0.0: every running sum has the bits of `_dot` on the same prefix,
+        signed zeros included. The frames cannot show a signed zero of a
+        free block, as each entry of w = u X vh is a sum from +0.0."""
+        rng = np.random.default_rng(7600)
+        pick = np.array([-0.0, 0.0, -1.5, 0.75, 1e-300, 3.0])
+        t, s = np.empty((2, 400, 3), dtype=complex)
+        for z in (t, s):
+            z.real, z.imag = pick[rng.integers(0, pick.size, (2, 400, 3))]
+        ref = np.array([[gridalg._dot(row[:n], col[:n]) for n in range(1, 4)]
+                        for row, col in zip(t.tolist(), s.tolist())])
+        assert gridalg._heads(t, s)[:, 1:].tobytes() == ref.tobytes()
+
 
 def _reference_modulus(ge):
     """GridElement.modulus with LAPACK's s1 of every jump, unscreened."""

@@ -210,8 +210,28 @@ class TestRampBoundsMatchEveryPrefix:
                 got = _ramp_bounds(ge, delta, w)
                 # one SVD of the weighted prefixes, none for d = 1
                 factorized = [shape[0] for shape, _ in svd_inputs[start:]]
-                assert factorized == ([] if d == 1 else [np.count_nonzero(s > delta)])
+                if d == 1:
+                    assert factorized == []
+                else:
+                    assert len(factorized) == 1
+                    assert factorized[0] <= np.count_nonzero(s > delta)
                 assert _same_ramp_bounds(got, _reference_ramp_bounds(ge, delta, w))
+
+    def test_screen_drops_most_prefixes(self, svd_inputs):
+        """Over the seeded d = 2, 3 fields of `test_seeded_fields` fewer
+        than half of the prefixes above delta are factorized."""
+        factorized = above = 0
+        for d in (2, 3):
+            for seed in range(4):
+                ge = matrix_field(np.random.default_rng(8100 + seed), 64, d)
+                _, s, _ = ge.spectrum()
+                for delta in np.linspace(0.1, 0.9, 5) * sup_norm(ge):
+                    w = decide_extension(ge, delta).witness.values
+                    start = len(svd_inputs)
+                    _ramp_bounds(ge, delta, w)
+                    factorized += sum(shape[0] for shape, _ in svd_inputs[start:])
+                    above += np.count_nonzero(s > delta)
+        assert 2 * factorized < above, (factorized, above)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_nudged_cut(self, d):
@@ -242,6 +262,37 @@ class TestRampBoundsMatchEveryPrefix:
                 w[turned] *= np.exp(1j * np.linspace(0.01, 0.5, turned.size))[:, None, None]
                 assert _same_ramp_bounds(_ramp_bounds(ge, delta, w),
                                          _reference_ramp_bounds(ge, delta, w))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matrix_witness_turned_at_low_nodes(self, d):
+        """d > 1 with the witness turned on the right at nodes above the cut
+        whose s is low, by more the lower s is, so that some ramp's maximum
+        sits off the node of largest s and the screen must keep it."""
+        for seed in range(4):
+            ge = matrix_field(np.random.default_rng(8400 + seed), 64, d)
+            _, s, _ = ge.spectrum()
+            for delta in np.linspace(0.1, 0.7, 4) * sup_norm(ge):
+                w = decide_extension(ge, delta).witness.values
+                above = np.flatnonzero(s[:, 0] > delta)
+                low = above[s[above, 0] < np.median(s[above, 0])]
+                turned = w.copy()
+                angle = 0.5 * (1.0 - s[low, 0] / s[:, 0].max())
+                turned[low] = turned[low] * np.exp(1j * angle[:, None, None] * np.arange(d))
+                got = _ramp_bounds(ge, delta, turned)
+                assert not _same_ramp_bounds(got, _ramp_bounds(ge, delta, w))
+                assert _same_ramp_bounds(got, _reference_ramp_bounds(ge, delta, turned))
+
+    def test_constant_matrix_unitary(self):
+        """A constant 2 x 2 unitary: every node ties in every ramp."""
+        vals = np.tile(np.array([[0.6, 0.8j], [0.8j, 0.6]]), (64, 1, 1))
+        ge = GridElement(domain=interval_domain(64), values=vals)
+        for delta in (0.1, 0.5, 0.9):
+            w = decide_extension(ge, delta).witness.values
+            assert _same_ramp_bounds(_ramp_bounds(ge, delta, w),
+                                     _reference_ramp_bounds(ge, delta, w))
+            w = w * np.exp(0.3j * np.linspace(0.0, 1.0, 64))[:, None, None]
+            assert _same_ramp_bounds(_ramp_bounds(ge, delta, w),
+                                     _reference_ramp_bounds(ge, delta, w))
 
     def test_tied_singular_values(self):
         """const-unitary: every s is 1, so every node has the largest s."""
