@@ -6,48 +6,40 @@ for the distance to the regular elements.
 Scalar partial isometries on a connected domain are unitary-or-zero; both
 extension procedures build on that classification. The 1-D procedure
 transports a unitary frame along the interval, one `_transport` for every
-d, in frame coordinates w = u X vh of the pointwise SVD: X = 1 except at
-the nodes that keep some but not all singular directions, where its free
-block is the Procrustes step against the last supported node, the polar
-factor of an r x r block read off two stacked products (in closed form for
-r <= 2), run node by node by `_free_blocks`. For r <= 2 the terms of each
-block that do not meet the carried U are summed for every node at once in
-numpy (`_heads`), with the bits of the Python scalar sums, and the loop
-adds only those that do. Nodes that keep none take an index fill, and one batched
-geodesic bridges their interior runs. For d > 1 the modulus of an element
-screens its jumps by cheap norm bounds and factorizes only those that can
-hold the maximum. The 2-D scalar procedure decides by discrete
-Stokes on the polar grid: every edge carries the integer jump of its
-wrapped phase step, every face (quad or centre polygon) the integer charge
-summed around it, and the phase winds around a hole of the support by the
-total charge of the hole. The obstruction's `windings` are the |total
-charge| of each blocked hole. The jumps, the charged faces and the cut
-level below which a step inside the support aliases do not depend on it, so
-the element keeps them (`_disk_phase`); a decision labels the holes by
-runs of free nodes along the rings and a union-find over their contacts,
-the unwrap sums the jumps along each run of the support, with one offset
-per run, and the witness bridges each free run linearly between the
-unwrapped phases of its flanks on its ring, a step of
-(theta_R - theta_L) / (run length + 1), with rings that have no support
-copying the nearest ring that has some (`_bridge`). On both domains
-`dist_to_regular` decides the lowest bisection rung first, which settles
-the bracket in one decision whenever the distance is 0, as everywhere in
-C([0,1], M_d).
+d, in frame coordinates w = u X vh of the pointwise SVD: X = 1 except for
+the Procrustes free blocks (`_free_blocks`) at the nodes that keep some
+but not all singular directions. Nodes that keep none take an index fill,
+and one batched geodesic bridges their interior runs. The modulus of an
+element reads its jumps as slices of the layout for d = 1; for d > 1 it
+screens them by cheap norm bounds and factorizes only those that can hold
+the maximum. The 2-D scalar procedure decides by discrete Stokes on the
+polar grid: every edge carries the integer jump of its wrapped phase step,
+every face (quad or centre polygon) the integer charge summed around it,
+and the phase winds around a hole of the support by the total charge of
+the hole, whose |value| the obstruction lists in `windings`. The jumps,
+the charged faces and the cut level below which a step inside the support
+aliases do not depend on it, so the element keeps them (`_disk_phase`); a
+decision labels the holes by runs of free nodes along the rings and a
+union-find over their contacts, the unwrap sums the jumps along each run
+of the support, with one offset per run, and the witness bridges each
+free run linearly between the unwrapped phases of its flanks on its ring
+(`_bridge`). On both domains `dist_to_regular` decides the lowest
+bisection rung first, which settles the bracket in one decision whenever
+the distance is 0, as everywhere in C([0,1], M_d).
 
 Every entry point reads the element's flat singular values s once and
 derives the rest from them: the guard band (`_band`, which `guard_band`
 shares), the collision test, the modulus bound and, for d = 1, the
 cut-down u (|f| - delta)_+ with u = f/|f|, so no scalar decision rebuilds
-`spectrum()`; for d > 1 the cut-down comes off the kept SVD. One
-`_extends` or extension call is one read, `decide_extension` two (the
-clearing, then its `polar_extension`). A bisection, a harness report
-and each harness decision on a derived element hold their element
+`spectrum()`; for d > 1 the cut-down comes off the kept SVD. `_extends`,
+an extension call and `decide_extension` each make one read and one
+collision test. `decide_extension`, a bisection, a harness report and
+each harness decision on a derived element hold their element
 (`_holding`) while they run: one read of s and the guard band, for d = 1
 the abs/phase spectrum that every decision, cut-down and witness of the
 run then shares, and the levels found clear of s, which are not tested
-again. So `dist_to_regular` reads s once and tests each level once, and a
-report builds the scalar spectrum once. The hold is dropped when the run
-returns, so no scalar element keeps its spectrum.
+again. The hold is dropped when the run returns, so no scalar element
+keeps its spectrum.
 
 The bisection reads only whether an extension exists, so it decides each
 level by `_extends`, which builds no witness that cannot fail; it shares
@@ -194,6 +186,8 @@ class GridElement:
     def modulus(self) -> float:
         """Max over adjacent nodes of the operator-norm jump.
 
+        d = 1: the |jumps| as slices of the node layout, those of
+        `edge_arrays` with the sign flipped, so the same bits, NaN included.
         d > 1: the largest of LAPACK's s1 over the jumps D that can hold the
         maximum, in one SVD call. Every jump has
         sqrt(||D* D||_F) >= s1 >= ||D* D||_F / ||D||_F, computed on the
@@ -203,23 +197,7 @@ class GridElement:
         hold it. The margin is far above the rounding of either bound or of
         LAPACK's s1, so the result has the bits of s1 taken over every
         jump."""
-        left, right = self.domain.edge_arrays()
-        diffs = self.values[left] - self.values[right]
-        if diffs.size == 0:
-            return 0.0
-        if self.dim == 1:
-            return float(np.abs(diffs).max())
-        scale = np.abs(diffs).max()
-        if scale == 0.0:
-            return 0.0
-        if math.isfinite(scale):  # otherwise LAPACK refuses the jumps as before
-            jumps = diffs / scale
-            fro = np.linalg.norm(jumps, axis=(1, 2))
-            gram = np.linalg.norm(jumps.conj().transpose(0, 2, 1) @ jumps, axis=(1, 2))
-            nonzero = fro > 0.0
-            lower = (gram[nonzero] / fro[nonzero]).max()
-            diffs = diffs[np.sqrt(gram) >= lower * (1.0 - MODULUS_SCREEN)]
-        return float(np.linalg.svd(diffs, compute_uv=False).max())
+        return _modulus(self.domain, self.values)
 
     def spectrum(self):
         """Pointwise SVD (u, s, vh), shapes (n, d, d), (n, d), (n, d, d),
@@ -230,16 +208,14 @@ class GridElement:
         d = 1: s = |f|, u = f/|f| (1 where f = 0) and vh = 1, which is what
         LAPACK returns for a 1 x 1 matrix. The real and imaginary parts are
         divided separately so that a real positive sample has phase exactly
-        1. Kept only while the element is held (`_holding`), as by a
-        bisection or a harness report. Not kept for good: on the
-        `disk-winding` benchmark, whose pool holds 80 scalar disk elements
-        of up to 4,096 nodes, keeping it raised the peak RSS from 53.8 to
-        60.5 MB. No decision outside a hold calls it, as they work off
-        `singular_values()`.
+        1. Kept only while the element is held (`_holding`), not for good:
+        that raised the peak RSS of the `disk-winding` benchmark, whose pool
+        holds 80 scalar disk elements of up to 4,096 nodes, from 53.8 to
+        60.5 MB.
         """
         if self._svd is None:
             if self.dim == 1:
-                return _scalar_spectrum(self.values)
+                return _scalar_spectrum(self.values, np.abs(self.values[:, 0, 0]))
             try:
                 self._svd = np.linalg.svd(self.values)
             except np.linalg.LinAlgError:  # what a NaN entry gives
@@ -258,12 +234,36 @@ class GridElement:
         return self.spectrum()[1]
 
 
-def _scalar_spectrum(values: np.ndarray):
-    """`spectrum()` of a scalar element with these (n, 1, 1) values."""
-    f = values[:, 0, 0]
-    s = np.abs(f)
+def _modulus(dom: GridDomain, values: np.ndarray) -> float:
+    """`GridElement.modulus` of these (n, d, d) values on dom."""
+    if values.shape[1] == 1:
+        f = values[:, 0, 0]
+        if dom.kind == "interval-1d":
+            return float(np.abs(f[1:] - f[:-1]).max())
+        g = f.reshape(dom.n_radial, dom.n_angular)
+        return float(np.max([np.abs(g[:, 1:] - g[:, :-1]).max(),
+                             np.abs(g[:, 0] - g[:, -1]).max(), np.abs(g[1:] - g[:-1]).max()]))
+    left, right = dom.edge_arrays()
+    diffs = values[left] - values[right]
+    if diffs.size == 0:
+        return 0.0
+    scale = np.abs(diffs).max()
+    if scale == 0.0:
+        return 0.0
+    if math.isfinite(scale):  # otherwise LAPACK refuses the jumps as before
+        jumps = diffs / scale
+        fro = np.linalg.norm(jumps, axis=(1, 2))
+        gram = np.linalg.norm(jumps.conj().transpose(0, 2, 1) @ jumps, axis=(1, 2))
+        nonzero = fro > 0.0
+        lower = (gram[nonzero] / fro[nonzero]).max()
+        diffs = diffs[np.sqrt(gram) >= lower * (1.0 - MODULUS_SCREEN)]
+    return float(np.linalg.svd(diffs, compute_uv=False).max())
+
+
+def _scalar_spectrum(values: np.ndarray, s: np.ndarray):
+    """`spectrum()` of a scalar element with (n, 1, 1) values and flat s."""
     vh = np.broadcast_to(np.ones((1, 1, 1), dtype=np.complex128), values.shape)
-    return _unit(f, s).reshape(-1, 1, 1), s.reshape(-1, 1), vh
+    return _unit(values[:, 0, 0], s).reshape(-1, 1, 1), s.reshape(-1, 1), vh
 
 
 @dataclass
@@ -280,17 +280,17 @@ class _Hold:
 @contextmanager
 def _holding(ge: GridElement):
     """Hold ge for the with block: one read of s and the guard band, and
-    for d = 1 the spectrum, kept on the element as `spectrum()` keeps the
-    SVD for d > 1. A hold inside another one is the outer one. On exit the
-    element is as before: no hold and, for d = 1, no spectrum. ValueError,
-    as `guard_band`, when the values are not finite."""
+    for d = 1 the spectrum built on that s, kept on the element as
+    `spectrum()` keeps the SVD for d > 1. A hold inside another one is the
+    outer one. On exit the element is as before: no hold and, for d = 1, no
+    spectrum. ValueError, as `guard_band`, when the values are not finite."""
     if ge._hold is not None:
         yield ge._hold
         return
     s = ge.singular_values().ravel()
     ge._hold = _Hold(s, _band(s))
     if ge.is_scalar:
-        ge._svd = _scalar_spectrum(ge.values)
+        ge._svd = _scalar_spectrum(ge.values, s)
     try:
         yield ge._hold
     finally:
@@ -379,21 +379,19 @@ def from_svd(domain: GridDomain, u: np.ndarray, s: np.ndarray, vh: np.ndarray) -
 def lift_cutdown(ge: GridElement, delta: float) -> GridElement:
     # batched equivalent of the pointwise opcore.cutdown
     opcore.check_level(delta)
-    return _cutdown(ge, delta, _read(ge)[0])
+    return GridElement(ge.domain, _cut(ge, delta, _read(ge)[0]))
 
 
-def _cutdown(ge: GridElement, delta: float, s: np.ndarray) -> GridElement:
-    """`lift_cutdown` off s, the element's flat singular values; for d > 1
-    off the kept SVD, whose s they are, and for d = 1 off the held u when a
-    hold is on."""
+def _cut(ge: GridElement, delta: float, s: np.ndarray) -> np.ndarray:
+    """The values of `lift_cutdown` off s, the element's flat singular
+    values: for d > 1 off the kept SVD, whose s they are; for d = 1
+    u (|f| - delta)_+ + 0.0 with u = f/|f| (held while a hold is on), the
+    bits of from_svd with no einsum: vh = 1, and adding 0.0 turns a -0 part
+    into +0 as the einsum's sum from zero does."""
     if ge.is_scalar:
-        # u (|f| - delta)_+ with u = f/|f| from s and no einsum, as vh = 1;
-        # adding 0.0 turns a -0 part into +0 as the einsum's sum from zero
-        # does: the bits of from_svd
-        cut = _unit_of(ge, s) * np.maximum(s - delta, 0.0) + 0.0
-        return GridElement(ge.domain, cut.reshape(-1, 1, 1))
+        return (_unit_of(ge, s) * np.maximum(s - delta, 0.0) + 0.0).reshape(-1, 1, 1)
     u, s, vh = ge.spectrum()
-    return from_svd(ge.domain, u, np.maximum(s - delta, 0.0), vh)
+    return from_svd(ge.domain, u, np.maximum(s - delta, 0.0), vh).values
 
 
 def uniform_gap_regular(ge: GridElement, gap_min: float | None = None):
@@ -415,18 +413,13 @@ def uniform_gap_regular(ge: GridElement, gap_min: float | None = None):
     return gap >= gap_min, gap
 
 
-def _nearest_below(s_all: np.ndarray, delta: float) -> float:
-    below = s_all[s_all < delta]
-    return float(below.max()) if below.size else 0.0
-
-
 def _modulus_bound(ge: GridElement, delta: float, s: np.ndarray) -> float:
     """Perturbation-style bound on the allowed witness modulus, with s the
     element's flat singular values."""
-    spread = delta - _nearest_below(s, delta)
+    spread = delta - float(s[s < delta].max(initial=0.0))  # to the nearest s below
     if spread <= 0:
         return math.inf
-    return MODULUS_BOUND_FACTOR * _cutdown(ge, delta, s).modulus() / spread
+    return MODULUS_BOUND_FACTOR * _modulus(ge.domain, _cut(ge, delta, s)) / spread
 
 
 def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
@@ -783,11 +776,6 @@ def _beside(idx: np.ndarray, nt: int) -> np.ndarray:
     return idx + np.where(idx % nt == nt - 1, 1 - nt, 1)
 
 
-def _seam(runs: np.ndarray):
-    """The rings whose runs meet across the seam, as a mask over rings."""
-    return (runs[:, -1] >= 0) & (runs[:, 0] >= 0)
-
-
 def _blocked_windings(phase: _DiskPhase, free: np.ndarray) -> list:
     """Sorted |total charge| of the blocked holes of the support.
 
@@ -800,40 +788,45 @@ def _blocked_windings(phase: _DiskPhase, free: np.ndarray) -> list:
     support cycle can enclose it.
 
     Holes are labelled by runs (Rosenfeld & Pfaltz, JACM 13(4), 1966): the
-    free runs of each ring (`_ring_runs`) are joined by a union-find across
-    the seam, all of ring 0 to its first run, and each to the runs of the
-    next ring it touches. Two such runs touch where they share a column
-    (`_overlaps`) or, diagonally, where one ends at column m and the other
-    starts at m + 1; every other diagonal contact is also a path through a
-    shared column or along a ring.
+    free runs of each ring, cut at the seam and numbered in flat order, are
+    joined by a union-find across the seam, all of ring 0 to its first run,
+    and each to the runs of the next ring it touches: where they share a
+    column (`_overlaps`) or, diagonally, where one ends at column m and the
+    other starts at m + 1 (every other diagonal contact is also a path
+    through a shared column or along a ring). A node's run, the last to
+    start at or before it, is looked up (`searchsorted`) only where it is
+    read: at the nodes of each contact and at the first free corner, which
+    the mask gives, of each charged quad.
     """
     charged, charges, centre = phase.charged, phase.charges, phase.centre
     if not charged.size and centre == 0:
         return []
     nr, nt = free.shape
-    runs, first = _ring_runs(free)
-    flat = runs.ravel()
-    shared = _overlaps(free)
-    after = np.roll(free, -1, axis=1)  # free at the next column
+    first = np.flatnonzero(_run_starts(free))
+    after = np.concatenate([free[:, 1:], free[:, :1]], axis=1)  # free at the next column
     ends, begins = free & ~after, after & ~free
     out = np.flatnonzero(ends[:-1] & begins[1:])  # (j, m) touches (j+1, m+1)
     into = np.flatnonzero(begins[:-1] & ends[1:])  # (j, m+1) touches (j+1, m)
-    seam = _seam(runs)
-    ring0 = np.flatnonzero(first < nt)  # ring 0's runs are the first labels
-    root = _roots(first.size, np.concatenate([
-        flat[shared], flat[out], flat[_beside(into, nt)], runs[seam, -1], np.zeros_like(ring0)]),
-        np.concatenate([flat[shared + nt], flat[_beside(out, nt) + nt], flat[into + nt],
-                        runs[seam, 0], ring0]))
+    shared = _overlaps(free)
+    seam = np.flatnonzero(free[:, 0] & free[:, -1]) * nt  # node (j, 0) of each ring
     # corners (j, m), (j, m+1), (j+1, m), (j+1, m+1) of each charged quad
     beside = _beside(charged, nt)
-    corners = flat[np.column_stack([charged, beside, charged + nt, beside + nt])]
-    free_corner = corners >= 0
+    corners = np.column_stack([charged, beside, charged + nt, beside + nt])
+    free_corner = free.ravel()[corners]
     touches = free_corner.any(axis=1)
+    # each open quad hands its charge to the hole of its first free corner
+    holder = corners[np.arange(charged.size), free_corner.argmax(axis=1)][touches]
+    # contact k joins the runs of nodes k and k + joins
+    nodes = [shared, out, _beside(into, nt), seam + nt - 1,
+             shared + nt, _beside(out, nt) + nt, into + nt, seam, holder]
+    labels = np.searchsorted(first, np.concatenate(nodes), side="right") - 1
+    joins = (labels.size - holder.size) // 2
+    ring0 = np.arange(np.searchsorted(first, nt))  # ring 0's runs are the first labels
+    root = _roots(first.size, np.concatenate([labels[:joins], np.zeros_like(ring0)]),
+                  np.concatenate([labels[joins:2 * joins], ring0]))
     windings = set(np.abs(charges[~touches]).tolist())
     total = np.zeros(first.size, dtype=np.int64)
-    # each open quad hands its charge to the hole of its first free corner
-    holder = corners[np.arange(charged.size), free_corner.argmax(axis=1)]
-    np.add.at(total, root[holder[touches]], charges[touches])
+    np.add.at(total, root[labels[2 * joins:]], charges[touches])
     if ring0.size:
         total[0] += centre
     elif centre:
@@ -881,7 +874,7 @@ def _unwrap(phase: np.ndarray, jumps: _DiskPhase, support: np.ndarray) -> np.nda
     before = (along - ang).ravel()  # n(j, m) - n(j, 0) along ring j, short of the seam
     flat = runs.ravel()
     shared = _overlaps(supp)
-    seam = _seam(runs)
+    seam = supp[:, -1] & supp[:, 0]
     # each contact (a, b, d): n at a node of run b is d above n at its
     # neighbour in run a
     contacts = zip(np.concatenate([flat[shared], runs[seam, -1]]).tolist(),
@@ -985,8 +978,10 @@ def polar_extension(ge: GridElement, delta: float) -> ExtensionReport:
 
 def decide_extension(ge: GridElement, delta: float) -> ExtensionReport:
     """polar_extension at delta, first moved off the pointwise singular
-    values by opcore.clear_of (SpectralCollision when it cannot be)."""
-    return polar_extension(ge, _cleared(ge, delta))
+    values by opcore.clear_of (SpectralCollision when it cannot be), in a
+    hold (`_holding`), so the report does not test the level again."""
+    with _holding(ge):
+        return polar_extension(ge, _cleared(ge, delta))
 
 
 def _cleared(ge: GridElement, delta: float) -> float:

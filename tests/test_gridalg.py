@@ -552,9 +552,62 @@ def _rank_one_jump(rng, n, d, at):
     return GridElement(domain=ge.domain, values=vals)
 
 
+def _max_jump_edge(ge):
+    """The (left, right) nodes of the edge of `edge_arrays` whose scalar
+    jump is largest."""
+    left, right = ge.domain.edge_arrays()
+    k = int(np.argmax(np.abs(ge.values[left, 0, 0] - ge.values[right, 0, 0])))
+    return int(left[k]), int(right[k])
+
+
 class TestScreenedModulus:
-    """`GridElement.modulus` for d > 1 against `_reference_modulus`, bit for
-    bit, and the SVDs that the screen leaves."""
+    """`GridElement.modulus` against `_reference_modulus`, bit for bit: for
+    d > 1 with the SVDs that the screen leaves, for d = 1 read off slices of
+    the layout in place of the edge gather."""
+
+    def test_scalar_fields_cut_downs_and_witnesses(self):
+        fields = [gallery.random_scalar_field_1d(n, np.random.default_rng(7800 + n))
+                  for n in (16, 129)]
+        fields += [gallery.random_scalar_field_2d(n, 4 * n, np.random.default_rng(7900 + n),
+                                                  winding=n % 3) for n in (16, 32)]
+        fields += [gallery.gallery(name, 32) for name in ("osc", "linear", "disk-z")]
+        for ge in fields:
+            assert _same_bits(ge.modulus(), _reference_modulus(ge))
+            for frac in (0.2, 0.5, 0.8):
+                rep = polar_extension(ge, gridalg._cleared(ge, frac * sup_norm(ge)))
+                cut = lift_cutdown(ge, rep.delta)
+                assert _same_bits(cut.modulus(), _reference_modulus(cut))
+                if rep.witness is not None:
+                    assert _same_bits(rep.witness_modulus, _reference_modulus(rep.witness))
+
+    def test_scalar_maximum_on_the_seam(self):
+        """exp(i theta / 2) steps by pi / nt along each ring but by about 2
+        across the seam, from column nt - 1 back to column 0."""
+        dom = disk_domain(16, 64)
+        _, angles = dom.coordinates()
+        ge = GridElement(domain=dom, values=np.tile(np.exp(0.5j * angles), 16).reshape(-1, 1, 1))
+        assert _max_jump_edge(ge) == (63, 0)
+        assert _same_bits(ge.modulus(), _reference_modulus(ge))
+
+    def test_scalar_maximum_on_a_radial_edge_into_the_last_ring(self):
+        """A smooth field with -1 at node (nr - 2, 5) and +1 at (nr - 1, 5):
+        the jump of 2 between them is the largest."""
+        dom = disk_domain(16, 64)
+        ge = gallery.random_scalar_field_2d(16, 64, np.random.default_rng(7950))
+        f = 0.25 * ge.values[:, 0, 0].reshape(16, 64)
+        f[14, 5], f[15, 5] = -1.0, 1.0
+        ge = GridElement(domain=dom, values=f.reshape(-1, 1, 1))
+        assert _max_jump_edge(ge) == (14 * 64 + 5, 15 * 64 + 5)
+        assert _same_bits(ge.modulus(), _reference_modulus(ge))
+
+    @pytest.mark.parametrize("make", [lambda: gallery.gallery("osc", 32),
+                                      lambda: gallery.gallery("disk-z", 32)],
+                             ids=["interval", "disk"])
+    def test_scalar_nan_sample(self, make):
+        vals = make().values.copy()
+        vals[7, 0, 0] = np.nan
+        ge = GridElement(domain=make().domain, values=vals)
+        assert math.isnan(ge.modulus()) and math.isnan(_reference_modulus(ge))
 
     def test_fields_cut_downs_and_witnesses(self):
         for seed in range(6):
@@ -1739,19 +1792,20 @@ class TestOneReadPerDecision:
         lambda: gallery.random_scalar_field_2d(32, 128, np.random.default_rng(8100)),
         lambda: gallery.gallery("rankdrop", 128)], ids=["disk-32x128", "rankdrop"])
     def test_one_read_per_entry_point(self, monkeypatch, make):
-        """`_extends` and `polar_extension` read the singular values once
-        and test the level once, `decide_extension` twice each: once to
-        clear the level and once in its `polar_extension`. No scalar
-        decision rebuilds the spectrum. They read 2, 2 and 4 times, and
-        each scalar one called `spectrum()` once."""
+        """`_extends`, `polar_extension` and `decide_extension` each read
+        the singular values once and test the level once: decide_extension
+        holds its element, so its `polar_extension` does not test the level
+        it cleared again. No scalar decision rebuilds the spectrum. They
+        read 2, 2 and 4 times, and each scalar one called `spectrum()`
+        once; before it held its element, decide_extension read twice and
+        tested twice."""
         ge = make()
         level = gridalg._cleared(ge, 0.5 * sup_norm(ge))
         calls = _count_reads(monkeypatch)
-        for decide, reads in ((gridalg._extends, 1), (polar_extension, 1),
-                              (decide_extension, 2)):
+        for decide in (gridalg._extends, polar_extension, decide_extension):
             calls.clear()
             decide(ge, level)
-            assert calls["reads"] == reads and calls["collides"] == reads, (decide, calls)
+            assert calls["reads"] == 1 and calls["collides"] == 1, (decide, calls)
             assert calls["spectrum"] == 0 or not ge.is_scalar, (decide, calls)
 
     def test_one_read_per_bisection_step(self, monkeypatch):

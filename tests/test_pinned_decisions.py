@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from cstarreg import gallery, harness
-from cstarreg.gridalg import decide_extension, dist_to_regular, sup_norm
+from cstarreg.errors import PhaseUnwrapAliasing, SpectralCollision
+from cstarreg.gridalg import GridElement, decide_extension, disk_domain, dist_to_regular, sup_norm
 
 PINNED = Path(__file__).resolve().parent / "data" / "pinned_decisions.json"
 RTOL = 1e-12
@@ -47,14 +48,31 @@ def _report(ge, gamma, deltas, tol_bisect=None) -> dict:
     return {"exact": exact, "close": list(rep.cond1)}
 
 
-def _disk_decisions(ge) -> dict:
+def _disk_decisions(ge, fractions=(0.25, 0.5, 0.75), levels=()) -> dict:
+    """dist_to_regular at tol 0.02, then decide_extension at each fraction
+    of the sup-norm and at each level; a decision that raises is pinned by
+    the name of its exception."""
     top = sup_norm(ge)
     exact, close = [], list(dist_to_regular(ge, 0.02))
-    for frac in (0.25, 0.5, 0.75):
-        rep = decide_extension(ge, frac * top)
+    for delta in [frac * top for frac in fractions] + list(levels):
+        try:
+            rep = decide_extension(ge, delta)
+        except (SpectralCollision, PhaseUnwrapAliasing) as exc:
+            exact.append({"raises": type(exc).__name__})
+            continue
         exact.append({"exists": rep.exists, "obstruction": _obstruction(rep.obstruction)})
         close.append(rep.delta)
     return {"exact": exact, "close": close}
+
+
+def _with_zeros(ge, rng) -> GridElement:
+    """ge times (z - z1) conj(z - z2), with z1, z2 seeded off the centre:
+    a charged quad around each, of charge +1 and -1."""
+    radii, angles = ge.domain.coordinates()
+    z = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+    z1, z2 = rng.uniform(0.2, 0.8, 2) * np.exp(2j * np.pi * rng.random(2))
+    f = ge.values[:, 0, 0] * (z - z1) * np.conj(z - z2)
+    return GridElement(ge.domain, f.reshape(-1, 1, 1))
 
 
 def pinned_records() -> dict:
@@ -79,6 +97,19 @@ def pinned_records() -> dict:
         ge = gallery.random_scalar_field_2d(32, 128, np.random.default_rng(2700 + seed),
                                             winding=seed % 4)
         records[f"disk 32 x 128 seed {2700 + seed}"] = _disk_decisions(ge)
+    # holes around charged quads off the centre: the hand-proved
+    # (z - 0.3)(z + 0.3), also at the levels of its test, and seeded fields
+    # times two seeded zeros, also at low levels, where some decisions alias
+    dom = disk_domain(32, 128)
+    radii, angles = dom.coordinates()
+    z = radii[:, None] * np.exp(1j * angles[None, :])
+    ge = GridElement(dom, ((z - 0.3) * (z + 0.3)).reshape(-1, 1, 1))
+    records["(z - 0.3)(z + 0.3) 32 x 128"] = _disk_decisions(ge, levels=(0.0895, 0.08))
+    for seed in range(2900, 2904):
+        rng = np.random.default_rng(seed)
+        ge = _with_zeros(gallery.random_scalar_field_2d(32, 128, rng, winding=seed % 4), rng)
+        records[f"disk 32 x 128 seed {seed} with zeros"] = _disk_decisions(
+            ge, fractions=(0.002, 0.01, 0.03, 0.1, 0.25, 0.5))
     return records
 
 
