@@ -5,53 +5,37 @@ for the distance to the regular elements.
 
 Scalar partial isometries on a connected domain are unitary-or-zero; both
 extension procedures build on that classification. The 1-D procedure
-transports a unitary frame along the interval, one `_transport` for every
-d, in frame coordinates w = u X vh of the pointwise SVD: X = 1 except for
-the Procrustes free blocks (`_free_blocks`) at the nodes that keep some
-but not all singular directions. Nodes that keep none take an index fill,
-and one batched geodesic bridges their interior runs. The modulus of an
-element reads its jumps as slices of the layout for d = 1; for d > 1 it
-screens them by cheap norm bounds and factorizes only those that can hold
-the maximum. The 2-D scalar procedure decides by discrete Stokes on the
-polar grid: every edge carries the integer jump of its wrapped phase step,
-every face (quad or centre polygon) the integer charge summed around it,
-and the phase winds around a hole of the support by the total charge of
-the hole, whose |value| the obstruction lists in `windings`. The jumps,
-the charged faces and the cut level below which a step inside the support
-aliases do not depend on it, so the element keeps them (`_disk_phase`); a
-decision labels the holes by runs of free nodes along the rings and a
-union-find over their contacts, the unwrap sums the jumps along each run
-of the support, with one offset per run, and the witness bridges each
-free run linearly between the unwrapped phases of its flanks on its ring
-(`_bridge`). On both domains `dist_to_regular` decides the lowest
-bisection rung first, which settles the bracket in one decision whenever
-the distance is 0, as everywhere in C([0,1], M_d).
+transports a unitary frame along the interval: for d = 1 `levels.decide`
+builds the witnesses, their moduli and the modulus bounds at every level of
+a report in one pass over a level axis, and a single decision is its L = 1
+case (`_line_reports`); for d > 1 `_transport` carries the frame in the
+coordinates of the pointwise SVD. The modulus of an element reads its jumps
+as slices of the layout for d = 1; for d > 1 it screens them by cheap norm
+bounds and factorizes only those that can hold the maximum. The 2-D scalar
+procedure decides by discrete Stokes on the polar grid
+(`polar_extension_2d_scalar`): the element keeps the phase data that no cut
+level changes (`_disk_phase`), and a decision labels the holes of the
+support by runs of free nodes along the rings and a union-find over their
+contacts (`_blocked_windings`). On both domains `dist_to_regular` decides
+the lowest bisection rung first, which settles the bracket in one decision
+whenever the distance is 0, as everywhere in C([0,1], M_d).
 
 Every entry point reads the element's flat singular values s once and
-derives the rest from them: the guard band (`_band`, which `guard_band`
-shares), the collision test, the modulus bound and, for d = 1, the
-cut-down u (|f| - delta)_+ with u = f/|f|, so no scalar decision rebuilds
-`spectrum()`; for d > 1 the cut-down comes off the kept SVD. `_extends`,
-an extension call and `decide_extension` each make one read and one
-collision test. `decide_extension`, a bisection, a harness report and
+derives the guard band, the collision test, the modulus bound and the
+cut-down from them. `decide_extension`, a bisection, a harness report and
 each harness decision on a derived element hold their element
 (`_holding`) while they run: one read of s and the guard band, for d = 1
-the abs/phase spectrum that every decision, cut-down and witness of the
-run then shares, and the levels found clear of s, which are not tested
-again. The hold is dropped when the run returns, so no scalar element
-keeps its spectrum.
+the abs/phase spectrum, and the levels found clear of s, which are not
+tested again. The hold is dropped when the run returns.
 
-The bisection reads only whether an extension exists, so it decides each
-level by `_extends`, which builds no witness that cannot fail; it shares
-with both extension procedures one step, `_decide_at`, that decides a
-level clear of the spectrum off s, and the procedures share one report
-step, `_report`. Every witness is unitary at every node, or zero, so its
-modulus is at most WITNESS_MODULUS_MAX = 2 to rounding; where the modulus
-bound is at least that, the modulus check passes whatever the witness,
-and the answer is the winding decision alone. This is exact: `_extends`
-agrees with `decide_extension(...).exists` at every level. Elements whose
-values are not finite are refused (ValueError) by the guard band, which
-every decision asks first.
+The bisection decides each level by `_extends`, which shares the
+`_decide_at` step with the extension procedures but builds no witness that
+cannot fail: every witness is unitary at every node, or zero, so its
+modulus is at most WITNESS_MODULUS_MAX = 2 to rounding, and where the
+modulus bound is at least that, the answer is the winding decision alone.
+So `_extends` agrees with `decide_extension(...).exists` at every level.
+Elements whose values are not finite are refused (ValueError) by the
+guard band, which every decision asks first.
 """
 
 from __future__ import annotations
@@ -64,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import opcore
+from . import levels, opcore
 from .errors import PhaseUnwrapAliasing, SpectralCollision
 
 ALIAS_GUARD = np.pi / 2  # max tolerated adjacent-point phase jump
@@ -208,10 +192,8 @@ class GridElement:
         d = 1: s = |f|, u = f/|f| (1 where f = 0) and vh = 1, which is what
         LAPACK returns for a 1 x 1 matrix. The real and imaginary parts are
         divided separately so that a real positive sample has phase exactly
-        1. Kept only while the element is held (`_holding`), not for good:
-        that raised the peak RSS of the `disk-winding` benchmark, whose pool
-        holds 80 scalar disk elements of up to 4,096 nodes, from 53.8 to
-        60.5 MB.
+        1. Kept only while the element is held (`_holding`): kept for good,
+        it would hold 32 bytes per node of every scalar element.
         """
         if self._svd is None:
             if self.dim == 1:
@@ -239,7 +221,7 @@ def _modulus(dom: GridDomain, values: np.ndarray) -> float:
     if values.shape[1] == 1:
         f = values[:, 0, 0]
         if dom.kind == "interval-1d":
-            return float(np.abs(f[1:] - f[:-1]).max())
+            return float(levels.jumps(f))
         g = f.reshape(dom.n_radial, dom.n_angular)
         return float(np.max([np.abs(g[:, 1:] - g[:, :-1]).max(),
                              np.abs(g[:, 0] - g[:, -1]).max(), np.abs(g[1:] - g[:-1]).max()]))
@@ -440,14 +422,16 @@ def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
 
 def _report(ge: GridElement, delta: float, kind: str) -> ExtensionReport:
     """The report of both extension procedures at delta, off one read of
-    the singular values: the collision test, the `_decide_at` step, then a
-    winding obstruction or the witness held to the modulus bound, whose
-    failure is an obstruction of `kind`. An empty disk support gives the
-    zero witness. A level that the element's hold cleared is not tested
-    again."""
+    the singular values: the collision test (not again for a level the
+    element's hold cleared), then `_line_reports` for a scalar interval
+    element, else the `_decide_at` step and a winding obstruction or the
+    witness held to the modulus bound, whose failure is an obstruction of
+    `kind`; an empty disk support gives the zero witness."""
     s, band = _read(ge)
     if ge._hold is None or delta not in ge._hold.clear:
         opcore.check_clear(delta, s, band)
+    if ge.is_scalar and ge.domain.kind == "interval-1d":
+        return _line_reports(ge, [delta])[0][0]
     windings, build = _decide_at(ge, delta, s)
     bound = _modulus_bound(ge, delta, s)
     if windings:
@@ -460,16 +444,28 @@ def _report(ge: GridElement, delta: float, kind: str) -> ExtensionReport:
 
 
 def _frame_witness(ge: GridElement, delta: float) -> GridElement:
-    u_all, s_all, vh_all = ge.spectrum()
-    return GridElement(domain=ge.domain, values=_transport(u_all, vh_all, s_all > delta))
+    u, s, vh = ge.spectrum()
+    w = levels.witnesses(u[:, 0, 0], s.T > delta) if ge.is_scalar else _transport(u, vh, s > delta)
+    return GridElement(ge.domain, w.reshape(ge.values.shape))
 
 
-def _held_to_bound(witness: GridElement, bound: float, delta: float,
-                   kind: str) -> ExtensionReport:
+def _line_reports(ge: GridElement, delta: list):
+    """polar_extension_1d's reports on a scalar element at the levels delta,
+    clear of its spectrum, from one `levels.decide`, and the (L, n) witnesses."""
+    s, _ = _read(ge)
+    bounds, mods, w = levels.decide(_unit_of(ge, s), s, np.reshape(delta, (-1, 1)),
+                                    MODULUS_BOUND_FACTOR)
+    return [_held_to_bound(GridElement(ge.domain, x.reshape(-1, 1, 1)), bound, level,
+                           "frame-transport", mod)
+            for x, bound, level, mod in zip(w, bounds, delta, mods)], w
+
+
+def _held_to_bound(witness: GridElement, bound: float, delta: float, kind: str,
+                   mod: float | None = None) -> ExtensionReport:
     """The report on a witness held to its modulus bound: it exists when its
-    modulus is within bound + MODULUS_SLACK, and is an obstruction of `kind`
-    otherwise."""
-    mod = witness.modulus()
+    modulus (mod, if known) is within bound + MODULUS_SLACK, else it is an
+    obstruction of `kind`."""
+    mod = witness.modulus() if mod is None else mod
     exists = mod <= bound + opcore.MODULUS_SLACK
     obstruction = None if exists else {"kind": kind, "modulus": mod}
     return ExtensionReport(exists=exists, witness=witness if exists else None,
@@ -527,15 +523,13 @@ def _dot(row: list, col: list):
 
 
 def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
-    """Procrustes transport of a unitary frame along the interval, any d,
-    carried in frame coordinates.
+    """Procrustes transport of a unitary frame along the interval for
+    d > 1 (`levels.witnesses` for d = 1), carried in frame coordinates.
 
     Every node's frame is w = u X vh. X = 1 at every node that keeps all
-    its directions (with d = 1, every supported node; there w = u + 0.0,
-    which has the bytes of the stacked 1 x 1 product u vh, whose sum from
-    zero turns a -0 part into +0) and at the first
-    supported node. At each later node k that keeps some but not all, X is
-    1 on the kept block and the r x r unitary U_k on the free block:
+    its directions and at the first supported node. At each later node k
+    that keeps some but not all, X is 1 on the kept block and the r x r
+    unitary U_k on the free block:
     U_k = polar of the free block of T X_prev S, with prev the last
     supported node before k, T = u_k* u_prev and S = vh_prev vh_k*, which
     is the Procrustes completion of the free part against w_prev. T and S
@@ -548,7 +542,7 @@ def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
     between their flanks.
     """
     npts, d, _ = u.shape
-    w = u + 0.0 if d == 1 else u @ vh
+    w = u @ vh
     supported = keeps[:, 0]  # s is descending, so each node keeps a prefix
     idx = np.arange(npts)
     k0 = int(np.argmax(supported))  # 0 when nothing is supported
@@ -655,11 +649,8 @@ def _heads(t: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _geodesic(w1: np.ndarray, w2: np.ndarray, frac: np.ndarray) -> np.ndarray:
     """The points at fractions `frac` along the unitary geodesics from the
-    stack w1 to the stack w2, re-orthonormalized by polar correction; for
-    d = 1 the phase-linear bridge in closed form."""
+    stack w1 to the stack w2, re-orthonormalized by polar correction."""
     frac = frac[:, None, None]
-    if w1.shape[-1] == 1:
-        return w1 * np.exp(1j * frac * np.angle(w1.conj() * w2))
     evals, vecs = np.linalg.eig(w1.conj().transpose(0, 2, 1) @ w2)
     uu, _, vv = np.linalg.svd(
         w1 @ (vecs * np.exp(1j * frac * np.angle(evals)[:, None, :])) @ np.linalg.inv(vecs))
@@ -1042,21 +1033,10 @@ def dist_to_regular(ge: GridElement, tol_bisect: float):
     succeeds, is decided first, and a success returns (0, rung): every call
     on the interval, as C([0,1], M_d) has stable rank one, and on the disk
     at distance 0. A rung that fails, collides or aliases hands over to the
-    bisection.
-
-    Every level, the rung and each midpoint, is first cleared
-    (opcore.clear_of) of the singular values, which the hold on the element
-    (`_holding`) reads once, and the cleared level is the one decided and
-    returned, so an end of the bracket that a decision set is a level
-    decided as it stands. The hold keeps the cleared levels, so their
-    decisions do not test them again. A midpoint cleared to hi or above
-    ends the bisection.
-
-    Each level is decided by `_extends`, which reads only whether an
-    extension exists. It is exact, not a shortcut that can differ from
-    decide_extension: it takes the same cut and the same winding decision,
-    and skips the witness only where the modulus bound is at least
-    WITNESS_MODULUS_MAX, where every witness passes its modulus check.
+    bisection. Every level is first cleared (opcore.clear_of) of the
+    singular values, in a hold on the element (`_holding`), and the cleared
+    level is the one decided, by `_extends`, and returned; a midpoint
+    cleared to hi or above ends the bisection.
     """
     if not 0.0 < tol_bisect < math.inf:
         raise ValueError(f"tol_bisect must be finite and positive, got {tol_bisect}")

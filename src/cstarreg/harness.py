@@ -5,25 +5,20 @@ v f(|a|) for every f that vanishes on [0, delta], and (4) polar
 decomposability of the cut-down itself, then cross-checks the implication
 chain and the distance bracket.
 
-Where (2) gives a witness w, (3) and (4) are both read from it, through one
-batched factorization of the prefix norms of miss = w vh* - u per level:
-(3) at 25 sampled ramps, and (4) at f = (t - delta)_+, the cut-down being
-v f(|a|), which is the paper's (3)=>(4) step. Without a witness (below the
-distance on the disk, or wherever (2) fails) each runs its own extension
-decision. When ||a|| - delta <= 10 the cut ramp is the sampled ramp of slope
-1 and plateau 10, so on the witness path the "(3)=>(4)" cross-check compares
-two readings of one residual; what stays independent of (2) there are the
-"cond4 above/below bracket" checks against the distance.
+Where (2) gives a witness w, (3) and (4) are both read from it, through the
+prefix norms of miss = w vh* - u: (3) at 25 sampled ramps, and (4) at
+f = (t - delta)_+, the cut-down being v f(|a|), which is the paper's
+(3)=>(4) step. Without a witness (below the distance on the disk, or
+wherever (2) fails) each runs its own extension decision. When
+||a|| - delta <= 10 the cut ramp is the sampled ramp of slope 1 and plateau
+10, so on the witness path the "(3)=>(4)" cross-check compares two readings
+of one residual; what stays independent of (2) there are the "cond4
+above/below bracket" checks against the distance.
 
-`check_equivalences` holds its element while the report runs
-(`gridalg._holding`): the singular values and guard band are read once,
-for d = 1 the abs/phase spectrum is built once, and the bracket, every
-decision, cut-down and witness and `_ramp_bounds` share them; each probed
-level is tested against the spectrum once. The hold is dropped when the
-report returns, so the element keeps nothing. Each decision of a
-no-witness path holds its own derived element the same way. `_ramp_bounds`
-takes the ramps, and for d > 1 factorizes the prefixes of miss, only at the
-nodes where they can hold a maximum; for d = 1 it takes miss = w - u."""
+`check_equivalences` holds its element (`gridalg._holding`), so every
+decision shares one read of the singular values, and reads (2)-(4) for a
+scalar interval element at all probed levels in one pass over a level axis
+(`gridalg._line_reports`, `_scalar_ramps`); others go level by level."""
 
 from __future__ import annotations
 
@@ -38,11 +33,12 @@ from .gridalg import (
     MODULUS_SCREEN,
     ExtensionReport,
     GridElement,
+    _clear,
     _holding,
+    _line_reports,
     decide_extension,
     dist_to_regular,
     from_svd,
-    guard_band,
     lift_cutdown,
     sup_norm,
     uniform_gap_regular,
@@ -53,6 +49,7 @@ from .gridalg import (
 # them all; the bound is checked at these 25 sampled ramps
 RAMP_SLOPES = np.logspace(-1.0, 3.0, 5)
 RAMP_PLATEAUS = np.logspace(np.log10(0.1), np.log10(10.0), 5)
+SAMPLED = RAMP_SLOPES.size * RAMP_PLATEAUS.size
 RAMP_TOL = 1e-7
 # per unit of f: the rounding of w f(|a|) - v f(|a|), which w - v does not carry
 RAMP_ROUNDING = 16.0 * np.finfo(np.float64).eps
@@ -95,76 +92,87 @@ class EquivalenceReport:
         }
 
 
-def _ramps(delta: float, s: np.ndarray) -> np.ndarray:
-    """The sampled ramps at s, shape (slopes, plateaus, *s.shape)."""
+def _ramps(delta, s: np.ndarray) -> np.ndarray:
+    """The sampled ramps at s, slope-major, then the cut ramp: shape (26, *s.shape)."""
+    cut = np.maximum(s - delta, 0.0)
     tail = (1,) * s.ndim
-    return np.minimum(np.maximum(s - delta, 0.0) * RAMP_SLOPES.reshape(-1, 1, *tail),
-                      RAMP_PLATEAUS.reshape(-1, *tail))
+    sampled = np.minimum(cut * RAMP_SLOPES.reshape(-1, 1, *tail), RAMP_PLATEAUS.reshape(-1, *tail))
+    return np.concatenate([sampled.reshape(SAMPLED, *s.shape), cut[None]])
 
 
-def _ramp_bounds(ge: GridElement, delta: float, w: np.ndarray):
-    """((bounds, norms), (cut, cut_norm)): a bound on
-    max_k ||w f(|a|) - v f(|a|)|| and ||f(|a|)||, first per sampled ramp f,
-    each of shape (slopes, plateaus), then for the cut ramp (t - delta)_+.
+def _ramp_bounds(ge: GridElement, delta: float, w: np.ndarray) -> np.ndarray:
+    """For d > 1 (`_scalar_ramps` for d = 1): a bound on
+    max_k ||w f(|a|) - v f(|a|)|| for each f of `_ramps`, then ||f(|a|)||
+    for each, shape (52,).
 
     At node k the difference is miss diag(f(s)) vh, miss = w vh* - u. With s
     descending and f monotone it is the sum over j of (f(s_j) - f(s_j+1))
     times miss cut to its first j + 1 columns, whose norms c_kj bound every
-    f. A column that a nudged cut left free above delta is thus weighted by
-    its own small f(s_j). d > 1: one batched SVD of the prefixes with
-    s_kj > delta; at every other (k, j) each ramp vanishes on s_kj and
-    below, so the step weight is exactly 0.0 and c_kj is never read.
-
-    d > 1, the screen: only the nodes that can hold a maximum are
-    factorized. The steps of a ramp at node k are nonnegative and sum to
-    f(s_k0), and every c_kj it weights lies between lo_k, the norm of
-    miss's column 0 (the first prefix; prefix norms grow with j), and up_k,
-    the Frobenius norm of the columns above delta (which bounds the last
-    prefix). So the node's value lies in
-    [f(s_k0) (lo_k + RAMP_ROUNDING), f(s_k0) (up_k + RAMP_ROUNDING)], to a
-    few ulps. A node whose upper value falls short of the largest lower
-    value by more than MODULUS_SCREEN, relative, for every sampled ramp
-    and for the cut ramp, lies below that ramp's maximum, since the margin
-    is far above the rounding of either side or of LAPACK's s1; the node of
-    largest s is kept for the norms. The maxima are then the same floats.
-
-    d = 1: vh = 1, so miss = w - u and c = |miss|, and the ramps are taken
-    only at the nodes above delta where w != u, and at one node of largest
-    s. That is exact: every ramp is monotone in s under rounding, and so is
-    its product with c >= RAMP_ROUNDING, so a dropped node, where f(s) = 0
-    or c = RAMP_ROUNDING, never exceeds the node of largest s, and the
-    maxima are the same floats."""
+    f, so a column that a nudged cut left free above delta is weighted by
+    its own small f(s_j). One batched SVD factorizes the prefixes with
+    s_kj > delta (elsewhere the step weight is exactly 0.0), at the nodes
+    that can hold a maximum: a node's value lies in
+    [f(s_k0) (lo_k + RAMP_ROUNDING), f(s_k0) (up_k + RAMP_ROUNDING)], lo_k
+    the norm of miss's column 0 and up_k the Frobenius norm of its columns
+    above delta, and one whose upper value falls short of the largest lower
+    value by more than MODULUS_SCREEN, relative, for every ramp, cannot hold
+    one, as the margin is far above any rounding. The node of largest s is
+    kept for the norms. The maxima are the same floats as over every node."""
     u, s, vh = ge.spectrum()
-    if ge.is_scalar:
-        miss = w[:, 0, 0] - u[:, 0, 0]
-        at = np.append(np.flatnonzero((miss != 0) & (s[:, 0] > delta)), np.argmax(s[:, 0]))
-        s = s[at]
-        c = np.abs(miss[at])[:, None]
-    else:
-        miss = w @ vh.conj().transpose(0, 2, 1) - u
-        cols = (miss.real ** 2 + miss.imag ** 2).sum(axis=1)  # squared column norms
-        # f(s_k0) for every sampled ramp and the cut ramp, shape (26, n)
-        top = np.vstack([_ramps(delta, s[:, 0]).reshape(-1, len(s)),
-                         np.maximum(s[:, 0] - delta, 0.0)])
-        low = top * (np.sqrt(cols[:, 0]) + RAMP_ROUNDING)
-        high = top * (np.sqrt((cols * (s > delta)).sum(axis=1)) + RAMP_ROUNDING)
-        keep = (high >= low.max(axis=1, keepdims=True) * (1.0 - MODULUS_SCREEN)).any(axis=0)
-        keep[np.argmax(s[:, 0])] = True
-        at = np.flatnonzero(keep)
-        s, miss = s[at], miss[at]
-        c = np.zeros(s.shape)
-        k, j = np.nonzero(s > delta)
-        if k.size:
-            prefixes = miss[k] * np.tri(ge.dim)[j][:, None, :]
-            c[k, j] = np.linalg.svd(prefixes, compute_uv=False)[:, 0]
+    f = _ramps(delta, s)
+    miss = w @ vh.conj().transpose(0, 2, 1) - u
+    cols = (miss.real ** 2 + miss.imag ** 2).sum(axis=1)  # squared column norms
+    low = f[..., 0] * (np.sqrt(cols[:, 0]) + RAMP_ROUNDING)
+    high = f[..., 0] * (np.sqrt((cols * (s > delta)).sum(axis=1)) + RAMP_ROUNDING)
+    keep = (high >= low.max(axis=1, keepdims=True) * (1.0 - MODULUS_SCREEN)).any(axis=0)
+    keep[np.argmax(s[:, 0])] = True
+    at = np.flatnonzero(keep)
+    s, miss, f = s[at], miss[at], f[:, at]
+    c = np.zeros(s.shape)
+    k, j = np.nonzero(s > delta)
+    if k.size:
+        prefixes = miss[k] * np.tri(ge.dim)[j][:, None, :]
+        c[k, j] = np.linalg.svd(prefixes, compute_uv=False)[:, 0]
     c += RAMP_ROUNDING
+    steps = f.copy()  # f(s_j) - f(s_j+1), with f(s_d) = 0
+    steps[..., :-1] -= f[..., 1:]
+    return np.concatenate([(steps * c).sum(axis=-1).max(axis=-1), f[..., 0].max(axis=-1)])
 
-    def bound(f):
-        steps = f.copy()  # f(s_j) - f(s_j+1), with f(s_d) = 0
-        steps[..., :-1] -= f[..., 1:]
-        return (steps * c).sum(axis=-1).max(axis=-1), f[..., 0].max(axis=-1)
 
-    return bound(_ramps(delta, s)), bound(np.maximum(s - delta, 0.0))
+def _scalar_ramps(u: np.ndarray, s: np.ndarray, delta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`_ramp_bounds` of a scalar element with flat u and s at each level of
+    delta, shape (L,), with witnesses w, shape (L, n): shape (L, 52). Here
+    miss = w - u, and each level's ramps are taken, in one gather, only at
+    the nodes above it where w != u and at the node of largest s, with the
+    maxima from `np.maximum.reduceat`. That is exact: every ramp, and its
+    product with |miss| + RAMP_ROUNDING, is monotone in s under rounding, so
+    no dropped node (f(s) = 0 or miss = 0) exceeds the node of largest s."""
+    miss = w - u
+    at = (miss != 0) & (s > delta[:, None])
+    at[:, np.argmax(s)] = True
+    rows, cols = np.nonzero(at)
+    f = _ramps(delta[rows], s[cols])
+    top = np.concatenate([f * (np.abs(miss[rows, cols]) + RAMP_ROUNDING), f])
+    return np.maximum.reduceat(top, np.searchsorted(rows, np.arange(delta.size)), axis=1).T
+
+
+def _condition3(deltas: list, has_witness: bool, top: np.ndarray) -> list:
+    """Condition (3) at the levels deltas off their witnesses' ramp bounds,
+    shape (L, 52): with a condition-(2) witness it fails where a sampled
+    ramp's bound exceeds RAMP_TOL (1 + ||f||), and carries the cut ramp's."""
+    bounds = top[:, :SAMPLED]
+    failed = has_witness & (bounds > RAMP_TOL * (1.0 + top[:, SAMPLED + 1:-1]))
+    fails = failed.any(axis=1).tolist()
+    residuals = np.where(fails, bounds[np.arange(len(fails)), failed.argmax(axis=1)],
+                         bounds.max(axis=1)).tolist()
+    results = []
+    for delta, fail, residual, cut, norm in zip(deltas, fails, residuals,
+                                                top[:, SAMPLED].tolist(), top[:, -1].tolist()):
+        detail = {"ramp_residual" if fail else "max_ramp_residual": residual}
+        if has_witness:
+            detail.update(cut_residual=cut, cut_bound=RAMP_TOL * (1.0 + norm))
+        results.append(ConditionResult(delta=delta, holds=not fail, detail=detail))
+    return results
 
 
 def _min_positive_singular(s: np.ndarray) -> float:
@@ -188,30 +196,26 @@ def check_condition3(ge: GridElement, delta: float,
     """Polar decomposability of v f(|a|) for every f vanishing on [0, delta].
 
     A condition-(2) witness w decomposes every such f(|a|) as w f(|a|); (3)
-    fails when `_ramp_bounds` exceeds RAMP_TOL (1 + ||f||) at a sampled ramp.
-    The detail then also carries, for `check_condition4`, the bound at the
-    cut ramp (t - delta)_+ as `cut_residual` and its threshold as
-    `cut_bound`. Without a witness every such v f(|a|) has the same support,
-    so one extension decision serves them all, and its witness bounds the
-    report.
+    fails when its ramp bound exceeds RAMP_TOL (1 + ||f||) at a sampled
+    ramp, and carries the cut ramp's bound and threshold for
+    `check_condition4` (`_condition3`). Without a witness every such
+    v f(|a|) has the same support, so one extension decision serves them
+    all, and its witness bounds the report.
     """
     opcore.check_level(delta)
     has_witness = cond2 is not None and cond2.exists and cond2.witness is not None
     rep = cond2
-    if not has_witness:
-        u, s, vh = ge.spectrum()
-        rep = _decide_polar_decomposable(from_svd(ge.domain, u, _ramps(delta, s)[0, -1], vh))
+    u, s, vh = ge.spectrum()
+    if not has_witness:  # at the ramp of slope 0.1 and plateau 10
+        rep = _decide_polar_decomposable(
+            from_svd(ge.domain, u, _ramps(delta, s)[RAMP_PLATEAUS.size - 1], vh))
         if not rep.exists:
             return ConditionResult(delta=delta, holds=False,
                                    detail={"obstruction": rep.obstruction})
-    (bounds, norms), cut = _ramp_bounds(ge, delta, rep.witness.values)
-    failed = has_witness & (bounds > RAMP_TOL * (1.0 + norms))
-    detail = ({"ramp_residual": float(bounds[failed][0])} if failed.any()
-              else {"max_ramp_residual": float(bounds.max())})
-    if has_witness:
-        detail["cut_residual"] = float(cut[0])
-        detail["cut_bound"] = RAMP_TOL * (1.0 + float(cut[1]))
-    return ConditionResult(delta=delta, holds=not failed.any(), detail=detail)
+    w = rep.witness.values
+    top = (_scalar_ramps(u[:, 0, 0], s[:, 0], np.array([delta]), w.reshape(1, -1))
+           if ge.is_scalar else _ramp_bounds(ge, delta, w)[None])
+    return _condition3([delta], has_witness, top)[0]
 
 
 def check_condition4(ge: GridElement, delta: float,
@@ -220,11 +224,9 @@ def check_condition4(ge: GridElement, delta: float,
 
     With a condition-(2) witness w, c = w |c| decomposes it: the paper's
     (3)=>(4) step at f = (t - delta)_+. `cond3`, condition (3)'s result at
-    the same delta, then carries `cut_residual`, the bound of `_ramp_bounds`
-    at that f on the sup over the nodes of
-    ||w (|a| - delta)_+ - v (|a| - delta)_+||, read off the prefix norms that
-    (3) factorized for its own ramps, and (4) holds when it is at most
-    `cut_bound` = RAMP_TOL (1 + ||(|a| - delta)_+||).
+    the same delta, then carries `cut_residual`, the ramp bound at that f on
+    ||w (|a| - delta)_+ - v (|a| - delta)_+||, and (4) holds when it is at
+    most `cut_bound` = RAMP_TOL (1 + ||(|a| - delta)_+||).
 
     Without a witness (no `cond3`, a failed (2), or (3) decided without one)
     the decision is independent: the extension machinery at half the
@@ -246,13 +248,18 @@ def check_condition4(ge: GridElement, delta: float,
 def check_equivalences(ge: GridElement, gamma: float, delta_grid,
                        tol_bisect: float | None = None,
                        element_name: str = "element") -> EquivalenceReport:
+    """The bracket (1), at tol_bisect (2 grid spacings by default), and (2)-(4)
+    at each level of delta_grid, sorted, in a hold on ge (`gridalg._holding`).
+    ValueError when gamma or a level is not finite or a level is within the
+    guard band above gamma; SpectralCollision when a level cannot be cleared
+    of the singular values. A scalar interval element has its levels cleared
+    in turn, then (2)-(4) read at all of them from one pass over a level axis,
+    but for a level where (2) fails, which decides (3) and (4) on its own."""
     delta_grid = sorted(float(d) for d in delta_grid)
     if not all(math.isfinite(x) for x in (gamma, *delta_grid)):
         raise ValueError("gamma and every probed delta must be finite")
-    # the element's s, guard band and, for d = 1, spectrum, read once for
-    # every decision of the report and dropped when it returns
-    with _holding(ge):
-        eta = guard_band(ge)
+    with _holding(ge) as hold:
+        eta = hold.band
         if any(d <= gamma + eta for d in delta_grid):
             raise ValueError("all probed deltas must exceed gamma")
         h = ge.domain.max_spacing()
@@ -261,16 +268,22 @@ def check_equivalences(ge: GridElement, gamma: float, delta_grid,
 
         lower, upper = dist_to_regular(ge, tol_bisect)
 
+        line = ge.is_scalar and ge.domain.kind == "interval-1d"
+        if line:
+            reps, w = _line_reports(ge, [_clear(ge, x, hold.s, eta) for x in delta_grid])
+            c3s = _condition3(delta_grid, True, _scalar_ramps(
+                ge.spectrum()[0][:, 0, 0], hold.s, np.array(delta_grid), w))
+        else:  # lazily, so that each level is decided after the one before is checked
+            reps = (decide_extension(ge, delta) for delta in delta_grid)
         cond2, cond3, cond4 = [], [], []
         inconsistencies = []
-        for delta in delta_grid:
-            rep2 = decide_extension(ge, delta)
+        for k, (delta, rep2) in enumerate(zip(delta_grid, reps)):
             c2 = ConditionResult(delta=delta, holds=rep2.exists,
                                  detail={"modulus": rep2.witness_modulus,
                                          "bound": rep2.modulus_bound,
                                          **({"obstruction": rep2.obstruction}
                                             if rep2.obstruction else {})})
-            c3 = check_condition3(ge, delta, rep2)
+            c3 = c3s[k] if line and rep2.exists else check_condition3(ge, delta, rep2)
             c4 = check_condition4(ge, delta, c3)
             cond2.append(c2)
             cond3.append(c3)

@@ -26,8 +26,9 @@ from cstarreg.harness import (
     ConditionResult,
     EquivalenceReport,
     _decide_polar_decomposable,
+    _min_positive_singular,
     _ramp_bounds,
-    _ramps,
+    _scalar_ramps,
     check_condition3,
     check_condition4,
     check_equivalences,
@@ -142,7 +143,7 @@ class TestCondition3Bound:
                 holds, residuals, w = _reference_condition3(ge, delta, rep2)
                 assert check_condition3(ge, delta, rep2).holds == holds
                 if residuals is not None:
-                    (bounds, _), (cut, _) = _ramp_bounds(ge, delta, w)
+                    (bounds, _), (cut, _) = _bounds(ge, delta, w)
                     assert np.all(bounds >= residuals)
                     assert cut >= _direct_cut_residual(ge, delta, w)
                     bounded += 1
@@ -187,7 +188,22 @@ def _reference_ramp_bounds(ge, delta, w):
         steps[..., :-1] -= f[..., 1:]
         return (steps * c).sum(axis=-1).max(axis=-1), f[..., 0].max(axis=-1)
 
-    return bound(_ramps(delta, s)), bound(np.maximum(s - delta, 0.0))
+    cut = np.maximum(s - delta, 0.0)
+    return (bound(np.minimum(cut * RAMP_SLOPES[:, None, None, None], RAMP_PLATEAUS[:, None, None])),
+            bound(cut))
+
+
+def _bounds(ge, delta, w):
+    """`_ramp_bounds`, or for d = 1 `_scalar_ramps` at the one level delta,
+    as `_reference_ramp_bounds` gives them: ((bounds, norms), (cut, cut_norm)),
+    the first two of shape (slopes, plateaus)."""
+    if ge.is_scalar:
+        u, s, _ = ge.spectrum()
+        top = _scalar_ramps(u[:, 0, 0], s[:, 0], np.array([delta]), w.reshape(1, -1))[0]
+    else:
+        top = _ramp_bounds(ge, delta, w)
+    shape, n = (RAMP_SLOPES.size, RAMP_PLATEAUS.size), RAMP_SLOPES.size * RAMP_PLATEAUS.size
+    return (top[:n].reshape(shape), top[n + 1:-1].reshape(shape)), (top[n], top[-1])
 
 
 def _same_ramp_bounds(got, ref):
@@ -207,7 +223,7 @@ class TestRampBoundsMatchEveryPrefix:
             for delta in np.linspace(0.1, 0.9, 5) * sup_norm(ge):
                 w = decide_extension(ge, delta).witness.values
                 start = len(svd_inputs)
-                got = _ramp_bounds(ge, delta, w)
+                got = _bounds(ge, delta, w)
                 # one SVD of the weighted prefixes, none for d = 1
                 factorized = [shape[0] for shape, _ in svd_inputs[start:]]
                 if d == 1:
@@ -228,7 +244,7 @@ class TestRampBoundsMatchEveryPrefix:
                 for delta in np.linspace(0.1, 0.9, 5) * sup_norm(ge):
                     w = decide_extension(ge, delta).witness.values
                     start = len(svd_inputs)
-                    _ramp_bounds(ge, delta, w)
+                    _bounds(ge, delta, w)
                     factorized += sum(shape[0] for shape, _ in svd_inputs[start:])
                     above += np.count_nonzero(s > delta)
         assert 2 * factorized < above, (factorized, above)
@@ -245,7 +261,7 @@ class TestRampBoundsMatchEveryPrefix:
         ge = GridElement(domain=osc.domain, values=vals)
         rep = decide_extension(ge, 0.6)
         assert rep.delta > 0.6
-        got = _ramp_bounds(ge, 0.6, rep.witness.values)
+        got = _bounds(ge, 0.6, rep.witness.values)
         assert _same_ramp_bounds(got, _reference_ramp_bounds(ge, 0.6, rep.witness.values))
 
     def test_witness_off_u_at_supported_nodes(self):
@@ -260,7 +276,7 @@ class TestRampBoundsMatchEveryPrefix:
                 above = np.flatnonzero(s[:, 0] > delta)
                 turned = above[:: 3]
                 w[turned] *= np.exp(1j * np.linspace(0.01, 0.5, turned.size))[:, None, None]
-                assert _same_ramp_bounds(_ramp_bounds(ge, delta, w),
+                assert _same_ramp_bounds(_bounds(ge, delta, w),
                                          _reference_ramp_bounds(ge, delta, w))
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -278,8 +294,8 @@ class TestRampBoundsMatchEveryPrefix:
                 turned = w.copy()
                 angle = 0.5 * (1.0 - s[low, 0] / s[:, 0].max())
                 turned[low] = turned[low] * np.exp(1j * angle[:, None, None] * np.arange(d))
-                got = _ramp_bounds(ge, delta, turned)
-                assert not _same_ramp_bounds(got, _ramp_bounds(ge, delta, w))
+                got = _bounds(ge, delta, turned)
+                assert not _same_ramp_bounds(got, _bounds(ge, delta, w))
                 assert _same_ramp_bounds(got, _reference_ramp_bounds(ge, delta, turned))
 
     def test_constant_matrix_unitary(self):
@@ -288,10 +304,10 @@ class TestRampBoundsMatchEveryPrefix:
         ge = GridElement(domain=interval_domain(64), values=vals)
         for delta in (0.1, 0.5, 0.9):
             w = decide_extension(ge, delta).witness.values
-            assert _same_ramp_bounds(_ramp_bounds(ge, delta, w),
+            assert _same_ramp_bounds(_bounds(ge, delta, w),
                                      _reference_ramp_bounds(ge, delta, w))
             w = w * np.exp(0.3j * np.linspace(0.0, 1.0, 64))[:, None, None]
-            assert _same_ramp_bounds(_ramp_bounds(ge, delta, w),
+            assert _same_ramp_bounds(_bounds(ge, delta, w),
                                      _reference_ramp_bounds(ge, delta, w))
 
     def test_tied_singular_values(self):
@@ -299,15 +315,15 @@ class TestRampBoundsMatchEveryPrefix:
         ge = gallery.gallery("const-unitary", 64)
         for delta in (0.1, 0.5, 0.9):
             w = decide_extension(ge, delta).witness.values
-            assert _same_ramp_bounds(_ramp_bounds(ge, delta, w),
+            assert _same_ramp_bounds(_bounds(ge, delta, w),
                                      _reference_ramp_bounds(ge, delta, w))
             w = w * np.exp(0.3j * np.linspace(0.0, 1.0, 64))[:, None, None]
-            assert _same_ramp_bounds(_ramp_bounds(ge, delta, w),
+            assert _same_ramp_bounds(_bounds(ge, delta, w),
                                      _reference_ramp_bounds(ge, delta, w))
 
     def test_negative_zero_parts(self):
         """A real field stored with -0.0 imaginary parts, which u keeps:
-        the witness has the bytes of the transport of the stacked product
+        on the support the witness has the bytes of the stacked product
         u @ vh, which turns them into +0.0, and the bounds match."""
         t = np.linspace(0.0, 1.0, 128)
         vals = np.empty((128, 1, 1), dtype=complex)
@@ -317,11 +333,12 @@ class TestRampBoundsMatchEveryPrefix:
         u, s, vh = ge.spectrum()
         assert np.signbit(u.imag).all()
         for delta in (0.05, 0.3, 0.6, 0.9):
-            keeps = s > decide_extension(ge, delta).delta
-            w = gridalg._transport(u, vh, keeps)
-            assert w.tobytes() == gridalg._transport(u @ vh, vh, keeps).tobytes()
+            cut = decide_extension(ge, delta).delta
+            keeps = s[:, 0] > cut
+            w = gridalg._frame_witness(ge, cut).values
+            assert w[keeps].tobytes() == (u @ vh)[keeps].tobytes()
             assert not np.signbit(w.imag[keeps]).any()
-            assert _same_ramp_bounds(_ramp_bounds(ge, delta, w),
+            assert _same_ramp_bounds(_bounds(ge, delta, w),
                                      _reference_ramp_bounds(ge, delta, w))
 
     def test_nothing_above_the_cut(self, svd_inputs):
@@ -329,7 +346,7 @@ class TestRampBoundsMatchEveryPrefix:
         ge.spectrum()
         w = gridalg._frame_witness(ge, 2.0 * sup_norm(ge)).values
         start = len(svd_inputs)
-        got = _ramp_bounds(ge, 2.0 * sup_norm(ge), w)
+        got = _bounds(ge, 2.0 * sup_norm(ge), w)
         assert svd_inputs[start:] == []
         assert _same_ramp_bounds(got, _reference_ramp_bounds(ge, 2.0 * sup_norm(ge), w))
 
@@ -386,7 +403,7 @@ class TestCondition4FromWitness:
                     assert c4.detail["path"] == "witness"
                     # below ||a|| - delta = 10 the cut ramp is the sampled
                     # ramp of slope 1 and plateau 10, bit for bit
-                    (bounds, _), (cut, _) = _ramp_bounds(ge, delta, rep2.witness.values)
+                    (bounds, _), (cut, _) = _bounds(ge, delta, rep2.witness.values)
                     assert RAMP_SLOPES[1] == 1.0 and RAMP_PLATEAUS[-1] == 10.0
                     assert cut == bounds[1, -1] == c4.detail["cut_residual"]
                     witnessed += 1
@@ -567,6 +584,192 @@ class TestReportMatchesPublicCalls:
             got = check_equivalences(ge, 0.0, deltas, tol_bisect=tol).to_dict()
             ref = _reference_report(ge, 0.0, deltas, tol).to_dict()
             assert json.dumps(got, sort_keys=True) == json.dumps(ref, sort_keys=True)
+
+
+def _reference_scalar_decision(ge, delta):
+    """decide_extension on a scalar interval element as `_report`,
+    `_modulus_bound` and the d = 1 `_transport` ran it, one level at a
+    time: the level cleared off s = |f|, the bound
+    10 modulus(u (s - delta)_+ + 0.0) / spread, and the witness u + 0.0 on
+    the support, an index fill off it and the closed-form geodesic over
+    interior free runs, held to the bound."""
+    f = ge.values[:, 0, 0]
+    s = np.abs(f)
+    u = np.ones(f.shape, dtype=complex)
+    np.divide(f.real, s, out=u.real, where=s > 0)
+    np.divide(f.imag, s, out=u.imag, where=s > 0)
+    delta = opcore.clear_of(delta, s, opcore.eta_sep(float(s.max(initial=0.0))))
+    spread = delta - float(s[s < delta].max(initial=0.0))
+    cut = u * np.maximum(s - delta, 0.0) + 0.0
+    bound = 10.0 * float(np.abs(cut[1:] - cut[:-1]).max()) / spread if spread > 0 else math.inf
+    supported, idx = s > delta, np.arange(s.size)
+    left = np.maximum.accumulate(np.where(supported, idx, int(np.argmax(supported))))
+    right = np.minimum.accumulate(np.where(supported, idx, s.size)[::-1])[::-1]
+    w = (u + 0.0)[left]
+    bridged = (idx > left) & (right < s.size)
+    if bridged.any():
+        w1, w2 = w[left[bridged]], w[right[bridged]]
+        frac = (idx[bridged] - left[bridged]) / (right[bridged] - left[bridged])
+        w[bridged] = w1 * np.exp(1j * frac * np.angle(w1.conj() * w2))
+    mod = float(np.abs(w[1:] - w[:-1]).max())
+    exists = mod <= bound + opcore.MODULUS_SLACK
+    return ExtensionReport(
+        exists=exists, witness=GridElement(ge.domain, w.reshape(-1, 1, 1)) if exists else None,
+        obstruction=None if exists else {"kind": "frame-transport", "modulus": mod},
+        witness_modulus=mod, modulus_bound=bound, delta=delta)
+
+
+def _reference_scalar_decomposable(ge):
+    """`_decide_polar_decomposable` by `_reference_scalar_decision`."""
+    return _reference_scalar_decision(ge, _min_positive_singular(np.abs(ge.values).ravel()) / 2.0)
+
+
+def _reference_scalar_condition3(ge, delta, rep2):
+    """check_condition3 on a scalar element as it ran one level at a time,
+    with the d = 1 `_ramp_bounds`: the ramps at the probed delta, at the
+    nodes above it where w != u and at one node of largest s."""
+    rep = rep2
+    if not rep2.exists:
+        u, s, vh = ge.spectrum()
+        f0 = np.minimum(np.maximum(s - delta, 0.0) * RAMP_SLOPES[0], RAMP_PLATEAUS[-1])
+        rep = _reference_scalar_decomposable(from_svd(ge.domain, u, f0, vh))
+        if not rep.exists:
+            return ConditionResult(delta=delta, holds=False, detail={"obstruction": rep.obstruction})
+    u, s, _ = ge.spectrum()
+    miss = rep.witness.values[:, 0, 0] - u[:, 0, 0]
+    at = np.append(np.flatnonzero((miss != 0) & (s[:, 0] > delta)), np.argmax(s[:, 0]))
+    c = np.abs(miss[at])[:, None] + RAMP_ROUNDING
+    cut = np.maximum(s[at] - delta, 0.0)
+    ramps = np.minimum(cut * RAMP_SLOPES[:, None, None, None], RAMP_PLATEAUS[:, None, None])
+    bounds, norms = (ramps * c).sum(axis=-1).max(axis=-1), ramps[..., 0].max(axis=-1)
+    failed = rep2.exists & (bounds > RAMP_TOL * (1.0 + norms))
+    detail = ({"ramp_residual": float(bounds[failed][0])} if failed.any()
+              else {"max_ramp_residual": float(bounds.max())})
+    if rep2.exists:
+        detail["cut_residual"] = float((cut * c).sum(axis=-1).max())
+        detail["cut_bound"] = RAMP_TOL * (1.0 + float(cut[..., 0].max()))
+    return ConditionResult(delta=delta, holds=not failed.any(), detail=detail)
+
+
+def _reference_scalar_report(ge, gamma, deltas, tol):
+    """check_equivalences on a scalar interval element decided one level
+    at a time by the references above; the bracket from dist_to_regular on
+    a fresh copy."""
+    deltas = sorted(float(d) for d in deltas)
+    h = ge.domain.max_spacing()
+    lower, upper = dist_to_regular(GridElement(ge.domain, ge.values.copy()), tol)
+    cond2, cond3, cond4, broken = [], [], [], []
+    for delta in deltas:
+        rep2 = _reference_scalar_decision(ge, delta)
+        c2 = ConditionResult(delta=delta, holds=rep2.exists,
+                             detail={"modulus": rep2.witness_modulus, "bound": rep2.modulus_bound,
+                                     **({"obstruction": rep2.obstruction}
+                                        if rep2.obstruction else {})})
+        c3 = _reference_scalar_condition3(ge, delta, rep2)
+        if "cut_residual" in c3.detail:
+            residual, bound = c3.detail["cut_residual"], c3.detail["cut_bound"]
+            c4 = ConditionResult(delta=delta, holds=residual <= bound,
+                                 detail={"path": "witness", "cut_residual": residual,
+                                         "cut_bound": bound})
+        else:
+            rep4 = _reference_scalar_decomposable(lift_cutdown(ge, delta))
+            c4 = ConditionResult(delta=delta, holds=rep4.exists, detail={
+                "path": "decision", **({"obstruction": rep4.obstruction}
+                                       if rep4.obstruction else {})})
+        cond2.append(c2)
+        cond3.append(c3)
+        cond4.append(c4)
+        for failed, name in ((c2.holds and not c3.holds, "(2)=>(3)"),
+                             (c3.holds and not c4.holds, "(3)=>(4)"),
+                             (delta > upper + BRACKET_BAND * h and not c4.holds,
+                              "cond4 above bracket"),
+                             (lower > 0 and delta < lower - BRACKET_BAND * h and c4.holds,
+                              "cond4 below bracket")):
+            if failed:
+                broken.append({"delta": delta, "broken": name})
+    return EquivalenceReport(
+        element="element", gamma=gamma, delta_grid=deltas, cond1=(lower, upper), cond2=cond2,
+        cond3=cond3, cond4=cond4, verdict="inconsistent" if broken else "consistent",
+        inconsistencies=broken)
+
+
+def _report_bytes(rep):
+    """The report's dict and the details of (3) and (4), as JSON."""
+    return json.dumps([rep.to_dict(), [c.detail for c in rep.cond3 + rep.cond4]], sort_keys=True)
+
+
+def _decision_bytes(rep):
+    witness = None if rep.witness is None else rep.witness.values.tobytes().hex()
+    return json.dumps([rep.exists, rep.obstruction, rep.witness_modulus, rep.modulus_bound,
+                       rep.delta, witness], sort_keys=True)
+
+
+def _unimodular(n=128):
+    """exp(3i sin 2 pi t): |f| = 1, so with nothing below delta the bound
+    10 modulus(cut-down) / delta falls below the witness modulus above about
+    10/11, and (3) and (4) take the no-witness path there."""
+    t = np.linspace(0.0, 1.0, n)
+    return GridElement(interval_domain(n), np.exp(3j * np.sin(2.0 * np.pi * t)).reshape(-1, 1, 1))
+
+
+class TestScalarLevelAxisMatchesPerLevel:
+    """check_equivalences and decide_extension on scalar interval elements,
+    decided over a level axis, against `_reference_scalar_report` and
+    `_reference_scalar_decision`, byte for byte."""
+
+    def _check(self, ge, deltas, tol=None):
+        deltas = [float(d) for d in deltas]
+        tol = 2.0 * ge.domain.max_spacing() if tol is None else tol
+        got = check_equivalences(ge, 0.0, deltas, tol_bisect=tol)
+        assert _report_bytes(got) == _report_bytes(_reference_scalar_report(ge, 0.0, deltas, tol))
+        for delta in deltas:
+            assert (_decision_bytes(decide_extension(ge, delta))
+                    == _decision_bytes(_reference_scalar_decision(ge, delta)))
+        return got
+
+    @pytest.mark.parametrize("n", [32, 128, 257])
+    def test_gallery(self, n):
+        for name in ("osc", "osc-bounded", "linear", "const-unitary"):
+            ge = gallery.gallery(name, n)
+            self._check(ge, list(np.linspace(0.1, 0.9, 5) * sup_norm(ge)))
+
+    @pytest.mark.parametrize("n", [33, 128, 512])
+    def test_seeded_fields(self, n):
+        for seed in range(40):
+            ge = gallery.random_scalar_field_1d(n, np.random.default_rng(8700 + seed))
+            self._check(ge, [frac * sup_norm(ge) for frac in (0.25, 0.5, 0.75)], tol=0.005)
+
+    def test_nudged_and_above_the_sup_norm(self):
+        """Levels on a sample's |f|, which are moved off it, and above the
+        sup-norm, where the support is empty."""
+        nudged = above = 0
+        for seed in range(8):
+            ge = gallery.random_scalar_field_1d(128, np.random.default_rng(8800 + seed))
+            mags = np.abs(ge.values[:, 0, 0])
+            deltas = [float(mags[20 + 9 * seed]), float(mags[77]), 1.5 * float(mags.max())]
+            rep = self._check(ge, deltas)
+            cut = [decide_extension(ge, d).delta for d in rep.delta_grid]
+            nudged += sum(c > d for c, d in zip(cut, rep.delta_grid))
+            above += rep.cond2[-1].holds and rep.cond2[-1].detail["modulus"] == 0.0
+        assert nudged >= 8 and above == 8
+
+    def test_duplicate_and_no_levels(self):
+        ge = gallery.random_scalar_field_1d(128, np.random.default_rng(8900))
+        top = sup_norm(ge)
+        rep = self._check(ge, [0.5 * top, 0.25 * top, 0.5 * top, 0.25 * top])
+        assert rep.cond2[0].detail == rep.cond2[1].detail and rep.cond3[2] == rep.cond3[3]
+        rep = self._check(ge, [])
+        assert rep.cond2 == rep.cond3 == rep.cond4 == []
+
+    def test_failing_witness(self):
+        """exp(3i sin 2 pi t) at 0.5 and 0.9, where (2) holds, and at 0.95
+        and 0.99, where its witness fails the bound and (3) and (4) decide
+        without one."""
+        rep = self._check(_unimodular(), [0.5, 0.9, 0.95, 0.99])
+        assert [c.holds for c in rep.cond2] == [True, True, False, False]
+        assert [c.detail["path"] for c in rep.cond4] == ["witness", "witness", "decision",
+                                                         "decision"]
+        assert all("cut_residual" not in c.detail for c in rep.cond3[2:])
 
 
 class TestRegularApproximant:

@@ -23,7 +23,14 @@ import numpy as np
 
 from cstarreg import gallery, harness
 from cstarreg.errors import PhaseUnwrapAliasing, SpectralCollision
-from cstarreg.gridalg import GridElement, decide_extension, disk_domain, dist_to_regular, sup_norm
+from cstarreg.gridalg import (
+    GridElement,
+    decide_extension,
+    disk_domain,
+    dist_to_regular,
+    interval_domain,
+    sup_norm,
+)
 
 PINNED = Path(__file__).resolve().parent / "data" / "pinned_decisions.json"
 RTOL = 1e-12
@@ -110,6 +117,21 @@ def pinned_records() -> dict:
         ge = _with_zeros(gallery.random_scalar_field_2d(32, 128, rng, winding=seed % 4), rng)
         records[f"disk 32 x 128 seed {seed} with zeros"] = _disk_decisions(
             ge, fractions=(0.002, 0.01, 0.03, 0.1, 0.25, 0.5))
+    # scalar interval reports: exp(3i sin 2 pi t), whose witness fails its
+    # bound above 10/11 and whose support is empty above 1, seeded fields at
+    # the benchmark's fractions, and levels on a sample's |f| (nudged) and
+    # above the sup-norm
+    t = np.linspace(0.0, 1.0, 128)
+    ge = GridElement(interval_domain(128), np.exp(3j * np.sin(2.0 * np.pi * t)).reshape(-1, 1, 1))
+    records["exp(3i sin 2 pi t) 128"] = _report(ge, 0.0, [0.5, 0.9, 0.95, 0.99, 1.2])
+    for n in (128, 256, 512):
+        ge = gallery.random_scalar_field_1d(n, np.random.default_rng(3000 + n))
+        records[f"interval {n} seed {3000 + n}"] = _report(
+            ge, 0.0, [frac * sup_norm(ge) for frac in (0.25, 0.5, 0.75)], tol_bisect=0.005)
+    ge = gallery.random_scalar_field_1d(128, np.random.default_rng(3001))
+    mags = np.abs(ge.values[:, 0, 0])
+    records["interval 128 seed 3001 nudged and above the sup-norm"] = _report(
+        ge, 0.0, [float(mags[40]), float(mags[90]), 1.5 * float(mags.max())])
     return records
 
 
