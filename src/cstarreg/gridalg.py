@@ -13,12 +13,12 @@ coordinates of the pointwise SVD. The modulus of an element reads its jumps
 as slices of the layout for d = 1; for d > 1 it screens them by cheap norm
 bounds and factorizes only those that can hold the maximum. The 2-D scalar
 procedure decides by discrete Stokes on the polar grid
-(`polar_extension_2d_scalar`): the element keeps the phase data that no cut
-level changes (`_disk_phase`), and a decision labels the holes of the
-support by runs of free nodes along the rings and a union-find over their
-contacts (`_blocked_windings`). On both domains `dist_to_regular` decides
-the lowest bisection rung first, which settles the bracket in one decision
-whenever the distance is 0, as everywhere in C([0,1], M_d).
+(`polar_extension_2d_scalar`) with the phase machinery of `disk`: the
+element keeps the phase data that no cut level changes (`_disk_phase`), and
+a decision labels the holes of the support (`_blocked_windings`). On both
+domains `dist_to_regular` decides the lowest bisection rung first, which
+settles the bracket in one decision whenever the distance is 0, as
+everywhere in C([0,1], M_d).
 
 Every entry point reads the element's flat singular values s once and
 derives the guard band, the collision test, the modulus bound and the
@@ -33,7 +33,12 @@ The bisection decides each level by `_extends`, which shares the
 cannot fail: every witness is unitary at every node, or zero, so its
 modulus is at most WITNESS_MODULUS_MAX = 2 to rounding, and where the
 modulus bound is at least that, the answer is the winding decision alone.
-So `_extends` agrees with `decide_extension(...).exists` at every level.
+Three certificates read off data that no level changes decide most steps
+without labels or a cut-down: below the disk floor some hole is blocked,
+at or above the disk ceiling none is (`disk._DiskPhase`), and where
+`_path_bound` reaches 2 so does the modulus bound. Each proves the answer
+of the full step, so `_extends` still agrees with
+`decide_extension(...).exists` at every level.
 Elements whose values are not finite are refused (ValueError) by the
 guard band, which every decision asks first.
 """
@@ -44,14 +49,14 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import NamedTuple
 
 import numpy as np
 
 from . import levels, opcore
+from .disk import _aliasing, _blocked_windings, _disk_phase, _DiskPhase, _principal
+from .disk import _phase_witness as _disk_witness
 from .errors import PhaseUnwrapAliasing, SpectralCollision
 
-ALIAS_GUARD = np.pi / 2  # max tolerated adjacent-point phase jump
 # |det m| / ||m||_F^2 (about s2/s1) at or below which det m is rounding of
 # zero and the 2 x 2 polar factor comes from the SVD
 POLAR2_DET_FLOOR = opcore.TAU_NONZERO
@@ -111,6 +116,14 @@ class GridDomain:
         if self.kind == "interval-1d":
             return 1.0 / (self.n_points - 1)
         return max(1.0 / self.n_radial, 2.0 * np.pi / self.n_angular)
+
+    def diameter(self) -> int:
+        """The most edges of `edge_arrays` that a shortest path between two
+        nodes takes: along the interval, or across the rings and half way
+        round one."""
+        if self.kind == "interval-1d":
+            return self.n_points - 1
+        return self.n_radial - 1 + self.n_angular // 2
 
 
 @lru_cache(maxsize=64)
@@ -251,11 +264,13 @@ def _scalar_spectrum(values: np.ndarray, s: np.ndarray):
 @dataclass
 class _Hold:
     """What a hold (`_holding`) keeps of its element while it runs: the
-    flat singular values s, their guard band, and the levels already found
-    clear of s (each one the result of opcore.clear_of)."""
+    flat singular values s, their guard band, the smallest node norm
+    min_k s_k0 (for `_path_bound`), and the levels already found clear of s
+    (each one the result of opcore.clear_of)."""
 
     s: np.ndarray
     band: float
+    low: float
     clear: set = field(default_factory=set)
 
 
@@ -270,7 +285,7 @@ def _holding(ge: GridElement):
         yield ge._hold
         return
     s = ge.singular_values().ravel()
-    ge._hold = _Hold(s, _band(s))
+    ge._hold = _Hold(s, _band(s), _low(ge, s))
     if ge.is_scalar:
         ge._svd = _scalar_spectrum(ge.values, s)
     try:
@@ -288,6 +303,11 @@ def _read(ge: GridElement):
         return ge._hold.s, ge._hold.band
     s = ge.singular_values().ravel()
     return s, _band(s)
+
+
+def _low(ge: GridElement, s: np.ndarray) -> float:
+    """min_k s_k0, the smallest node norm, off the flat singular values s."""
+    return float(s.reshape(len(ge.values), -1)[:, 0].min())
 
 
 def _clear(ge: GridElement, level: float, s: np.ndarray, band: float) -> float:
@@ -395,13 +415,41 @@ def uniform_gap_regular(ge: GridElement, gap_min: float | None = None):
     return gap >= gap_min, gap
 
 
+def _spread(delta: float, s: np.ndarray) -> float:
+    """The distance from delta to the nearest of the values s below it (to 0 if none is)."""
+    return delta - float(s[s < delta].max(initial=0.0))
+
+
 def _modulus_bound(ge: GridElement, delta: float, s: np.ndarray) -> float:
     """Perturbation-style bound on the allowed witness modulus, with s the
     element's flat singular values."""
-    spread = delta - float(s[s < delta].max(initial=0.0))  # to the nearest s below
+    spread = _spread(delta, s)
     if spread <= 0:
         return math.inf
     return MODULUS_BOUND_FACTOR * _modulus(ge.domain, _cut(ge, delta, s)) / spread
+
+
+def _path_bound(ge: GridElement, delta: float, s: np.ndarray, band: float) -> float:
+    """A lower bound on `_modulus_bound(ge, delta, s)` that forms no
+    cut-down, with band the guard band of s:
+    MODULUS_BOUND_FACTOR (max c - min c) / (2 D max(spread, band)), with
+    c_k = (s_k0 - delta)_+ the cut-down's norm at node k and D the domain's
+    `diameter`.
+
+    Proof. A path of at most D edges joins the node of largest c to that of
+    smallest, and a jump's norm is at least the difference of the norms at
+    its ends, so the cut-down's modulus is at least (max c - min c) / D.
+    Taking spread at least the band, which it exceeds anyway unless no s
+    lies below delta, only lowers the bound. The computed modulus and c
+    are within a few ulps of ||a|| of the exact ones, and the spread within
+    an ulp of itself. Where this bound is at least WITNESS_MODULUS_MAX,
+    max c - min c >= 0.4 D band >= 4e-9 D (1 + ||a||), so that rounding is
+    below 1e-6 of max c - min c, and the factor 2 covers it many times
+    over."""
+    low = ge._hold.low if ge._hold is not None else _low(ge, s)
+    rise = max(float(s.max()) - delta, 0.0) - max(low - delta, 0.0)
+    spread = max(_spread(delta, s), band)
+    return MODULUS_BOUND_FACTOR * rise / (2.0 * ge.domain.diameter() * spread)
 
 
 def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
@@ -657,270 +705,6 @@ def _geodesic(w1: np.ndarray, w2: np.ndarray, frac: np.ndarray) -> np.ndarray:
     return uu @ vv
 
 
-def _principal(x):
-    """Principal value of an angle difference, in [-pi, pi)."""
-    return (x + np.pi) % (2.0 * np.pi) - np.pi
-
-
-class _DiskPhase(NamedTuple):
-    """The phase data of a scalar disk element that no cut level changes.
-
-    ang, rad: the integer jumps (wrap(dphi) - dphi) / 2 pi of the angular
-    edges (j, m) -> (j, m+1), shape (nr, nt), and of the radial edges
-    (j, m) -> (j+1, m), shape (nr - 1, nt); int8, as every jump is -1, 0
-    or 1. charged, charges: the flat index (that of node (j, m) for quad
-    (j, m)) and the charge of each charged quad; centre: the charge of the
-    centre polygon (`_face_charges`). alias_level: the largest
-    min(|f_i|, |f_j|) over the edges whose wrapped step exceeds ALIAS_GUARD
-    (-inf when there is none), so an edge inside the support {|f| > delta}
-    aliases iff delta < alias_level.
-    """
-
-    ang: np.ndarray
-    rad: np.ndarray
-    charged: np.ndarray
-    charges: np.ndarray
-    centre: int
-    alias_level: float
-
-
-def _wrapped_steps(ge: GridElement):
-    """(wrapped, raw) phase steps along the edges of `edge_arrays`."""
-    left, right = ge.domain.edge_arrays()  # angular edges first, both in flat order
-    phase = np.angle(ge.values[:, 0, 0])
-    dphi = phase[right] - phase[left]
-    return _principal(dphi), dphi
-
-
-def _disk_phase(ge: GridElement) -> _DiskPhase:
-    """The `_DiskPhase` of a scalar disk element, computed on first use and
-    kept on it, as `spectrum()` keeps the SVD. It keeps about 2 bytes per
-    node: the float phase and steps would hold 16 per edge."""
-    if ge._phase is None:
-        dom = ge.domain
-        nr, nt = dom.n_radial, dom.n_angular
-        step, dphi = _wrapped_steps(ge)
-        jump = np.rint((step - dphi) / (2.0 * np.pi)).astype(np.int8)
-        ang, rad = jump[: nr * nt].reshape(nr, nt), jump[nr * nt:].reshape(nr - 1, nt)
-        quads, centre = _face_charges(ang, rad)
-        charged = np.flatnonzero(quads)
-        aliased = np.abs(step) > ALIAS_GUARD
-        level = -math.inf
-        if aliased.any():
-            left, right = dom.edge_arrays()
-            mags = np.abs(ge.values[:, 0, 0])
-            level = float(np.minimum(mags[left[aliased]], mags[right[aliased]]).max())
-        ge._phase = _DiskPhase(ang, rad, charged, quads.ravel()[charged], centre, level)
-    return ge._phase
-
-
-def _aliasing(ge: GridElement, delta: float) -> PhaseUnwrapAliasing:
-    """The error for the first edge inside the support {|f| > delta} whose
-    wrapped step exceeds ALIAS_GUARD."""
-    left, right = ge.domain.edge_arrays()
-    step, _ = _wrapped_steps(ge)
-    support = np.abs(ge.values[:, 0, 0]) > delta
-    k = int(np.argmax(support[left] & support[right] & (np.abs(step) > ALIAS_GUARD)))
-    return PhaseUnwrapAliasing(
-        f"phase jump {abs(step[k]):.3f} > pi/2 between nodes {left[k]} and "
-        f"{right[k]}; refine the grid")
-
-
-def _face_charges(ang: np.ndarray, rad: np.ndarray):
-    """Counterclockwise circulations of the edge jumps: (quads, centre).
-    Quad (j, m) runs (j, m) -> (j+1, m) -> (j+1, m+1) -> (j, m+1); the
-    centre polygon is ring 0. With one orientation for all faces, the quad
-    charges and the centre charge sum to the circulation along the rim."""
-    quads = rad + ang[1:] - np.roll(rad, -1, axis=1) - ang[:-1]
-    return quads, int(ang[0].sum())
-
-
-def _run_starts(mask: np.ndarray) -> np.ndarray:
-    """Where a run of set nodes along a ring of an (nr, nt) mask begins, the
-    seam (column nt - 1 -> 0) cutting every run."""
-    starts = mask.copy()
-    starts[:, 1:] &= ~mask[:, :-1]
-    return starts
-
-
-def _ring_runs(mask: np.ndarray):
-    """The runs of set nodes along each ring of an (nr, nt) mask, cut at the
-    seam: the run of each node, numbered in flat order of the runs' first
-    nodes (-1 off the mask), shape (nr, nt), and the flat index of each
-    run's first node."""
-    starts = _run_starts(mask)
-    runs = np.cumsum(starts) - 1
-    runs[~mask.ravel()] = -1
-    return runs.reshape(mask.shape), np.flatnonzero(starts)
-
-
-def _overlaps(mask: np.ndarray) -> np.ndarray:
-    """The flat index of the first node (j, m) of each stretch of columns
-    set on both ring j and ring j + 1: one for each pair of runs of adjacent
-    rings that share a column, as two runs cut at the seam overlap in one
-    stretch."""
-    return np.flatnonzero(_run_starts(mask[:-1] & mask[1:]))
-
-
-def _beside(idx: np.ndarray, nt: int) -> np.ndarray:
-    """The flat index of node (j, m+1) for node (j, m), across the seam."""
-    return idx + np.where(idx % nt == nt - 1, 1 - nt, 1)
-
-
-def _blocked_windings(phase: _DiskPhase, free: np.ndarray) -> list:
-    """Sorted |total charge| of the blocked holes of the support.
-
-    A hole is a connected set of free (non-support) nodes, 8-connected,
-    together with the faces that touch it; the free nodes of ring 0 are one
-    hole, joined through the centre polygon, and a charged face with no free
-    corner is a hole on its own. The winding of the phase along any support
-    cycle is the sum of the charges it encloses, so a hole with non-zero
-    total charge blocks the extension unless it reaches the rim, where no
-    support cycle can enclose it.
-
-    Holes are labelled by runs (Rosenfeld & Pfaltz, JACM 13(4), 1966): the
-    free runs of each ring, cut at the seam and numbered in flat order, are
-    joined by a union-find across the seam, all of ring 0 to its first run,
-    and each to the runs of the next ring it touches: where they share a
-    column (`_overlaps`) or, diagonally, where one ends at column m and the
-    other starts at m + 1 (every other diagonal contact is also a path
-    through a shared column or along a ring). A node's run, the last to
-    start at or before it, is looked up (`searchsorted`) only where it is
-    read: at the nodes of each contact and at the first free corner, which
-    the mask gives, of each charged quad.
-    """
-    charged, charges, centre = phase.charged, phase.charges, phase.centre
-    if not charged.size and centre == 0:
-        return []
-    nr, nt = free.shape
-    first = np.flatnonzero(_run_starts(free))
-    after = np.concatenate([free[:, 1:], free[:, :1]], axis=1)  # free at the next column
-    ends, begins = free & ~after, after & ~free
-    out = np.flatnonzero(ends[:-1] & begins[1:])  # (j, m) touches (j+1, m+1)
-    into = np.flatnonzero(begins[:-1] & ends[1:])  # (j, m+1) touches (j+1, m)
-    shared = _overlaps(free)
-    seam = np.flatnonzero(free[:, 0] & free[:, -1]) * nt  # node (j, 0) of each ring
-    # corners (j, m), (j, m+1), (j+1, m), (j+1, m+1) of each charged quad
-    beside = _beside(charged, nt)
-    corners = np.column_stack([charged, beside, charged + nt, beside + nt])
-    free_corner = free.ravel()[corners]
-    touches = free_corner.any(axis=1)
-    # each open quad hands its charge to the hole of its first free corner
-    holder = corners[np.arange(charged.size), free_corner.argmax(axis=1)][touches]
-    # contact k joins the runs of nodes k and k + joins
-    nodes = [shared, out, _beside(into, nt), seam + nt - 1,
-             shared + nt, _beside(out, nt) + nt, into + nt, seam, holder]
-    labels = np.searchsorted(first, np.concatenate(nodes), side="right") - 1
-    joins = (labels.size - holder.size) // 2
-    ring0 = np.arange(np.searchsorted(first, nt))  # ring 0's runs are the first labels
-    root = _roots(first.size, np.concatenate([labels[:joins], np.zeros_like(ring0)]),
-                  np.concatenate([labels[joins:2 * joins], ring0]))
-    windings = set(np.abs(charges[~touches]).tolist())
-    total = np.zeros(first.size, dtype=np.int64)
-    np.add.at(total, root[labels[2 * joins:]], charges[touches])
-    if ring0.size:
-        total[0] += centre
-    elif centre:
-        windings.add(abs(centre))
-    total[root[first >= (nr - 1) * nt]] = 0  # holes that reach the rim block nothing
-    windings.update(np.abs(total[total != 0]).tolist())
-    return sorted(windings)
-
-
-def _roots(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The root, the lowest label, of each of `count` labels once each pair
-    (a[k], b[k]) is joined, by union-find with path halving."""
-    parent = list(range(count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-    for x, y in zip(a.tolist(), b.tolist()):
-        x, y = find(x), find(y)
-        if x != y:
-            parent[max(x, y)] = min(x, y)
-    for x in range(count):  # a parent is a lower label, already at its root
-        parent[x] = parent[parent[x]]
-    return np.array(parent, dtype=np.intp)
-
-
-def _unwrap(phase: np.ndarray, jumps: _DiskPhase, support: np.ndarray) -> np.ndarray:
-    """phase + 2 pi n on the support, with n the integer potential of the
-    edge jumps, 0 at the first node in flat order of each 4-connected
-    component of the support: n rises by its jump along every edge.
-
-    Within a run of the support along a ring (`_ring_runs`) n is a prefix
-    sum of the angular jumps. One radial edge for each pair of runs of
-    adjacent rings that share a column (`_overlaps`), and the seam, then
-    give each run its offset over a spanning forest of the runs, grown from
-    the lowest run of each component, whose first node is the component's
-    first. n is path-independent when no hole is blocked, so it does not
-    depend on the spanning forest."""
-    ang, rad = jumps.ang, jumps.rad
-    nr, nt = ang.shape
-    supp = support.reshape(nr, nt)
-    runs, first = _ring_runs(supp)
-    along = np.cumsum(ang, axis=1, dtype=np.int64)
-    before = (along - ang).ravel()  # n(j, m) - n(j, 0) along ring j, short of the seam
-    flat = runs.ravel()
-    shared = _overlaps(supp)
-    seam = supp[:, -1] & supp[:, 0]
-    # each contact (a, b, d): n at a node of run b is d above n at its
-    # neighbour in run a
-    contacts = zip(np.concatenate([flat[shared], runs[seam, -1]]).tolist(),
-                   np.concatenate([flat[shared + nt], runs[seam, 0]]).tolist(),
-                   np.concatenate([before[shared] + rad.ravel()[shared] - before[shared + nt],
-                                   along[seam, -1]]).tolist())
-    adjacent = [[] for _ in range(first.size)]
-    for x, y, d in contacts:
-        adjacent[x].append((y, d))
-        adjacent[y].append((x, -d))
-    # a run's offset is n at its nodes less their `before`
-    offset = [None] * first.size
-    start = before[first].tolist()
-    for root in range(first.size):
-        if offset[root] is None:
-            offset[root] = -start[root]
-            todo = [root]
-            while todo:
-                x = todo.pop()
-                for y, d in adjacent[x]:
-                    if offset[y] is None:
-                        offset[y] = offset[x] + d
-                        todo.append(y)
-    turns = np.zeros(support.size, dtype=np.int64)
-    turns[support] = np.array(offset, dtype=np.int64)[flat[support]] + before[support]
-    return phase + 2.0 * np.pi * turns
-
-
-def _bridge(theta: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """theta, given on the support, carried over the free nodes along the
-    rings. On a ring with support, each run of free nodes takes the linear
-    bridge between the theta of the two supported nodes that flank it on
-    its ring, across the seam too, so it steps by
-    (theta_R - theta_L) / (run length + 1). A ring with no support copies
-    the nearest ring that has some, the inner one on a tie."""
-    nr, nt = support.shape
-    theta = theta.reshape(nr, nt)
-    # the supported column at or before, and at or after, each column of
-    # the ring taken twice round, so that every run has both flanks
-    col = np.arange(2 * nt)
-    twice = np.tile(support, 2)
-    left = np.maximum.accumulate(np.where(twice, col, -1), axis=1)[:, nt:] - nt
-    right = np.minimum.accumulate(np.where(twice, col, 2 * nt)[:, ::-1], axis=1)[:, ::-1][:, :nt]
-    has = support.any(axis=1)
-    j, m = np.nonzero(~support & has[:, None])
-    lo, hi = left[j, m], right[j, m]
-    start = theta[j, lo % nt]
-    out = theta.copy()
-    out[j, m] = start + (theta[j, hi % nt] - start) * ((m - lo) / (hi - lo))
-    ring = np.arange(nr)
-    inner = np.maximum.accumulate(np.where(has, ring, -nr))
-    outer = np.minimum.accumulate(np.where(has, ring, 2 * nr)[::-1])[::-1]
-    return out[np.where(ring - inner <= outer - ring, inner, outer)].ravel()
-
-
 def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
     """Decide and build the phase extension on the disk.
 
@@ -948,16 +732,9 @@ def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
 
 
 def _phase_witness(ge: GridElement, s: np.ndarray, support: np.ndarray) -> GridElement:
-    """The phase u of `spectrum()` on the support, s > delta with s the
-    element's flat singular values, and off it exp(i theta), with theta the
-    unwrapped phase bridged along the rings (`_bridge`): a witness when no
-    hole is blocked."""
-    w = _unit_of(ge, s).copy()
-    if not support.all():
-        phase = _disk_phase(ge)
-        theta = _bridge(_unwrap(np.angle(ge.values[:, 0, 0]), phase, support),
-                        support.reshape(phase.ang.shape))
-        w[~support] = np.exp(1j * theta[~support])
+    """`disk._phase_witness` of a scalar disk element at the support s > delta,
+    with s its flat singular values."""
+    w = _disk_witness(_unit_of(ge, s), ge.values[:, 0, 0], _disk_phase(ge), support)
     return GridElement(domain=ge.domain, values=w.reshape(-1, 1, 1))
 
 
@@ -979,14 +756,17 @@ def _cleared(ge: GridElement, delta: float) -> float:
     return _clear(ge, delta, *_read(ge))
 
 
-def _decide_at(ge: GridElement, delta: float, s: np.ndarray):
+def _decide_at(ge: GridElement, delta: float, s: np.ndarray, labels: bool = True):
     """The decision at a level delta already clear of s, the element's flat
     singular values: (windings, build), with windings the sorted |total
     charge| of the blocked holes (None on the interval) and build the
     witness builder (None when the disk support {|f| > delta} is empty). On
     the disk it checks aliasing (PhaseUnwrapAliasing) and labels the holes
-    on the element's kept `_DiskPhase`. A matrix element on the disk is a
-    ValueError here too, for `_extends`, which reaches it after the cut."""
+    on the element's kept `_DiskPhase`, but at or above its ceiling, where
+    the labelling gives [], and, when `labels` is False, below its floor,
+    where some hole is blocked: windings is then True, with no labels. A
+    matrix element on the disk is a ValueError here too, for `_extends`,
+    which reaches it after the cut."""
     if ge.domain.kind == "interval-1d":
         return None, partial(_frame_witness, ge, delta)
     if not ge.is_scalar:
@@ -997,21 +777,29 @@ def _decide_at(ge: GridElement, delta: float, s: np.ndarray):
     phase = _disk_phase(ge)
     if delta < phase.alias_level:
         raise _aliasing(ge, delta)
-    return (_blocked_windings(phase, ~support.reshape(phase.ang.shape)),
-            partial(_phase_witness, ge, s, support))
+    build = partial(_phase_witness, ge, s, support)
+    if delta >= phase.ceiling:
+        return [], build
+    if not labels and delta < phase.floor:
+        return True, None
+    return _blocked_windings(phase, ~support.reshape(phase.ang.shape)), build
 
 
 def _extends(ge: GridElement, delta: float) -> bool:
     """decide_extension(ge, delta).exists, raising as it does, without the
-    witnesses that cannot fail: the same cut and `_decide_at` step, then,
-    when the modulus bound is at least WITNESS_MODULUS_MAX, True with no
-    witness built, since no witness can exceed that modulus. Below it, the
-    witness is built and held to the bound as in polar_extension."""
+    witnesses that cannot fail: the same cut and `_decide_at` step, with no
+    labels below the disk floor, then, when the modulus bound is at least
+    WITNESS_MODULUS_MAX, True with no witness built, since no witness can
+    exceed that modulus; `_path_bound` shows that before the cut-down is
+    formed. Below it, the witness is built and held to the bound as in
+    polar_extension."""
     s, band = _read(ge)
     delta = _clear(ge, delta, s, band)
-    windings, build = _decide_at(ge, delta, s)
+    windings, build = _decide_at(ge, delta, s, False)  # no labels below the floor
     if windings or build is None:
         return not windings
+    if _path_bound(ge, delta, s, band) >= WITNESS_MODULUS_MAX:
+        return True
     bound = _modulus_bound(ge, delta, s)
     kind = "frame-transport" if windings is None else "modulus"
     return bound >= WITNESS_MODULUS_MAX or _held_to_bound(build(), bound, delta, kind).exists

@@ -207,8 +207,8 @@ def check_condition3(ge: GridElement, delta: float,
     rep = cond2
     u, s, vh = ge.spectrum()
     if not has_witness:  # at the ramp of slope 0.1 and plateau 10
-        rep = _decide_polar_decomposable(
-            from_svd(ge.domain, u, _ramps(delta, s)[RAMP_PLATEAUS.size - 1], vh))
+        ramp = np.minimum(np.maximum(s - delta, 0.0) * RAMP_SLOPES[0], RAMP_PLATEAUS[-1])
+        rep = _decide_polar_decomposable(from_svd(ge.domain, u, ramp, vh))
         if not rep.exists:
             return ConditionResult(delta=delta, holds=False,
                                    detail={"obstruction": rep.obstruction})
@@ -245,6 +245,18 @@ def check_condition4(ge: GridElement, delta: float,
     return ConditionResult(delta=delta, holds=rep.exists, detail=detail)
 
 
+def _cleared_levels(ge: GridElement, levels: list, hold) -> list:
+    """`gridalg._clear` of each of the levels, in order, in ge's hold: every
+    level is checked (opcore.check_level) first, then one (L, n) test with
+    `_collides`' comparison finds those that collide with s, and only they
+    go through `_clear`; the others are clear as they are."""
+    for level in levels:
+        opcore.check_level(level)
+    collides = (np.abs(hold.s - np.array(levels)[:, None]) <= hold.band).any(axis=1).tolist()
+    hold.clear.update(x for x, hit in zip(levels, collides) if not hit)
+    return [_clear(ge, x, hold.s, hold.band) if hit else x for x, hit in zip(levels, collides)]
+
+
 def check_equivalences(ge: GridElement, gamma: float, delta_grid,
                        tol_bisect: float | None = None,
                        element_name: str = "element") -> EquivalenceReport:
@@ -270,7 +282,7 @@ def check_equivalences(ge: GridElement, gamma: float, delta_grid,
 
         line = ge.is_scalar and ge.domain.kind == "interval-1d"
         if line:
-            reps, w = _line_reports(ge, [_clear(ge, x, hold.s, eta) for x in delta_grid])
+            reps, w = _line_reports(ge, _cleared_levels(ge, delta_grid, hold))
             c3s = _condition3(delta_grid, True, _scalar_ramps(
                 ge.spectrum()[0][:, 0, 0], hold.s, np.array(delta_grid), w))
         else:  # lazily, so that each level is decided after the one before is checked

@@ -141,11 +141,13 @@ def construct_partial_isometry(a, x, delta: float) -> PipelineTrace:
         abs_t = s[:kg, None] * (frame_a.vh[:kg] @ t_mat @ vm)  # first kg rows of |a| t
         h2_2 = h2(s[b2])
         v_gg = vf[:kg, :kg]
+        f_gamma_b = bf[:kg].copy()  # less v_gg in its first kg columns, 0.0 in the rest
+        f_gamma_b[:, :kg] -= v_gg
         residuals += [
             ("t_invertible", t_mat @ t_inv - eye),
             # corner identity f_gamma x = v e_gamma |a| (1 + beta g(|a|) v* y)
             ("corner_identity", uh[:kg] @ x @ vm - v_gg @ abs_t),
-            ("f_gamma_b", bf[:kg] - np.pad(v_gg, ((0, 0), (0, n - kg)))),
+            ("f_gamma_b", f_gamma_b),
             # c against [[v e1, 0, 0], [0, v e2, 0], [0, b32 h2, b33]]
             ("block_11", cf[b1, b1] - vf[b1, b1]),
             ("block_12", cf[b1, b2]),

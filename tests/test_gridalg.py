@@ -8,10 +8,10 @@ from operator import mul
 import numpy as np
 import pytest
 
-from cstarreg import gallery, gridalg, harness, opcore
+from cstarreg import disk, gallery, gridalg, harness, opcore
+from cstarreg.disk import ALIAS_GUARD
 from cstarreg.errors import PhaseUnwrapAliasing, SpectralCollision
 from cstarreg.gridalg import (
-    ALIAS_GUARD,
     TOP_HEADROOM,
     WITNESS_MODULUS_MAX,
     GridElement,
@@ -972,7 +972,7 @@ def _rim_circulation(f_grid):
 
 class TestFaceCharges:
     def _charges(self, ge):
-        kept = gridalg._disk_phase(ge)  # kept whether or not a step aliases
+        kept = disk._disk_phase(ge)  # kept whether or not a step aliases
         quads = np.zeros(kept.rad.shape, dtype=np.int64)
         quads.flat[kept.charged] = kept.charges
         return quads, kept.centre
@@ -1299,7 +1299,7 @@ class TestRunKernelsMatchFloods:
             phase = np.angle(f)
             ang, rad = _reference_edge_jumps(dom, phase, np.zeros(dom.size, dtype=bool))
             quads, centre = rad + ang[1:] - np.roll(rad, -1, axis=1) - ang[:-1], int(ang[0].sum())
-            kept = gridalg._disk_phase(ge)
+            kept = disk._disk_phase(ge)
             assert np.array_equal(kept.ang, ang) and np.array_equal(kept.rad, rad)
             top = sup_norm(ge)
             for lv in levels:
@@ -1307,14 +1307,14 @@ class TestRunKernelsMatchFloods:
                 free = ~support.reshape(dom.n_radial, dom.n_angular)
                 windings = _reference_blocked_windings(
                     quads, centre, free, _reference_neighbour_table(dom, True))
-                assert gridalg._blocked_windings(kept, free) == windings, (lv, windings)
+                assert disk._blocked_windings(kept, free) == windings, (lv, windings)
                 seen["blocked" if windings else "free"] += 1
                 seen.update(f"free {k}" for k, v in _free_shapes(free).items() if v)
                 if windings or support.all() or not support.any():
                     continue
                 ref = _reference_layered_unwrap(phase, ang, rad, support,
                                                 _reference_neighbour_table(dom, False))
-                assert gridalg._unwrap(phase, kept, support).tobytes() == ref.tobytes(), lv
+                assert disk._unwrap(phase, kept, support).tobytes() == ref.tobytes(), lv
                 seen["unwrapped"] += 1
                 seen.update(f"support {k}" for k, v in
                             _free_shapes(~free).items() if v)
@@ -1360,8 +1360,8 @@ class TestRingBridges:
                 if support.all():
                     continue
                 supp = support.reshape(nr, nt)
-                theta = gridalg._bridge(
-                    gridalg._unwrap(np.angle(f), gridalg._disk_phase(ge), support), supp)
+                theta = disk._bridge(
+                    disk._unwrap(np.angle(f), disk._disk_phase(ge), support), supp)
                 assert w[~support].tobytes() == np.exp(1j * theta[~support]).tobytes()
                 theta = theta.reshape(nr, nt)
                 has = np.flatnonzero(supp.any(axis=1))
@@ -1401,7 +1401,7 @@ class TestRingBridges:
                 if (rep.obstruction or {}).get("kind") == "winding" or support.all() \
                         or not support.any():
                     continue
-                theta = gridalg._unwrap(np.angle(f), gridalg._disk_phase(ge), support)
+                theta = disk._unwrap(np.angle(f), disk._disk_phase(ge), support)
                 layered = np.exp(1j * _layered_fill(theta, support, table))
                 layered[support] = f[support] / np.abs(f[support])
                 mod = GridElement(domain=ge.domain, values=layered.reshape(-1, 1, 1)).modulus()
@@ -1688,10 +1688,10 @@ class TestKeptPhaseData:
     def test_second_decision_computes_no_phase_data(self, monkeypatch):
         calls = Counter()
         for name in ("_wrapped_steps", "_face_charges"):
-            def counted(*args, name=name, orig=getattr(gridalg, name)):
+            def counted(*args, name=name, orig=getattr(disk, name)):
                 calls[name] += 1
                 return orig(*args)
-            monkeypatch.setattr(gridalg, name, counted)
+            monkeypatch.setattr(disk, name, counted)
         ge = gallery.random_scalar_field_2d(32, 128, np.random.default_rng(8100), winding=1)
         top = sup_norm(ge)
         decide_extension(ge, 0.5 * top)
@@ -1707,7 +1707,7 @@ class TestKeptPhaseData:
         for winding in range(4):
             ge = gallery.random_scalar_field_2d(32, 128, np.random.default_rng(8200 + winding),
                                                 winding=winding)
-            kept = gridalg._disk_phase(ge)
+            kept = disk._disk_phase(ge)
             held = sum(x.nbytes for x in kept if isinstance(x, np.ndarray))
             assert held < 4 * ge.domain.size, held
 
@@ -1921,6 +1921,167 @@ class TestExtendsMatchesDecision:
         rep = _same_decision(ge, 0.95, held)
         assert not rep.exists and rep.obstruction["kind"] in ("frame-transport", "modulus")
         assert held == {kind: 1}
+
+
+def _channel_zero(z):
+    """(z - 0.5) h, with the h of `_rim_channel`: |f| <= 0.03 down column 64
+    (angle pi), so every ring has a free node from 0.03 up, while the hole
+    of the zero at 0.5 stays apart from it, blocked by its charge."""
+    s = np.clip(-z.real / 0.02, 0.0, 1.0)
+    return (z - 0.5) * (1.0 - 0.98 * s * s * (3 - 2 * s) * np.exp(-(z.imag / 0.02) ** 2))
+
+
+def _step_ramp():
+    """64 nodes: 0.2 on [0, 0.5), then 1.0 + 0.6 (t - 0.5). At delta = 0.9
+    the cut-down's modulus bound is 10 x 0.105 / 0.7 = 1.50, below
+    WITNESS_MODULUS_MAX, while (max c - min c) / spread = 0.4 / 0.7 would
+    put it at 5.7 were the path between the two nodes one edge long."""
+    t = np.linspace(0.0, 1.0, 64)
+    f = np.where(t < 0.5, 0.2, 1.0 + 0.6 * (t - 0.5))
+    return GridElement(interval_domain(64), f.reshape(-1, 1, 1).astype(complex))
+
+
+def _times_zeros(ge, rng):
+    """ge times (z - z1) conj(z - z2), z1 and z2 seeded off the centre."""
+    radii, angles = ge.domain.coordinates()
+    z = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+    z1, z2 = rng.uniform(0.2, 0.8, 2) * np.exp(2j * np.pi * rng.random(2))
+    f = ge.values[:, 0, 0] * (z - z1) * np.conj(z - z2)
+    return GridElement(ge.domain, f.reshape(-1, 1, 1))
+
+
+def _certificate_cases():
+    """(element, levels) pairs: criterion-8 disk fields, seeded 32 x 128
+    fields of winding 0-3 with and without two zeros off the centre, disk-z,
+    the hand-proved (z - 0.3)(z + 0.3), conj(z)^2 (z - 0.5) and the channel
+    field, at 49 fractions of the sup-norm, the lowest ones where some
+    decisions alias, and just either side of the floor and the ceiling;
+    then seeded interval fields for d = 1, 2, 3 at the same fractions and
+    the step ramp at 0.9 too."""
+    fractions = np.concatenate([np.geomspace(0.001, 0.02, 5), np.linspace(0.0, 1.1, 45)[1:]])
+    disks = [gallery.random_scalar_field_2d(16, 64, np.random.default_rng(5000 + seed),
+                                            winding=1 if seed % 4 == 0 else 0)
+             for seed in range(0, 20, 4)]
+    for seed in range(8):
+        rng = np.random.default_rng(3100 + seed)
+        ge = gallery.random_scalar_field_2d(32, 128, rng, winding=seed % 4)
+        disks.append(ge if seed < 4 else _times_zeros(ge, rng))
+    disks += [gallery.gallery("disk-z", 32), gallery.gallery("disk-z", 64),
+              _disk_field(HAND_PROVED["(z - 0.3)(z + 0.3)"]),
+              _disk_field(lambda z: np.conj(z) ** 2 * (z - 0.5)), _disk_field(_channel_zero)]
+    for ge in disks:
+        phase = disk._disk_phase(ge)
+        edges = [x * (1.0 + e) for x in (phase.floor, phase.ceiling) if math.isfinite(x)
+                 for e in (-1e-3, 1e-3)]
+        yield ge, [*(fractions * sup_norm(ge)), *edges]
+    for seed in range(3):
+        rng = np.random.default_rng(3200 + seed)
+        ge = (gallery.random_scalar_field_1d(128, rng) if seed == 0
+              else matrix_field(rng, 64, 1 + seed))
+        yield ge, list(fractions * sup_norm(ge))
+    ge = _step_ramp()
+    yield ge, [*(fractions * sup_norm(ge)), 0.9]
+
+
+def _outcome(ge, delta):
+    """`_extends(ge, delta)`, or the name of the exception it raises."""
+    try:
+        return gridalg._extends(ge, delta)
+    except (SpectralCollision, PhaseUnwrapAliasing) as exc:
+        return type(exc).__name__
+
+
+class TestBisectionCertificates:
+    """The floor, the ceiling and the path bound by which `_extends`
+    decides a level without labelling holes or forming the cut-down. A
+    level at the floor itself cannot be tested: `_clear` keeps every decided
+    level off the samples, so `<` and `<=` there give the same decisions."""
+
+    def test_extends_agrees_without_them(self, monkeypatch):
+        """The same bool or the same exception at every level, in a hold as
+        in the bisection, with the floor at -inf, the ceiling at +inf and
+        the path bound off."""
+        for ge, levels in _certificate_cases():
+            with gridalg._holding(ge):
+                got = [_outcome(ge, lv) for lv in levels]
+            if ge.domain.kind == "disk-2d-polar":
+                ge._phase = disk._disk_phase(ge)._replace(floor=-math.inf, ceiling=math.inf)
+            with monkeypatch.context() as mp:
+                mp.setattr(gridalg, "_path_bound", lambda *args: -math.inf)
+                with gridalg._holding(ge):
+                    want = [_outcome(ge, lv) for lv in levels]
+            assert got == want, (ge.domain, levels)
+
+    def test_each_proves_its_claim(self):
+        """Where the floor fires, some hole is blocked; where the ceiling
+        fires, the labelling gives []; the path bound is at most the exact
+        modulus bound, and where it reaches WITNESS_MODULUS_MAX, so does the
+        exact one. Each fires at some level."""
+        fired = Counter()
+        for ge, levels in _certificate_cases():
+            s, band = gridalg._read(ge)
+            for level in levels:
+                try:
+                    delta = gridalg._cleared(ge, level)
+                except SpectralCollision:
+                    continue
+                path = gridalg._path_bound(ge, delta, s, band)
+                exact = gridalg._modulus_bound(ge, delta, s)
+                assert path <= exact, (ge.domain, delta, path, exact)
+                if path >= WITNESS_MODULUS_MAX:
+                    fired[f"path {ge.domain.kind}"] += 1
+                    assert exact >= WITNESS_MODULUS_MAX, (ge.domain, delta, exact)
+                if ge.domain.kind == "interval-1d":
+                    continue
+                phase, support = disk._disk_phase(ge), s > delta
+                if not support.any() or delta < phase.alias_level:
+                    continue
+                windings = disk._blocked_windings(phase, ~support.reshape(phase.ang.shape))
+                if delta < phase.floor:
+                    fired["floor"] += 1
+                    assert windings, (ge.domain, delta)
+                if delta >= phase.ceiling:
+                    fired["ceiling"] += 1
+                    assert windings == [], (ge.domain, delta, windings)
+        assert set(fired) == {"floor", "ceiling", "path interval-1d", "path disk-2d-polar"}, fired
+
+    def test_hand_cases(self):
+        """disk-z: floor = ceiling = |z| on the rim. (z - 0.3)(z + 0.3) has
+        charged quads, so no ceiling; a field of winding 0 has no floor."""
+        phase = disk._disk_phase(gallery.gallery("disk-z", 32))
+        assert phase.floor == phase.ceiling == pytest.approx(1.0, abs=1e-15)
+        assert disk._disk_phase(_disk_field(HAND_PROVED["(z - 0.3)(z + 0.3)"])).ceiling == math.inf
+        winding0 = gallery.random_scalar_field_2d(32, 128, np.random.default_rng(8100))
+        assert disk._disk_phase(winding0).floor == -math.inf
+
+    def test_no_ceiling_past_a_charged_quad(self):
+        """The channel field: from 0.03 up some column is free on every
+        ring, but the zero at 0.5 holds a blocked hole of its own."""
+        ge = _disk_field(_channel_zero)
+        assert np.abs(ge.values[:, 0, 0]).reshape(32, 128).max(axis=0).min() < 0.05
+        assert disk._disk_phase(ge).ceiling == math.inf
+        for delta in (0.05, 0.1):
+            assert decide_extension(ge, delta).obstruction == {"kind": "winding", "windings": [1]}
+            assert gridalg._extends(ge, delta) is False
+
+    def test_path_bound_counts_the_path(self):
+        """The step ramp at 0.9: the exact bound is 1.50 and the path bound
+        stays below WITNESS_MODULUS_MAX."""
+        ge = _step_ramp()
+        s, band = gridalg._read(ge)
+        assert gridalg._modulus_bound(ge, 0.9, s) == pytest.approx(1.4966, abs=1e-4)
+        assert gridalg._path_bound(ge, 0.9, s, band) < WITNESS_MODULUS_MAX
+
+    def test_disk_z_bisection_labels_nothing(self, monkeypatch):
+        """Every level of disk-z's bisection lies below its floor or above
+        its sup-norm: no hole is labelled and no cut-down formed."""
+        calls = Counter()
+        for name in ("_blocked_windings", "_modulus_bound"):
+            monkeypatch.setattr(gridalg, name, _counted(calls, name, getattr(gridalg, name)))
+        ge = gallery.gallery("disk-z", 32)
+        lower, upper = dist_to_regular(ge, 1e-9)
+        assert calls == {}, calls
+        assert lower < sup_norm(ge) <= upper < lower + 1e-6
 
 
 def _monotone_case(kind, seed):

@@ -117,6 +117,15 @@ def pinned_records() -> dict:
         ge = _with_zeros(gallery.random_scalar_field_2d(32, 128, rng, winding=seed % 4), rng)
         records[f"disk 32 x 128 seed {seed} with zeros"] = _disk_decisions(
             ge, fractions=(0.002, 0.01, 0.03, 0.1, 0.25, 0.5))
+    # brackets bisected to float resolution on the CI disk files: winding 2
+    # (d2.json), and winding 2 with two seeded zeros off the centre (dz.json)
+    ge = gallery.random_scalar_field_2d(32, 128, np.random.default_rng(3), winding=2)
+    records["winding-2 32 x 128 bracket at 1e-9"] = {"exact": [],
+                                                     "close": list(dist_to_regular(ge, 1e-9))}
+    rng = np.random.default_rng(2902)
+    ge = _with_zeros(gallery.random_scalar_field_2d(32, 128, rng, winding=2), rng)
+    records["disk 32 x 128 seed 2902 with zeros bracket at 1e-9"] = {
+        "exact": [], "close": list(dist_to_regular(ge, 1e-9))}
     # scalar interval reports: exp(3i sin 2 pi t), whose witness fails its
     # bound above 10/11 and whose support is empty above 1, seeded fields at
     # the benchmark's fractions, and levels on a sample's |f| (nudged) and
