@@ -195,8 +195,8 @@ def _blocked_windings(phase: _DiskPhase, free: np.ndarray) -> list:
     labels = np.searchsorted(first, np.concatenate(nodes), side="right") - 1
     joins = (labels.size - holder.size) // 2
     ring0 = np.arange(np.searchsorted(first, nt))  # ring 0's runs are the first labels
-    root = _roots(first.size, np.concatenate([labels[:joins], np.zeros_like(ring0)]),
-                  np.concatenate([labels[joins:2 * joins], ring0]))
+    root, _ = _roots(first.size, np.concatenate([labels[:joins], np.zeros_like(ring0)]),
+                     np.concatenate([labels[joins:2 * joins], ring0]))
     windings = set(np.abs(charges[~touches]).tolist())
     total = np.zeros(first.size, dtype=np.int64)
     np.add.at(total, root[labels[2 * joins:]], charges[touches])
@@ -209,22 +209,36 @@ def _blocked_windings(phase: _DiskPhase, free: np.ndarray) -> list:
     return sorted(windings)
 
 
-def _roots(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The root, the lowest label, of each of `count` labels once each pair
-    (a[k], b[k]) is joined, by union-find with path halving."""
+def _roots(count: int, a: np.ndarray, b: np.ndarray, d: np.ndarray | None = None):
+    """(root, potential) of `count` labels joined by the contacts
+    (a[k], b[k], d[k]), b[k]'s potential d[k] above a[k]'s (0 when d is
+    None), by a weighted union-find with path halving: root is the lowest
+    label of each set, and potential is above the root's. A contact within
+    one set is not read."""
     parent = list(range(count))
-
-    def find(x):
+    up = [0] * count  # potential above the parent
+    for x, y, w in zip(a.tolist(), b.tolist(), [0] * a.size if d is None else d.tolist()):
+        # each end walks to its root inline (a call costs more than a walk)
         while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-    for x, y in zip(a.tolist(), b.tolist()):
-        x, y = find(x), find(y)
-        if x != y:
-            parent[max(x, y)] = min(x, y)
+            p = parent[x]
+            up[x] += up[p]
+            parent[x] = grand = parent[p]
+            w += up[x]
+            x = grand
+        while parent[y] != y:
+            p = parent[y]
+            up[y] += up[p]
+            parent[y] = grand = parent[p]
+            w -= up[y]
+            y = grand
+        if x < y:
+            parent[y], up[y] = x, w
+        elif y < x:
+            parent[x], up[x] = y, -w
     for x in range(count):  # a parent is a lower label, already at its root
+        up[x] += up[parent[x]]
         parent[x] = parent[parent[x]]
-    return np.array(parent, dtype=np.intp)
+    return np.array(parent, dtype=np.intp), np.array(up, dtype=np.int64)
 
 
 def _unwrap(phase: np.ndarray, jumps: _DiskPhase, support: np.ndarray) -> np.ndarray:
@@ -235,10 +249,9 @@ def _unwrap(phase: np.ndarray, jumps: _DiskPhase, support: np.ndarray) -> np.nda
     Within a run of the support along a ring (`_ring_runs`) n is a prefix
     sum of the angular jumps. One radial edge for each pair of runs of
     adjacent rings that share a column (`_overlaps`), and the seam, then
-    give each run its offset over a spanning forest of the runs, grown from
-    the lowest run of each component, whose first node is the component's
-    first. n is path-independent when no hole is blocked, so it does not
-    depend on the spanning forest."""
+    give each run its offset by the weighted union-find `_roots`, from the
+    lowest run of its component, which holds the first node. n is
+    path-independent when no hole is blocked, so the joins' order is moot."""
     ang, rad = jumps.ang, jumps.rad
     nr, nt = ang.shape
     supp = support.reshape(nr, nt)
@@ -248,31 +261,14 @@ def _unwrap(phase: np.ndarray, jumps: _DiskPhase, support: np.ndarray) -> np.nda
     flat = runs.ravel()
     shared = _overlaps(supp)
     seam = supp[:, -1] & supp[:, 0]
-    # each contact (a, b, d): n at a node of run b is d above n at its
-    # neighbour in run a
-    contacts = zip(np.concatenate([flat[shared], runs[seam, -1]]).tolist(),
-                   np.concatenate([flat[shared + nt], runs[seam, 0]]).tolist(),
-                   np.concatenate([before[shared] + rad.ravel()[shared] - before[shared + nt],
-                                   along[seam, -1]]).tolist())
-    adjacent = [[] for _ in range(first.size)]
-    for x, y, d in contacts:
-        adjacent[x].append((y, d))
-        adjacent[y].append((x, -d))
-    # a run's offset is n at its nodes less their `before`
-    offset = [None] * first.size
-    start = before[first].tolist()
-    for root in range(first.size):
-        if offset[root] is None:
-            offset[root] = -start[root]
-            todo = [root]
-            while todo:
-                x = todo.pop()
-                for y, d in adjacent[x]:
-                    if offset[y] is None:
-                        offset[y] = offset[x] + d
-                        todo.append(y)
+    # contact (a, b, d): n at a node of run b is d above n at its neighbour in run a
+    root, potential = _roots(first.size, np.concatenate([flat[shared], runs[seam, -1]]),
+                             np.concatenate([flat[shared + nt], runs[seam, 0]]),
+                             np.concatenate([before[shared] + rad.ravel()[shared]
+                                             - before[shared + nt], along[seam, -1]]))
+    offset = potential - before[first][root]  # n at a run's nodes less their `before`
     turns = np.zeros(support.size, dtype=np.int64)
-    turns[support] = np.array(offset, dtype=np.int64)[flat[support]] + before[support]
+    turns[support] = offset[flat[support]] + before[support]
     return phase + 2.0 * np.pi * turns
 
 

@@ -5,20 +5,19 @@ for the distance to the regular elements.
 
 Scalar partial isometries on a connected domain are unitary-or-zero; both
 extension procedures build on that classification. The 1-D procedure
-transports a unitary frame along the interval: for d = 1 `levels.decide`
-builds the witnesses, their moduli and the modulus bounds at every level of
-a report in one pass over a level axis, and a single decision is its L = 1
-case (`_line_reports`); for d > 1 `_transport` carries the frame in the
-coordinates of the pointwise SVD. The modulus of an element reads its jumps
-as slices of the layout for d = 1; for d > 1 it screens them by cheap norm
-bounds and factorizes only those that can hold the maximum. The 2-D scalar
-procedure decides by discrete Stokes on the polar grid
-(`polar_extension_2d_scalar`) with the phase machinery of `disk`: the
-element keeps the phase data that no cut level changes (`_disk_phase`), and
-a decision labels the holes of the support (`_blocked_windings`). On both
-domains `dist_to_regular` decides the lowest bisection rung first, which
-settles the bracket in one decision whenever the distance is 0, as
-everywhere in C([0,1], M_d).
+transports a unitary frame along the interval in the interval module
+`levels`, for every d. A single decision holds its witness
+(`_frame_witness`) to the modulus bound here, as on the disk; a harness
+report reads all its levels of a scalar element from one `levels.decide`
+(`_line_reports`). The modulus of an element reads its jumps as slices of
+the layout for d = 1; for d > 1 it screens them by cheap norm bounds and
+factorizes only those that can hold the maximum. The 2-D scalar procedure
+decides by discrete Stokes on the polar grid (`polar_extension_2d_scalar`)
+with the phase machinery of `disk`: the element keeps the phase data that no
+cut level changes (`_disk_phase`), and a decision labels the holes of the
+support (`_blocked_windings`). On both domains `dist_to_regular` decides the
+lowest bisection rung first, which settles the bracket in one decision
+whenever the distance is 0, as everywhere in C([0,1], M_d).
 
 Every entry point reads the element's flat singular values s once and
 derives the guard band, the collision test, the modulus bound and the
@@ -57,9 +56,6 @@ from .disk import _aliasing, _blocked_windings, _disk_phase, _DiskPhase, _princi
 from .disk import _phase_witness as _disk_witness
 from .errors import PhaseUnwrapAliasing, SpectralCollision
 
-# |det m| / ||m||_F^2 (about s2/s1) at or below which det m is rounding of
-# zero and the 2 x 2 polar factor comes from the SVD
-POLAR2_DET_FLOOR = opcore.TAU_NONZERO
 TOP_HEADROOM = 10.0  # guard bands above the sup-norm where dist_to_regular starts
 # witness modulus allowed per unit of cut-down modulus over spectral spread
 MODULUS_BOUND_FACTOR = 10.0
@@ -471,15 +467,12 @@ def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
 def _report(ge: GridElement, delta: float, kind: str) -> ExtensionReport:
     """The report of both extension procedures at delta, off one read of
     the singular values: the collision test (not again for a level the
-    element's hold cleared), then `_line_reports` for a scalar interval
-    element, else the `_decide_at` step and a winding obstruction or the
-    witness held to the modulus bound, whose failure is an obstruction of
-    `kind`; an empty disk support gives the zero witness."""
+    element's hold cleared), then the `_decide_at` step and a winding
+    obstruction or the witness held to the modulus bound, whose failure is
+    an obstruction of `kind`; an empty disk support gives the zero witness."""
     s, band = _read(ge)
     if ge._hold is None or delta not in ge._hold.clear:
         opcore.check_clear(delta, s, band)
-    if ge.is_scalar and ge.domain.kind == "interval-1d":
-        return _line_reports(ge, [delta])[0][0]
     windings, build = _decide_at(ge, delta, s)
     bound = _modulus_bound(ge, delta, s)
     if windings:
@@ -493,7 +486,8 @@ def _report(ge: GridElement, delta: float, kind: str) -> ExtensionReport:
 
 def _frame_witness(ge: GridElement, delta: float) -> GridElement:
     u, s, vh = ge.spectrum()
-    w = levels.witnesses(u[:, 0, 0], s.T > delta) if ge.is_scalar else _transport(u, vh, s > delta)
+    keeps = s > delta
+    w = levels.witnesses(u[:, 0, 0], keeps.T) if ge.is_scalar else levels._transport(u, vh, keeps)
     return GridElement(ge.domain, w.reshape(ge.values.shape))
 
 
@@ -519,190 +513,6 @@ def _held_to_bound(witness: GridElement, bound: float, delta: float, kind: str,
     return ExtensionReport(exists=exists, witness=witness if exists else None,
                            obstruction=obstruction, witness_modulus=mod,
                            modulus_bound=bound, delta=delta)
-
-
-def _polar_block(m: list) -> list:
-    """Unitary polar factor of a small square block given as nested lists of
-    Python complex numbers, returned the same way.
-
-    r = 1: m/|m|, and 1 when m = 0, as LAPACK. r = 2: the closed form of
-    `_polar2`. At or below POLAR2_DET_FLOOR (det m = 0 included), and for
-    r >= 3, LAPACK's SVD.
-    """
-    if len(m) == 1:
-        y = m[0][0]
-        return [[y / abs(y) if y else 1.0 + 0j]]
-    if len(m) == 2:
-        flat = _polar2(*m[0], *m[1])
-        if flat is not None:
-            return [list(flat[:2]), list(flat[2:])]
-    mu, _, mvh = np.linalg.svd(np.array(m))
-    return (mu @ mvh).tolist()
-
-
-def _polar2(a: complex, b: complex, c: complex, d: complex):
-    """Unitary polar factor of [[a, b], [c, d]] as the flat row-major tuple
-    of its entries, in the closed form
-    (m + (det m/|det m|) adj(m)*) / sqrt(||m||_F^2 + 2 |det m|) (Higham,
-    Functions of Matrices, SIAM 2008, 8.1), since p + |det m| p^-1 =
-    (s1 + s2) 1 for the 2 x 2 positive part p. Like LAPACK's, its result is
-    unitary to rounding and within about eps s1/s2 of the exact factor,
-    which is as sensitive as that. None at or below POLAR2_DET_FLOOR, where
-    det m is rounding of zero."""
-    det = a * d - b * c
-    adet = abs(det)
-    fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-    if not adet > POLAR2_DET_FLOOR * fro2:
-        return None
-    ph = det / adet
-    scale = 1.0 / math.sqrt(fro2 + 2.0 * adet)
-    return ((a + ph * d.conjugate()) * scale, (b - ph * c.conjugate()) * scale,
-            (c - ph * b.conjugate()) * scale, (d + ph * a.conjugate()) * scale)
-
-
-def _dot(row: list, col: list):
-    """sum(map(mul, row, col)) written out: the products added left to right
-    from the integer 0, which is how the builtin adds complex numbers on
-    Python 3.11, so the bits are the same."""
-    acc = 0
-    for x, y in zip(row, col):
-        acc = acc + x * y
-    return acc
-
-
-def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
-    """Procrustes transport of a unitary frame along the interval for
-    d > 1 (`levels.witnesses` for d = 1), carried in frame coordinates.
-
-    Every node's frame is w = u X vh. X = 1 at every node that keeps all
-    its directions and at the first supported node. At each later node k
-    that keeps some but not all, X is 1 on the kept block and the r x r
-    unitary U_k on the free block:
-    U_k = polar of the free block of T X_prev S, with prev the last
-    supported node before k, T = u_k* u_prev and S = vh_prev vh_k*, which
-    is the Procrustes completion of the free part against w_prev. T and S
-    come in one stacked product each; `_free_blocks` runs the recurrence
-    on them, carrying only U from node to node, and X, written one batched
-    assignment per kept count, gives w = u X vh at those nodes in one more
-    stacked product. Fully free nodes copy the nearest supported frame,
-    which is what a Procrustes step from a neighbour gives them, and
-    interior runs of them are then bridged along the unitary geodesic
-    between their flanks.
-    """
-    npts, d, _ = u.shape
-    w = u @ vh
-    supported = keeps[:, 0]  # s is descending, so each node keeps a prefix
-    idx = np.arange(npts)
-    k0 = int(np.argmax(supported))  # 0 when nothing is supported
-    left = np.maximum.accumulate(np.where(supported, idx, k0))
-    part = np.flatnonzero(supported & ~keeps[:, -1] & (idx > k0))
-    if part.size:
-        prev = left[part - 1]
-        kept = keeps[part].sum(axis=1)
-        counts = kept.tolist()
-        blocks = _free_blocks(
-            u[part].conj().transpose(0, 2, 1) @ u[prev],
-            # S transposed, so that row j is column j of S
-            vh[part].conj() @ vh[prev].transpose(0, 2, 1),
-            counts, (prev[1:] == part[:-1]).tolist())
-        x = np.tile(np.eye(d, dtype=np.complex128), (part.size, 1, 1))
-        for m in set(counts):  # not np.unique, which imports numpy.ma
-            at = np.flatnonzero(kept == m)
-            x[at, m:, m:] = np.array([blocks[i] for i in at.tolist()]).reshape(-1, d - m, d - m)
-        w[part] = u[part] @ x @ vh[part]
-    w = w.reshape(npts, d * d)[left].reshape(npts, d, d)
-    right = np.minimum.accumulate(np.where(supported, idx, npts)[::-1])[::-1]
-    bridged = (idx > left) & (right < npts)
-    if bridged.any():
-        lo, hi = left[bridged], right[bridged]
-        w[bridged] = _geodesic(w[lo], w[hi], (idx[bridged] - lo) / (hi - lo))
-    return w
-
-
-def _free_blocks(ts: np.ndarray, ss: np.ndarray, kept: list, chained: list) -> list:
-    """The free blocks U_k of `_transport`, one flat row-major tuple of r x r
-    entries per partially kept node, r = d - kept.
-
-    ts[k] is T and ss[k] S transposed, so that row j of ss[k] is column j of
-    S. chained[k - 1] says that node k's prev is the partial node before it
-    in the list: only then does X_prev carry a free block, the (m, U)
-    carried from the step before. Every entry of a product is a `_dot`,
-    summed left to right from 0, so the frames do not depend on how the
-    step is written. r = 1: U = y/|y| (1 at y = 0, as LAPACK), y the one
-    entry of the free block; r = 2: `_polar2`. A step whose kept count
-    differs from the carried one (rare), and r >= 3, go the general way
-    through `_polar_block`, on the node's entries as Python complex scalars.
-
-    For r <= 2, U_prev acts on the last r entries of each free column of S
-    only, so each entry of the free block, a `_dot` of a row of T with such
-    a column, splits into its first d - r terms, which do not depend on U,
-    and its last r. `_heads` sums the first terms of the bottom-right 2 x 2
-    entries for every node at once, with the bits of `_dot`, and the loop
-    adds the last ones in `_dot`'s order.
-    """
-    d = ts.shape[-1]
-    heads = _heads(ts[:, -2:, None, :-1], ss[:, None, -2:, :-1])
-    ys = heads[:, 1, 1, -1].tolist()  # r = 1: the first d - 1 terms of y
-    bs = heads[..., -2].reshape(-1, 4).tolist()  # r = 2: the first d - 2 of each entry
-    tails = np.concatenate([ts[:, -2:, -2:], ss[:, -2:, -2:]], axis=1).reshape(-1, 8).tolist()
-    blocks = []
-    mp = up = None  # kept count and free block of the step before
-    end = d * d
-    for k, (m, chain) in enumerate(zip(kept, [False, *chained])):
-        r = d - m
-        if r > 2 or (chain and mp != m):
-            t, s = ts[k].ravel().tolist(), ss[k].ravel().tolist()
-            cols = [s[j:j + d] for j in range(m * d, end, d)]  # the free columns of S
-            if chain:  # of X_prev S: U_prev acts on the last d - mp entries
-                rp = d - mp
-                for col in cols:
-                    tail = col[mp:]
-                    col[mp:] = [_dot(up[i:i + rp], tail) for i in range(0, rp * rp, rp)]
-            block = _polar_block([[_dot(t[i:i + d], col) for col in cols]
-                                  for i in range(m * d, end, d)])
-            up = tuple(z for row in block for z in row)
-        elif r == 1:
-            t, s = tails[k][3], tails[k][7]  # the last entries of T and S
-            y = ys[k] + t * (s if not chain else 0 + up[0] * s)
-            up = (y / abs(y) if y else 1.0 + 0j,)
-        else:
-            t00, t01, t10, t11, p0, q0, p1, q1 = tails[k]  # (p, q): a column's last two
-            if chain:
-                u00, u01, u10, u11 = up
-                p0, q0 = 0 + u00 * p0 + u01 * q0, 0 + u10 * p0 + u11 * q0
-                p1, q1 = 0 + u00 * p1 + u01 * q1, 0 + u10 * p1 + u11 * q1
-            b00, b01, b10, b11 = bs[k]
-            block = [b00 + t00 * p0 + t01 * q0, b01 + t00 * p1 + t01 * q1,
-                     b10 + t10 * p0 + t11 * q0, b11 + t10 * p1 + t11 * q1]
-            up = _polar2(*block)
-            if up is None:
-                up = tuple(z for row in _polar_block([block[:2], block[2:]]) for z in row)
-        blocks.append(up)
-        mp = m
-    return blocks
-
-
-def _heads(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The running sums of `_dot(t, s)` over the last axis, broadcast:
-    out[..., l] sums the first l products, left to right from 0, so that
-    out[..., 0] is 0 and a -0.0 part turns into +0.0 as in `_dot`. Each
-    product is made from real float products by Python's complex formula,
-    so the sums have the bits of `_dot`'s."""
-    shape = np.broadcast_shapes(t.shape, s.shape)
-    prods = np.zeros((*shape[:-1], shape[-1] + 1), dtype=np.complex128)
-    prods.real[..., 1:] = t.real * s.real - t.imag * s.imag
-    prods.imag[..., 1:] = t.real * s.imag + t.imag * s.real
-    return np.add.accumulate(prods, axis=-1)
-
-
-def _geodesic(w1: np.ndarray, w2: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """The points at fractions `frac` along the unitary geodesics from the
-    stack w1 to the stack w2, re-orthonormalized by polar correction."""
-    frac = frac[:, None, None]
-    evals, vecs = np.linalg.eig(w1.conj().transpose(0, 2, 1) @ w2)
-    uu, _, vv = np.linalg.svd(
-        w1 @ (vecs * np.exp(1j * frac * np.angle(evals)[:, None, :])) @ np.linalg.inv(vecs))
-    return uu @ vv
 
 
 def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:

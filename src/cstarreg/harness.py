@@ -253,7 +253,6 @@ def _cleared_levels(ge: GridElement, levels: list, hold) -> list:
     for level in levels:
         opcore.check_level(level)
     collides = (np.abs(hold.s - np.array(levels)[:, None]) <= hold.band).any(axis=1).tolist()
-    hold.clear.update(x for x, hit in zip(levels, collides) if not hit)
     return [_clear(ge, x, hold.s, hold.band) if hit else x for x, hit in zip(levels, collides)]
 
 

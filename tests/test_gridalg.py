@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import signal
 from collections import Counter, deque
@@ -8,7 +10,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from cstarreg import disk, gallery, gridalg, harness, opcore
+from cstarreg import disk, gallery, gridalg, harness, levels, opcore
 from cstarreg.disk import ALIAS_GUARD
 from cstarreg.errors import PhaseUnwrapAliasing, SpectralCollision
 from cstarreg.gridalg import (
@@ -370,7 +372,7 @@ class TestTransportMatchesProcrustes:
         vals[32:] = vals[32:] + 0.004 * np.arange(n - 32)[:, None, None] * np.eye(3)[2]
         ge = GridElement(domain=interval_domain(n), values=vals)
         u, s, vh = ge.spectrum()
-        w = gridalg._transport(u, vh, s > 0.5)
+        w = levels._transport(u, vh, s > 0.5)
         assert ((2, 2), np.array([[0, 0], [0, 1]], dtype=complex).tobytes()) in svd_inputs
         assert w.tobytes() == _reference_frame_transport(u, vh, s > 0.5).tobytes()
         assert np.max(np.abs(w - _reference_transport(vals, 0.5))) <= 1e-12
@@ -390,7 +392,7 @@ def _reference_polar_block(m):
         det = a * d - b * c
         adet = abs(det)
         fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-        if adet > gridalg.POLAR2_DET_FLOOR * fro2:
+        if adet > levels.POLAR2_DET_FLOOR * fro2:
             ph = det / adet
             scale = 1.0 / math.sqrt(fro2 + 2.0 * adet)
             return [[(a + ph * d.conjugate()) * scale, (b - ph * c.conjugate()) * scale],
@@ -402,7 +404,7 @@ def _reference_polar_block(m):
 def _reference_frame_transport(u, vh, keeps):
     """The frame-coordinate transport as it ran on nested lists: every entry
     a sum(map(mul, ...)), a dict of carried (m, U) blocks looked up by node,
-    one numpy assignment of X per node. `gridalg._transport` must give its
+    one numpy assignment of X per node. `levels._transport` must give its
     bytes."""
     npts, d, _ = u.shape
     w = u @ vh
@@ -434,7 +436,7 @@ def _reference_frame_transport(u, vh, keeps):
     bridged = (idx > left) & (right < npts)
     if bridged.any():
         lo, hi = left[bridged], right[bridged]
-        w[bridged] = gridalg._geodesic(w[lo], w[hi], (idx[bridged] - lo) / (hi - lo))
+        w[bridged] = levels._geodesic(w[lo], w[hi], (idx[bridged] - lo) / (hi - lo))
     return w
 
 
@@ -471,7 +473,7 @@ class TestTransportMatchesLoop:
                 u, s, vh = ge.spectrum()
                 for frac in np.linspace(0.05, 0.95, 19):
                     keeps = s > frac * s.max()
-                    w = gridalg._transport(u, vh, keeps)
+                    w = levels._transport(u, vh, keeps)
                     assert w.tobytes() == _reference_frame_transport(u, vh, keeps).tobytes()
                     paths.update(_loop_paths(keeps))
         assert min(paths[k] for k in ("changes", "unchained", "r3", "bridged")) > 0, paths
@@ -508,7 +510,7 @@ class TestTransportMatchesLoop:
         paths = Counter()
         for frac in np.linspace(0.05, 0.95, 19):
             keeps = s > frac * s.max()
-            w = gridalg._transport(u, vh, keeps)
+            w = levels._transport(u, vh, keeps)
             assert w.tobytes() == _reference_frame_transport(u, vh, keeps).tobytes()
             paths.update(_loop_paths(keeps))
         assert np.signbit(ge.values.imag).all() and paths["unchained"] > 0, paths
@@ -523,9 +525,9 @@ class TestTransportMatchesLoop:
         t, s = np.empty((2, 400, 3), dtype=complex)
         for z in (t, s):
             z.real, z.imag = pick[rng.integers(0, pick.size, (2, 400, 3))]
-        ref = np.array([[gridalg._dot(row[:n], col[:n]) for n in range(1, 4)]
+        ref = np.array([[levels._dot(row[:n], col[:n]) for n in range(1, 4)]
                         for row, col in zip(t.tolist(), s.tolist())])
-        assert gridalg._heads(t, s)[:, 1:].tobytes() == ref.tobytes()
+        assert levels._heads(t, s)[:, 1:].tobytes() == ref.tobytes()
 
 
 def _reference_modulus(ge):
@@ -669,12 +671,12 @@ EPS = np.finfo(np.float64).eps
 
 
 def _assert_polar_factor(m):
-    """gridalg._polar_block(m) against LAPACK: unitary to rounding, a
+    """levels._polar_block(m) against LAPACK: unitary to rounding, a
     backward-stable polar factor (its adjoint times m Hermitian positive
     semidefinite to eps ||m||), and within 16 eps s1/s2 of u vh of the SVD,
     the scale on which the complex polar factor itself moves under rounding
     of m. Returns the factor."""
-    got = np.array(gridalg._polar_block(m.tolist()))
+    got = np.array(levels._polar_block(m.tolist()))
     mu, s, mvh = np.linalg.svd(m)
     r = len(m)
     assert np.max(np.abs(got.conj().T @ got - np.eye(r))) <= 1e-14
@@ -690,13 +692,13 @@ class TestPolarBlock:
     def test_scalars(self, rng, linalg_calls):
         for y in [*(rng.standard_normal(50) + 1j * rng.standard_normal(50)), -2.0, 3e-300j]:
             y = complex(y)
-            assert gridalg._polar_block([[y]]) == [[y / abs(y)]]
-        assert gridalg._polar_block([[0j]]) == [[1.0]]  # as LAPACK
+            assert levels._polar_block([[y]]) == [[y / abs(y)]]
+        assert levels._polar_block([[0j]]) == [[1.0]]  # as LAPACK
         assert linalg_calls["svd"] == 0
 
     def test_random_blocks_in_closed_form(self, rng, linalg_calls):
         blocks = [random_complex(rng, 2) * scale for scale in np.geomspace(1e-3, 1e3, 200)]
-        factors = [np.array(gridalg._polar_block(m.tolist())) for m in blocks]
+        factors = [np.array(levels._polar_block(m.tolist())) for m in blocks]
         assert linalg_calls["svd"] == 0
         for m, got in zip(blocks, factors):
             assert np.array_equal(_assert_polar_factor(m), got)
@@ -706,7 +708,7 @@ class TestPolarBlock:
         for _ in range(20):
             _, _, m = random_with_spectrum(rng, [1.0, ratio])
             start = linalg_calls["svd"]
-            gridalg._polar_block(m.tolist())
+            levels._polar_block(m.tolist())
             assert linalg_calls["svd"] == start  # above POLAR2_DET_FLOOR
             _assert_polar_factor(m)
 
@@ -723,7 +725,7 @@ class TestPolarBlock:
     def test_three_by_three_takes_the_svd(self, rng):
         m = random_complex(rng, 3)
         mu, _, mvh = np.linalg.svd(m)
-        assert np.array_equal(np.array(gridalg._polar_block(m.tolist())), mu @ mvh)
+        assert np.array_equal(np.array(levels._polar_block(m.tolist())), mu @ mvh)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -740,6 +742,30 @@ def test_transport_svd_calls_do_not_grow_with_n(d, linalg_calls):
         kept = (ge.singular_values() > rep.delta).sum(axis=1)
         assert np.count_nonzero((kept > 0) & (kept < d)) > n // 8
     assert calls[0] == calls[1], calls
+
+
+def test_one_owner_per_algorithm():
+    """`levels` owns the frame transport and `disk` the phase machinery:
+    neither imports `gridalg` or `harness`, `gridalg` binds none of the
+    transport's names, and its single-level report takes the same route as
+    the bisection's decision, not the level axis of `_line_reports`."""
+    for module in (levels, disk):
+        tree = ast.parse(inspect.getsource(module))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[-1])
+                imported.update(alias.name for alias in node.names)
+        assert not imported & {"gridalg", "harness"}, (module.__name__, imported)
+    moved = ("_polar_block", "_polar2", "_dot", "_transport", "_free_blocks", "_heads",
+             "_geodesic", "POLAR2_DET_FLOOR")
+    assert all(hasattr(levels, name) for name in moved)
+    assert not [name for name in moved if hasattr(gridalg, name)]
+    calls = {node.func.id for node in ast.walk(ast.parse(inspect.getsource(gridalg._report)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "_line_reports" not in calls and "_decide_at" in calls
 
 
 def _winding_oracle(ge, delta):
@@ -1293,7 +1319,7 @@ class TestRunKernelsMatchFloods:
 
     def test_windings_and_unwrap(self):
         seen = Counter()
-        for ge, levels in _run_kernel_cases():
+        for ge, cuts in _run_kernel_cases():
             dom = ge.domain
             f = ge.values[:, 0, 0]
             phase = np.angle(f)
@@ -1302,7 +1328,7 @@ class TestRunKernelsMatchFloods:
             kept = disk._disk_phase(ge)
             assert np.array_equal(kept.ang, ang) and np.array_equal(kept.rad, rad)
             top = sup_norm(ge)
-            for lv in levels:
+            for lv in cuts:
                 support = np.abs(f) > lv * top
                 free = ~support.reshape(dom.n_radial, dom.n_angular)
                 windings = _reference_blocked_windings(
@@ -1332,6 +1358,120 @@ class TestRunKernelsMatchFloods:
         assert decide_extension(ge, 0.05).exists
 
 
+def _dfs_unwrap(phase, jumps, support):
+    """`disk._unwrap` as it was before the weighted union-find: the runs'
+    offsets by a depth-first walk of adjacency lists over their contacts,
+    from the lowest run of each component. The reference for the offsets
+    that `disk._roots` gives."""
+    ang, rad = jumps.ang, jumps.rad
+    nr, nt = ang.shape
+    supp = support.reshape(nr, nt)
+    runs, first = disk._ring_runs(supp)
+    along = np.cumsum(ang, axis=1, dtype=np.int64)
+    before = (along - ang).ravel()
+    flat = runs.ravel()
+    shared = disk._overlaps(supp)
+    seam = supp[:, -1] & supp[:, 0]
+    contacts = zip(np.concatenate([flat[shared], runs[seam, -1]]).tolist(),
+                   np.concatenate([flat[shared + nt], runs[seam, 0]]).tolist(),
+                   np.concatenate([before[shared] + rad.ravel()[shared] - before[shared + nt],
+                                   along[seam, -1]]).tolist())
+    adjacent = [[] for _ in range(first.size)]
+    for x, y, d in contacts:
+        adjacent[x].append((y, d))
+        adjacent[y].append((x, -d))
+    offset = [None] * first.size
+    start = before[first].tolist()
+    for root in range(first.size):
+        if offset[root] is None:
+            offset[root] = -start[root]
+            todo = [root]
+            while todo:
+                x = todo.pop()
+                for y, d in adjacent[x]:
+                    if offset[y] is None:
+                        offset[y] = offset[x] + d
+                        todo.append(y)
+    turns = np.zeros(support.size, dtype=np.int64)
+    turns[support] = np.array(offset, dtype=np.int64)[flat[support]] + before[support]
+    return phase + 2.0 * np.pi * turns
+
+
+def _union_find_cases():
+    """The disk fields of the pinned file (criterion-8, the seeded 32 x 128
+    fields of winding 0-3, those with two zeros, CI's d2 and dz, disk-z and
+    (z - 0.3)(z + 0.3)), then 8 seeded 32 x 128 fields of winding 0-3 with
+    and without two zeros off the centre."""
+    for seed in range(20):
+        yield gallery.random_scalar_field_2d(16, 64, np.random.default_rng(5000 + seed),
+                                             winding=1 if seed % 4 == 0 else 0)
+    for seed in (3, *range(2700, 2716)):  # seed 3: d2
+        yield gallery.random_scalar_field_2d(32, 128, np.random.default_rng(seed),
+                                             winding=2 if seed == 3 else seed % 4)
+    for seed in range(2900, 2904):  # seed 2902: dz
+        rng = np.random.default_rng(seed)
+        yield _times_zeros(gallery.random_scalar_field_2d(32, 128, rng, winding=seed % 4), rng)
+    yield gallery.gallery("disk-z", 32)
+    yield _disk_field(HAND_PROVED["(z - 0.3)(z + 0.3)"])
+    for seed in range(8):
+        rng = np.random.default_rng(3200 + seed)
+        ge = gallery.random_scalar_field_2d(32, 128, rng, winding=seed % 4)
+        yield ge
+        yield _times_zeros(ge, rng)
+
+
+class TestWeightedRoots:
+    """`disk._roots` as a weighted union-find: the unwrap's integer turns
+    off its potentials, and the potentials and roots on random graphs."""
+
+    def test_unwrap_matches_the_walk(self):
+        """`_unwrap` against the depth-first walk it replaced, byte for
+        byte, at 25 levels of each field wherever no hole is blocked. Where
+        one is, the potential depends on the path, the two spanning forests
+        may differ, and no witness is built."""
+        seen = Counter()
+        for ge in _union_find_cases():
+            f = ge.values[:, 0, 0]
+            s, phase, kept = np.abs(f), np.angle(f), disk._disk_phase(ge)
+            for frac in np.linspace(0.0, 0.96, 25):
+                support = s > frac * s.max()
+                if disk._blocked_windings(kept, ~support.reshape(kept.ang.shape)):
+                    seen["blocked"] += 1
+                    continue
+                got = disk._unwrap(phase, kept, support)
+                assert got.tobytes() == _dfs_unwrap(phase, kept, support).tobytes(), frac
+                seen["turns" if np.any(got != phase) else "no turns"] += 1
+        assert seen["turns"] >= 300 and seen["blocked"] >= 250, seen
+
+    def test_random_graphs(self):
+        """Contacts (a, b, d) drawn over hidden integer potentials n, with
+        d = n[b] - n[a]: in every component each contact has
+        pot[b] - pot[a] == d, pot is 0 at the root, and the root is the
+        lowest label, as label propagation finds it. Without d every
+        potential is 0 and the roots are the same."""
+        rng = np.random.default_rng(3300)
+        for _ in range(200):
+            count = int(rng.integers(1, 80))
+            a, b = rng.integers(0, count, (2, int(rng.integers(0, 2 * count))))
+            n = rng.integers(-50, 50, count)
+            d = n[b] - n[a]
+            root, pot = disk._roots(count, a, b, d)
+            lowest = np.arange(count)
+            while True:
+                low = np.minimum(lowest[a], lowest[b])
+                nxt = lowest.copy()
+                np.minimum.at(nxt, a, low)
+                np.minimum.at(nxt, b, low)
+                if np.array_equal(nxt, lowest):
+                    break
+                lowest = nxt
+            assert np.array_equal(root, lowest)
+            assert np.array_equal(pot[b] - pot[a], d)
+            assert not pot[root == np.arange(count)].any()
+            bare_root, bare_pot = disk._roots(count, a, b)
+            assert np.array_equal(bare_root, root) and not bare_pot.any()
+
+
 class TestRingBridges:
     """The disk witness off the support: ring bridges in closed form, and
     never a failed modulus check where the breadth-first fill they replaced
@@ -1339,11 +1479,11 @@ class TestRingBridges:
 
     def test_closed_form(self):
         seen = Counter()
-        for ge, levels in _run_kernel_cases():
+        for ge, cuts in _run_kernel_cases():
             nr, nt = ge.domain.n_radial, ge.domain.n_angular
             f = ge.values[:, 0, 0]
             s = np.abs(f)
-            for lv in levels:
+            for lv in cuts:
                 try:
                     rep = decide_extension(ge, lv * s.max())
                 except PhaseUnwrapAliasing:
@@ -1444,15 +1584,15 @@ class TestCutLevelProvenance:
     def test_one_polar_extension_per_decision(self, monkeypatch, name, level):
         """The level is cleared before the extension is built, so a colliding
         level costs no failed attempt."""
-        levels = []
+        cuts = []
         orig = gridalg.polar_extension
 
         def recorded(ge, delta):
-            levels.append(delta)
+            cuts.append(delta)
             return orig(ge, delta)
         monkeypatch.setattr(gridalg, "polar_extension", recorded)
         rep = decide_extension(gallery.gallery(name, 32), level)
-        assert levels == [rep.delta]
+        assert cuts == [rep.delta]
 
 
 class TestDistToRegular:
@@ -1621,15 +1761,15 @@ class TestLowestRung:
         assert dist_to_regular(ge, tol) == _reference_bisection(ge, tol)
 
     def test_one_decision_on_the_interval(self, monkeypatch):
-        levels = []
+        cuts = []
         orig = gridalg._extends
 
         def recorded(ge, delta):
-            levels.append(delta)
+            cuts.append(delta)
             return orig(ge, delta)
         monkeypatch.setattr(gridalg, "_extends", recorded)
         lo, up = dist_to_regular(gallery.gallery("osc", 128), 0.01)
-        assert lo == 0.0 and levels == [up] and up <= 0.01
+        assert lo == 0.0 and cuts == [up] and up <= 0.01
 
     @pytest.mark.parametrize("below, at_rung", [(True, "fails"), (False, "fails"),
                                                  (True, "collides"), (True, "aliases")])
@@ -1720,9 +1860,9 @@ class TestKeptPhaseData:
         pi/2, the error is raised where the reference raises it, with the
         same message."""
         ge = _disk_field(fn, n)
-        levels = [_rung(ge, tol), *(lv * sup_norm(ge) for lv in LEVELS)]
+        cuts = [_rung(ge, tol), *(lv * sup_norm(ge) for lv in LEVELS)]
         raised = 0
-        for level in levels:
+        for level in cuts:
             delta = gridalg._cleared(ge, level)
             f = ge.values[:, 0, 0]
             try:
@@ -2001,16 +2141,16 @@ class TestBisectionCertificates:
         """The same bool or the same exception at every level, in a hold as
         in the bisection, with the floor at -inf, the ceiling at +inf and
         the path bound off."""
-        for ge, levels in _certificate_cases():
+        for ge, cuts in _certificate_cases():
             with gridalg._holding(ge):
-                got = [_outcome(ge, lv) for lv in levels]
+                got = [_outcome(ge, lv) for lv in cuts]
             if ge.domain.kind == "disk-2d-polar":
                 ge._phase = disk._disk_phase(ge)._replace(floor=-math.inf, ceiling=math.inf)
             with monkeypatch.context() as mp:
                 mp.setattr(gridalg, "_path_bound", lambda *args: -math.inf)
                 with gridalg._holding(ge):
-                    want = [_outcome(ge, lv) for lv in levels]
-            assert got == want, (ge.domain, levels)
+                    want = [_outcome(ge, lv) for lv in cuts]
+            assert got == want, (ge.domain, cuts)
 
     def test_each_proves_its_claim(self):
         """Where the floor fires, some hole is blocked; where the ceiling
@@ -2018,9 +2158,9 @@ class TestBisectionCertificates:
         modulus bound, and where it reaches WITNESS_MODULUS_MAX, so does the
         exact one. Each fires at some level."""
         fired = Counter()
-        for ge, levels in _certificate_cases():
+        for ge, cuts in _certificate_cases():
             s, band = gridalg._read(ge)
-            for level in levels:
+            for level in cuts:
                 try:
                     delta = gridalg._cleared(ge, level)
                 except SpectralCollision:
@@ -2101,8 +2241,8 @@ class TestDecisionMonotone:
         exists at a cut level, it exists at every higher level. Its decision
         routine agrees with decide_extension at every level."""
         ge = _monotone_case(kind, seed)
-        levels = np.linspace(0.0, 1.1, 34)[1:] * sup_norm(ge)
-        flags = [_same_decision(ge, lv, Counter()).exists for lv in levels]
+        cuts = np.linspace(0.0, 1.1, 34)[1:] * sup_norm(ge)
+        flags = [_same_decision(ge, lv, Counter()).exists for lv in cuts]
         first = flags.index(True)
         assert all(flags[first:]), flags
 
