@@ -8,10 +8,13 @@ extension procedures build on that classification. The 1-D procedure
 transports a unitary frame along the interval in the interval module
 `levels`, for every d. A single decision holds its witness
 (`_frame_witness`) to the modulus bound here, as on the disk; a harness
-report reads all its levels of a scalar element from one `levels.decide`
-(`_line_reports`). The modulus of an element reads its jumps as slices of
-the layout for d = 1; for d > 1 it screens them by cheap norm bounds and
-factorizes only those that can hold the maximum. The 2-D scalar procedure
+report decides all its levels of an interval element in one pass over a
+level axis (`_line_reports`): `levels.decide` for d = 1, and for d > 1
+`levels.decide_frames`, one transport and one batch of moduli for the L
+witnesses and the L cut-downs. The modulus of an element reads its jumps as
+slices of the layout for d = 1; for d > 1 it screens them by cheap norm
+bounds and factorizes only those that can hold the maximum
+(`levels.moduli`, which takes a stack of elements). The 2-D scalar procedure
 decides by discrete Stokes on the polar grid (`polar_extension_2d_scalar`)
 with the phase machinery of `disk`: the element keeps the phase data that no
 cut level changes (`_disk_phase`), and a decision labels the holes of the
@@ -64,9 +67,6 @@ MODULUS_BOUND_FACTOR = 10.0
 # or take a few ulps, far below MODULUS_SLACK; at a bound at least this
 # large the modulus check cannot fail
 WITNESS_MODULUS_MAX = 2.0
-# relative margin by which a jump's upper bound on its norm may fall short of
-# another jump's lower bound before GridElement.modulus drops it unfactorized
-MODULUS_SCREEN = 1e-8
 NOT_FINITE = "grid values must be finite"
 NOT_SCALAR_DISK = "polar_extension_2d_scalar needs a scalar disk element"
 
@@ -181,15 +181,9 @@ class GridElement:
 
         d = 1: the |jumps| as slices of the node layout, those of
         `edge_arrays` with the sign flipped, so the same bits, NaN included.
-        d > 1: the largest of LAPACK's s1 over the jumps D that can hold the
-        maximum, in one SVD call. Every jump has
-        sqrt(||D* D||_F) >= s1 >= ||D* D||_F / ||D||_F, computed on the
-        jumps divided by their largest entry so that no fourth power leaves
-        the float range, and a jump whose upper bound falls below the
-        largest lower bound by more than MODULUS_SCREEN, relative, cannot
-        hold it. The margin is far above the rounding of either bound or of
-        LAPACK's s1, so the result has the bits of s1 taken over every
-        jump."""
+        d > 1: the largest of LAPACK's s1 over the jumps that can hold the
+        maximum, screened by cheap norm bounds and factorized in one SVD
+        call (`levels.moduli`), with the bits of s1 taken over every jump."""
         return _modulus(self.domain, self.values)
 
     def spectrum(self):
@@ -234,21 +228,7 @@ def _modulus(dom: GridDomain, values: np.ndarray) -> float:
         g = f.reshape(dom.n_radial, dom.n_angular)
         return float(np.max([np.abs(g[:, 1:] - g[:, :-1]).max(),
                              np.abs(g[:, 0] - g[:, -1]).max(), np.abs(g[1:] - g[:-1]).max()]))
-    left, right = dom.edge_arrays()
-    diffs = values[left] - values[right]
-    if diffs.size == 0:
-        return 0.0
-    scale = np.abs(diffs).max()
-    if scale == 0.0:
-        return 0.0
-    if math.isfinite(scale):  # otherwise LAPACK refuses the jumps as before
-        jumps = diffs / scale
-        fro = np.linalg.norm(jumps, axis=(1, 2))
-        gram = np.linalg.norm(jumps.conj().transpose(0, 2, 1) @ jumps, axis=(1, 2))
-        nonzero = fro > 0.0
-        lower = (gram[nonzero] / fro[nonzero]).max()
-        diffs = diffs[np.sqrt(gram) >= lower * (1.0 - MODULUS_SCREEN)]
-    return float(np.linalg.svd(diffs, compute_uv=False).max())
+    return levels.moduli(values[None], *dom.edge_arrays())[0]
 
 
 def _scalar_spectrum(values: np.ndarray, s: np.ndarray):
@@ -487,18 +467,24 @@ def _report(ge: GridElement, delta: float, kind: str) -> ExtensionReport:
 def _frame_witness(ge: GridElement, delta: float) -> GridElement:
     u, s, vh = ge.spectrum()
     keeps = s > delta
-    w = levels.witnesses(u[:, 0, 0], keeps.T) if ge.is_scalar else levels._transport(u, vh, keeps)
+    w = (levels.witnesses(u[:, 0, 0], keeps.T) if ge.is_scalar
+         else levels._transport(u, vh, keeps[None])[0])
     return GridElement(ge.domain, w.reshape(ge.values.shape))
 
 
 def _line_reports(ge: GridElement, delta: list):
-    """polar_extension_1d's reports on a scalar element at the levels delta,
-    clear of its spectrum, from one `levels.decide`, and the (L, n) witnesses."""
+    """polar_extension_1d's reports at the levels delta, clear of the
+    spectrum, from one pass over a level axis (`levels.decide` for d = 1,
+    `levels.decide_frames` for d > 1), and the witnesses, shape (L, n, d, d)."""
     s, _ = _read(ge)
-    bounds, mods, w = levels.decide(_unit_of(ge, s), s, np.reshape(delta, (-1, 1)),
-                                    MODULUS_BOUND_FACTOR)
-    return [_held_to_bound(GridElement(ge.domain, x.reshape(-1, 1, 1)), bound, level,
-                           "frame-transport", mod)
+    cuts = np.reshape(delta, (-1, 1))
+    if ge.is_scalar:
+        bounds, mods, w = levels.decide(_unit_of(ge, s), s, cuts, MODULUS_BOUND_FACTOR)
+    else:
+        bounds, mods, w = levels.decide_frames(*ge.spectrum(), s, cuts, MODULUS_BOUND_FACTOR,
+                                               ge.domain.edge_arrays())
+    w = w.reshape(len(delta), *ge.values.shape)
+    return [_held_to_bound(GridElement(ge.domain, x), bound, level, "frame-transport", mod)
             for x, bound, level, mod in zip(w, bounds, delta, mods)], w
 
 

@@ -16,9 +16,10 @@ of one residual; what stays independent of (2) there are the "cond4
 above/below bracket" checks against the distance.
 
 `check_equivalences` holds its element (`gridalg._holding`), so every
-decision shares one read of the singular values, and reads (2)-(4) for a
-scalar interval element at all probed levels in one pass over a level axis
-(`gridalg._line_reports`, `_scalar_ramps`); others go level by level."""
+decision shares one read of the singular values, and reads (2)-(4) for an
+interval element of any d at all probed levels in one pass over a level
+axis (`gridalg._line_reports`, then `_scalar_ramps` for d = 1 and
+`_ramp_bounds` for d > 1); disk elements go level by level."""
 
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ import numpy as np
 from . import opcore
 from .errors import NoWitness
 from .gridalg import (
-    MODULUS_SCREEN,
     ExtensionReport,
     GridElement,
     _clear,
@@ -43,6 +43,7 @@ from .gridalg import (
     sup_norm,
     uniform_gap_regular,
 )
+from .levels import MODULUS_SCREEN
 
 # condition (3): w f(|a|) - v f(|a|) = (w - v) e_delta f(|a|) for every f
 # that vanishes on [0, delta], so one constraint residual per node bounds
@@ -93,50 +94,58 @@ class EquivalenceReport:
 
 
 def _ramps(delta, s: np.ndarray) -> np.ndarray:
-    """The sampled ramps at s, slope-major, then the cut ramp: shape (26, *s.shape)."""
+    """The sampled ramps at s, slope-major, then the cut ramp, with delta
+    broadcast against s: shape (26, *cut.shape)."""
     cut = np.maximum(s - delta, 0.0)
-    tail = (1,) * s.ndim
+    tail = (1,) * cut.ndim
     sampled = np.minimum(cut * RAMP_SLOPES.reshape(-1, 1, *tail), RAMP_PLATEAUS.reshape(-1, *tail))
-    return np.concatenate([sampled.reshape(SAMPLED, *s.shape), cut[None]])
+    return np.concatenate([sampled.reshape(SAMPLED, *cut.shape), cut[None]])
 
 
-def _ramp_bounds(ge: GridElement, delta: float, w: np.ndarray) -> np.ndarray:
-    """For d > 1 (`_scalar_ramps` for d = 1): a bound on
+def _ramp_bounds(ge: GridElement, delta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """For d > 1 (`_scalar_ramps` for d = 1): at each of the levels delta,
+    shape (L,), with its witness of w, shape (L, n, d, d), a bound on
     max_k ||w f(|a|) - v f(|a|)|| for each f of `_ramps`, then ||f(|a|)||
-    for each, shape (52,).
+    for each: shape (L, 52).
 
     At node k the difference is miss diag(f(s)) vh, miss = w vh* - u. With s
     descending and f monotone it is the sum over j of (f(s_j) - f(s_j+1))
     times miss cut to its first j + 1 columns, whose norms c_kj bound every
     f, so a column that a nudged cut left free above delta is weighted by
-    its own small f(s_j). One batched SVD factorizes the prefixes with
-    s_kj > delta (elsewhere the step weight is exactly 0.0), at the nodes
-    that can hold a maximum: a node's value lies in
+    its own small f(s_j). One batched SVD factorizes, for every level, the
+    prefixes with s_kj > delta (elsewhere the step weight is exactly 0.0),
+    at the nodes that can hold a maximum: a node's value lies in
     [f(s_k0) (lo_k + RAMP_ROUNDING), f(s_k0) (up_k + RAMP_ROUNDING)], lo_k
     the norm of miss's column 0 and up_k the Frobenius norm of its columns
-    above delta, and one whose upper value falls short of the largest lower
-    value by more than MODULUS_SCREEN, relative, for every ramp, cannot hold
-    one, as the margin is far above any rounding. The node of largest s is
-    kept for the norms. The maxima are the same floats as over every node."""
+    above delta, and one whose upper value falls short of the level's
+    largest lower value by more than MODULUS_SCREEN, relative, for every
+    ramp, cannot hold one, as the margin is far above any rounding. The
+    node of largest s is kept for the norms. The screen reads the ramps at
+    s_k0 only; every ramp at every s_kj is formed at the kept nodes alone,
+    elementwise, so with the same floats. Each level's maxima are taken
+    over its segment of the kept nodes by `np.maximum.reduceat`, and are
+    the same floats as over every node at that level alone."""
     u, s, vh = ge.spectrum()
-    f = _ramps(delta, s)
+    f0 = _ramps(delta[:, None], s[:, 0])  # at s_k0: (26, L, n)
     miss = w @ vh.conj().transpose(0, 2, 1) - u
-    cols = (miss.real ** 2 + miss.imag ** 2).sum(axis=1)  # squared column norms
-    low = f[..., 0] * (np.sqrt(cols[:, 0]) + RAMP_ROUNDING)
-    high = f[..., 0] * (np.sqrt((cols * (s > delta)).sum(axis=1)) + RAMP_ROUNDING)
-    keep = (high >= low.max(axis=1, keepdims=True) * (1.0 - MODULUS_SCREEN)).any(axis=0)
-    keep[np.argmax(s[:, 0])] = True
-    at = np.flatnonzero(keep)
-    s, miss, f = s[at], miss[at], f[:, at]
-    c = np.zeros(s.shape)
-    k, j = np.nonzero(s > delta)
+    cols = (miss.real ** 2 + miss.imag ** 2).sum(axis=-2)  # squared column norms
+    above = s > delta[:, None, None]
+    low = f0 * (np.sqrt(cols[..., 0]) + RAMP_ROUNDING)
+    high = f0 * (np.sqrt((cols * above).sum(axis=-1)) + RAMP_ROUNDING)
+    keep = (high >= low.max(axis=-1, keepdims=True) * (1.0 - MODULUS_SCREEN)).any(axis=0)
+    keep[:, np.argmax(s[:, 0])] = True
+    rows, at = np.nonzero(keep)
+    f = _ramps(delta[rows, None], s[at])  # elementwise, so the same floats: (26, K, d)
+    c = np.zeros(f.shape[1:])
+    k, j = np.nonzero(above[rows, at])
     if k.size:
-        prefixes = miss[k] * np.tri(ge.dim)[j][:, None, :]
+        prefixes = miss[rows[k], at[k]] * np.tri(ge.dim)[j][:, None, :]
         c[k, j] = np.linalg.svd(prefixes, compute_uv=False)[:, 0]
     c += RAMP_ROUNDING
     steps = f.copy()  # f(s_j) - f(s_j+1), with f(s_d) = 0
     steps[..., :-1] -= f[..., 1:]
-    return np.concatenate([(steps * c).sum(axis=-1).max(axis=-1), f[..., 0].max(axis=-1)])
+    top = np.concatenate([(steps * c).sum(axis=-1), f[..., 0]])
+    return np.maximum.reduceat(top, np.searchsorted(rows, np.arange(delta.size)), axis=1).T
 
 
 def _scalar_ramps(u: np.ndarray, s: np.ndarray, delta: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -154,6 +163,15 @@ def _scalar_ramps(u: np.ndarray, s: np.ndarray, delta: np.ndarray, w: np.ndarray
     f = _ramps(delta[rows], s[cols])
     top = np.concatenate([f * (np.abs(miss[rows, cols]) + RAMP_ROUNDING), f])
     return np.maximum.reduceat(top, np.searchsorted(rows, np.arange(delta.size)), axis=1).T
+
+
+def _witness_ramps(ge: GridElement, delta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The ramp bounds at the levels delta, shape (L,), of the witnesses w,
+    shape (L, n, d, d): `_scalar_ramps` for d = 1, `_ramp_bounds` for d > 1."""
+    if not ge.is_scalar:
+        return _ramp_bounds(ge, delta, w)
+    u, s, _ = ge.spectrum()
+    return _scalar_ramps(u[:, 0, 0], s[:, 0], delta, w[..., 0, 0])
 
 
 def _condition3(deltas: list, has_witness: bool, top: np.ndarray) -> list:
@@ -212,9 +230,7 @@ def check_condition3(ge: GridElement, delta: float,
         if not rep.exists:
             return ConditionResult(delta=delta, holds=False,
                                    detail={"obstruction": rep.obstruction})
-    w = rep.witness.values
-    top = (_scalar_ramps(u[:, 0, 0], s[:, 0], np.array([delta]), w.reshape(1, -1))
-           if ge.is_scalar else _ramp_bounds(ge, delta, w)[None])
+    top = _witness_ramps(ge, np.array([delta]), rep.witness.values[None])
     return _condition3([delta], has_witness, top)[0]
 
 
@@ -263,9 +279,11 @@ def check_equivalences(ge: GridElement, gamma: float, delta_grid,
     at each level of delta_grid, sorted, in a hold on ge (`gridalg._holding`).
     ValueError when gamma or a level is not finite or a level is within the
     guard band above gamma; SpectralCollision when a level cannot be cleared
-    of the singular values. A scalar interval element has its levels cleared
-    in turn, then (2)-(4) read at all of them from one pass over a level axis,
-    but for a level where (2) fails, which decides (3) and (4) on its own."""
+    of the singular values. An interval element, of any d, has its levels
+    cleared in turn (`_cleared_levels`), then (2)-(4) read at all of them
+    from one pass over a level axis (`gridalg._line_reports` and
+    `_witness_ramps`), but for a level where (2) fails, which decides (3)
+    and (4) on its own. A disk element is decided level by level."""
     delta_grid = sorted(float(d) for d in delta_grid)
     if not all(math.isfinite(x) for x in (gamma, *delta_grid)):
         raise ValueError("gamma and every probed delta must be finite")
@@ -279,16 +297,14 @@ def check_equivalences(ge: GridElement, gamma: float, delta_grid,
 
         lower, upper = dist_to_regular(ge, tol_bisect)
 
-        line = ge.is_scalar and ge.domain.kind == "interval-1d"
+        line = ge.domain.kind == "interval-1d"
         if line:
             reps, w = _line_reports(ge, _cleared_levels(ge, delta_grid, hold))
-            c3s = _condition3(delta_grid, True, _scalar_ramps(
-                ge.spectrum()[0][:, 0, 0], hold.s, np.array(delta_grid), w))
-        else:  # lazily, so that each level is decided after the one before is checked
-            reps = (decide_extension(ge, delta) for delta in delta_grid)
+            c3s = _condition3(delta_grid, True, _witness_ramps(ge, np.array(delta_grid), w))
         cond2, cond3, cond4 = [], [], []
         inconsistencies = []
-        for k, (delta, rep2) in enumerate(zip(delta_grid, reps)):
+        for k, delta in enumerate(delta_grid):
+            rep2 = reps[k] if line else decide_extension(ge, delta)
             c2 = ConditionResult(delta=delta, holds=rep2.exists,
                                  detail={"modulus": rep2.witness_modulus,
                                          "bound": rep2.modulus_bound,

@@ -1,9 +1,16 @@
 """The interval module: the frame transport of `gridalg.polar_extension_1d`
-for every d; it does not import `gridalg`. For d = 1 `decide` takes L cut
-levels in one pass over (L, n) arrays, each step elementwise or an exact
-maximum with no sum over the level axis, so each level has the bits of a
-decision at it alone. For d > 1 `_transport` carries a unitary frame in the
-coordinates of the pointwise SVD. Both fill free nodes from `_flanks`."""
+for every d, and its decisions at L cut levels in one pass; it does not
+import `gridalg`. For d = 1 `decide` works over (L, n) arrays, each step
+elementwise or an exact maximum with no sum over the level axis. For d > 1
+`decide_frames` runs `_transport`, which carries a unitary frame in the
+coordinates of the pointwise SVD, at every level from one set of
+adjacent-node overlaps and one run of the free-block recurrence, and
+`moduli`, which screens each element's jumps and factorizes the kept ones
+of all of them in one SVD call; every frame and jump is formed from the
+same matrices in the same order as at its level alone. So each level has
+the bits of a decision at it alone, and a single decision is the case
+L = 1. Both transports fill free nodes from `_flanks`. `moduli` takes any
+edge list, so it is the d > 1 modulus on the disk too."""
 
 import math
 
@@ -14,6 +21,9 @@ from .opcore import TAU_NONZERO
 # |det m| / ||m||_F^2 (about s2/s1) at or below which det m is rounding of
 # zero and the 2 x 2 polar factor comes from the SVD
 POLAR2_DET_FLOOR = TAU_NONZERO
+# relative margin by which a jump's upper bound on its norm may fall short of
+# another jump's lower bound before `moduli` drops it unfactorized
+MODULUS_SCREEN = 1e-8
 
 
 def jumps(f: np.ndarray) -> np.ndarray:
@@ -52,14 +62,62 @@ def witnesses(u: np.ndarray, supported: np.ndarray) -> np.ndarray:
 
 def decide(u: np.ndarray, s: np.ndarray, delta: np.ndarray, factor: float):
     """(bounds, moduli, w) at the levels delta, shape (L, 1), clear of the
-    flat moduli s: the modulus bounds factor jumps(cut-down) / spread, with
-    spread the distance to the nearest s below (0 if none; inf at spread 0),
+    flat moduli s: the modulus bounds of the cut-downs' jumps (`modulus_bounds`),
     the witnesses' moduli, both lists, and the witnesses."""
     w = witnesses(u, s > delta)
-    spread = (delta[:, 0] - np.where(s < delta, s, 0.0).max(axis=1)).tolist()
     cut = jumps(u * np.maximum(s - delta, 0.0) + 0.0).tolist()
-    bounds = [factor * c / gap if gap > 0 else math.inf for c, gap in zip(cut, spread)]
-    return bounds, jumps(w).tolist(), w
+    return modulus_bounds(cut, s, delta, factor), jumps(w).tolist(), w
+
+
+def decide_frames(u: np.ndarray, s: np.ndarray, vh: np.ndarray, flat: np.ndarray,
+                  delta: np.ndarray, factor: float, edges: tuple):
+    """`decide` for d > 1, off the pointwise SVD (u, s, vh) and its flat
+    singular values `flat`: the frames from one `_transport`, and the moduli of the
+    L witnesses and of the L cut-downs u (s - delta)_+ vh (`gridalg.from_svd`'s
+    einsum with a level axis) from one `moduli` over the edges (left, right)."""
+    w = _transport(u, vh, s > delta[..., None])
+    cut = np.einsum("kij,akj,kjl->akil", u, np.maximum(s - delta[..., None], 0.0), vh)
+    mods = moduli(np.concatenate([w, cut]), *edges)
+    return modulus_bounds(mods[len(w):], flat, delta, factor), mods[:len(w)], w
+
+
+def moduli(values: np.ndarray, left: np.ndarray, right: np.ndarray) -> list:
+    """The modulus of each of E elements with d > 1, values shape
+    (E, n, d, d), over the edges (left, right): the largest of LAPACK's s1
+    over its jumps D = values[left] - values[right], the kept jumps of every
+    element factorized in one SVD call. Every jump has
+    sqrt(||D* D||_F) >= s1 >= ||D* D||_F / ||D||_F, computed on the jumps
+    divided by their element's largest entry so that no fourth power leaves
+    the float range, and a jump whose upper bound falls below its element's
+    largest lower bound by more than MODULUS_SCREEN, relative, cannot hold
+    the maximum. The margin is far above the rounding of either bound or of
+    LAPACK's s1, so each result has the bits of s1 taken over every jump.
+    An element whose jumps are all 0 has modulus 0.0; one whose largest
+    entry is not finite leaves every jump to LAPACK."""
+    diffs = values[:, left] - values[:, right]
+    count, edges, d, _ = diffs.shape
+    scale = np.abs(diffs).max(axis=(1, 2, 3))
+    keep = np.repeat((scale != 0.0)[:, None], edges, axis=1)
+    screened = np.flatnonzero(np.isfinite(scale) & (scale > 0.0))
+    scaled = (diffs[screened] / scale[screened, None, None, None]).reshape(-1, d, d)
+    fro = np.linalg.norm(scaled, axis=(1, 2))
+    gram = np.linalg.norm(scaled.conj().transpose(0, 2, 1) @ scaled, axis=(1, 2))
+    lower = (gram / np.where(fro > 0.0, fro, np.inf)).reshape(-1, edges).max(axis=1)
+    keep[screened] = np.sqrt(gram).reshape(-1, edges) >= lower[:, None] * (1.0 - MODULUS_SCREEN)
+    kept = keep.sum(axis=1)
+    top = np.zeros(count)
+    if kept.any():
+        s1 = np.linalg.svd(diffs[keep], compute_uv=False).max(axis=1)
+        top[kept > 0] = np.maximum.reduceat(s1, (np.cumsum(kept) - kept)[kept > 0])
+    return top.tolist()
+
+
+def modulus_bounds(cut: list, s: np.ndarray, delta: np.ndarray, factor: float) -> list:
+    """The modulus bounds factor cut / spread at the levels delta, shape
+    (L, 1), with cut the cut-downs' moduli and spread the distance to the
+    nearest of the flat singular values s below (0 if none; inf at spread 0)."""
+    spread = (delta[:, 0] - np.where(s < delta, s, 0.0).max(axis=1)).tolist()
+    return [factor * c / gap if gap > 0 else math.inf for c, gap in zip(cut, spread)]
 
 
 def _polar_block(m: list) -> list:
@@ -113,7 +171,10 @@ def _dot(row: list, col: list):
 
 def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
     """Procrustes transport of a unitary frame along the interval for
-    d > 1 (`witnesses` for d = 1), carried in frame coordinates.
+    d > 1 (`witnesses` for d = 1), carried in frame coordinates, at L cut
+    levels at once: keeps, shape (L, n, d), says which directions each
+    level keeps at each node; the frames have shape (L, n, d, d). A single
+    decision passes L = 1.
 
     Every node's frame is w = u X vh. X = 1 at every node that keeps all
     its directions and at the first supported node. At each later node k
@@ -121,39 +182,50 @@ def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
     unitary U_k on the free block:
     U_k = polar of the free block of T X_prev S, with prev the last
     supported node before k, T = u_k* u_prev and S = vh_prev vh_k*, which
-    is the Procrustes completion of the free part against w_prev. T and S
-    come in one stacked product each; `_free_blocks` runs the recurrence
-    on them, carrying only U from node to node, and X, written one batched
+    is the Procrustes completion of the free part against w_prev. u vh and
+    the overlaps T and S of adjacent nodes are formed once per call, in one
+    stacked product each, for every level; a partial node whose prev is not
+    k - 1 gets its own. `_free_blocks` runs the recurrence over the partial
+    nodes of every level in one pass, carrying only U from node to node and
+    chaining no step across a level boundary, and X, written one batched
     assignment per kept count, gives w = u X vh at those nodes in one more
-    stacked product. Fully free nodes copy the nearest supported frame,
-    which is what a Procrustes step from a neighbour gives them, and
-    interior runs of them are then bridged along the unitary geodesic
-    between their flanks.
+    stacked product. Each frame is a product of the same matrices in the
+    same order as at its level alone, so it has the same bits. Fully free
+    nodes copy the nearest supported frame, which is what a Procrustes
+    step from a neighbour gives them, and interior runs of them are then
+    bridged along the unitary geodesic between their flanks.
     """
-    npts, d, _ = u.shape
-    w = u @ vh
-    supported = keeps[:, 0]  # s is descending, so each node keeps a prefix
+    nlev, npts, d = keeps.shape
+    uvh = u @ vh
+    supported = keeps[..., 0]  # s is descending, so each node keeps a prefix
     left, right, bridged = _flanks(supported)
     idx = np.arange(npts)
-    part = np.flatnonzero(supported & ~keeps[:, -1] & (idx > left[0]))  # after the first
+    # the partial nodes after each level's first supported node, level-major
+    rows, part = np.nonzero(supported & ~keeps[..., -1] & (idx > left[:, :1]))
+    w = np.repeat(uvh[None], nlev, axis=0)
     if part.size:
-        prev = left[part - 1]
-        kept = keeps[part].sum(axis=1)
+        prev = left[rows, part - 1]
+        uh = u.conj().transpose(0, 2, 1)
+        ts = (uh[1:] @ u[:-1])[part - 1]
+        # S transposed, so that row j is column j of S
+        ss = (vh[1:].conj() @ vh[:-1].transpose(0, 2, 1))[part - 1]
+        far = np.flatnonzero(prev != part - 1)  # the few whose prev is further back
+        ts[far] = uh[part[far]] @ u[prev[far]]
+        ss[far] = vh[part[far]].conj() @ vh[prev[far]].transpose(0, 2, 1)
+        kept = keeps[rows, part].sum(axis=1)
         counts = kept.tolist()
-        blocks = _free_blocks(
-            u[part].conj().transpose(0, 2, 1) @ u[prev],
-            # S transposed, so that row j is column j of S
-            vh[part].conj() @ vh[prev].transpose(0, 2, 1),
-            counts, (prev[1:] == part[:-1]).tolist())
+        blocks = _free_blocks(ts, ss, counts,
+                              ((prev[1:] == part[:-1]) & (rows[1:] == rows[:-1])).tolist())
         x = np.tile(np.eye(d, dtype=np.complex128), (part.size, 1, 1))
         for m in set(counts):  # not np.unique, which imports numpy.ma
             at = np.flatnonzero(kept == m)
             x[at, m:, m:] = np.array([blocks[i] for i in at.tolist()]).reshape(-1, d - m, d - m)
-        w[part] = u[part] @ x @ vh[part]
-    w = w.reshape(npts, d * d)[left].reshape(npts, d, d)
+        w[rows, part] = u[part] @ x @ vh[part]
+    w = w[np.arange(nlev)[:, None], left]
     if bridged.any():
-        lo, hi = left[bridged], right[bridged]
-        w[bridged] = _geodesic(w[lo], w[hi], (idx[bridged] - lo) / (hi - lo))
+        rows, cols = np.nonzero(bridged)
+        lo, hi = left[rows, cols], right[rows, cols]
+        w[rows, cols] = _geodesic(w[rows, lo], w[rows, hi], (cols - lo) / (hi - lo))
     return w
 
 

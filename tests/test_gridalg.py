@@ -372,7 +372,7 @@ class TestTransportMatchesProcrustes:
         vals[32:] = vals[32:] + 0.004 * np.arange(n - 32)[:, None, None] * np.eye(3)[2]
         ge = GridElement(domain=interval_domain(n), values=vals)
         u, s, vh = ge.spectrum()
-        w = levels._transport(u, vh, s > 0.5)
+        w = levels._transport(u, vh, (s > 0.5)[None])[0]
         assert ((2, 2), np.array([[0, 0], [0, 1]], dtype=complex).tobytes()) in svd_inputs
         assert w.tobytes() == _reference_frame_transport(u, vh, s > 0.5).tobytes()
         assert np.max(np.abs(w - _reference_transport(vals, 0.5))) <= 1e-12
@@ -464,19 +464,39 @@ class TestTransportMatchesLoop:
     """`_transport` against `_reference_frame_transport`, byte for byte."""
 
     def test_matrix_fields(self):
-        """d = 2, 3, 4 fields with a planted rank drop, cut at 19 levels:
-        every path of the loop is taken."""
+        """d = 2, 3, 4 fields with a planted rank drop, cut at 19 levels in
+        one call and at each level alone: every path of the loop is taken."""
         paths = Counter()
         for seed in range(6):
             for d in (2, 3, 4):
                 ge = matrix_field(np.random.default_rng(7300 + seed), 64, d)
                 u, s, vh = ge.spectrum()
-                for frac in np.linspace(0.05, 0.95, 19):
-                    keeps = s > frac * s.max()
-                    w = levels._transport(u, vh, keeps)
-                    assert w.tobytes() == _reference_frame_transport(u, vh, keeps).tobytes()
+                cuts = np.linspace(0.05, 0.95, 19) * s.max()
+                batch = levels._transport(u, vh, s > cuts[:, None, None])
+                for keeps, w in zip(s > cuts[:, None, None], batch):
+                    ref = _reference_frame_transport(u, vh, keeps).tobytes()
+                    assert w.tobytes() == ref
+                    assert levels._transport(u, vh, keeps[None])[0].tobytes() == ref
                     paths.update(_loop_paths(keeps))
         assert min(paths[k] for k in ("changes", "unchained", "r3", "bridged")) > 0, paths
+
+    def test_level_boundaries_and_gaps(self):
+        """Two levels in one call, set so that the last partial node of the
+        first (node 10) is the prev of the first partial node of the second,
+        which must not chain from it, and so that at the second level some
+        partial nodes' prev lies 2 and 3 nodes back, past free nodes, where
+        the overlaps of adjacent nodes do not serve."""
+        ge = matrix_field(np.random.default_rng(7350), 64, 2)
+        u, _, vh = ge.spectrum()
+        s = np.tile([1.0, 0.45], (64, 1))
+        s[:10] = 0.5, 0.1  # partial at 0.3, free at 0.6
+        s[10] = 1.0, 0.1  # partial at 0.3, the first supported node at 0.6
+        s[30], s[40:42] = (0.55, 0.45), (0.55, 0.45)  # free at 0.6
+        keeps = s > np.array([0.3, 0.6])[:, None, None]
+        for keep, w in zip(keeps, levels._transport(u, vh, keeps)):
+            assert w.tobytes() == _reference_frame_transport(u, vh, keep).tobytes()
+        parts = [np.flatnonzero(keep[:, 0] & ~keep[:, 1])[1:] for keep in keeps]
+        assert parts[0][-1] == 10 and parts[1][0] == 11 and {31, 42} <= set(parts[1])
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_nudged_cuts(self, d):
@@ -508,11 +528,10 @@ class TestTransportMatchesLoop:
         ge = GridElement(domain=interval_domain(n), values=vals)
         u, s, vh = ge.spectrum()
         paths = Counter()
-        for frac in np.linspace(0.05, 0.95, 19):
-            keeps = s > frac * s.max()
-            w = levels._transport(u, vh, keeps)
-            assert w.tobytes() == _reference_frame_transport(u, vh, keeps).tobytes()
-            paths.update(_loop_paths(keeps))
+        keeps = s > np.linspace(0.05, 0.95, 19)[:, None, None] * s.max()
+        for keep, w in zip(keeps, levels._transport(u, vh, keeps)):
+            assert w.tobytes() == _reference_frame_transport(u, vh, keep).tobytes()
+            paths.update(_loop_paths(keep))
         assert np.signbit(ge.values.imag).all() and paths["unchained"] > 0, paths
 
     def test_running_sums_are_dots(self):
@@ -731,7 +750,8 @@ class TestPolarBlock:
 @pytest.mark.parametrize("d", [2, 3])
 def test_transport_svd_calls_do_not_grow_with_n(d, linalg_calls):
     """Only batched factorizations: the same number of SVD calls at 128
-    and at 512 nodes."""
+    and at 512 nodes, and, for d = 3, a report makes the same number at 3
+    probed levels as at 9, which it decides over one level axis."""
     calls = []
     for n in (128, 512):
         ge = matrix_field(np.random.default_rng(7200 + d), n, d)
@@ -742,6 +762,15 @@ def test_transport_svd_calls_do_not_grow_with_n(d, linalg_calls):
         kept = (ge.singular_values() > rep.delta).sum(axis=1)
         assert np.count_nonzero((kept > 0) & (kept < d)) > n // 8
     assert calls[0] == calls[1], calls
+    if d == 3:
+        calls = []
+        for count in (3, 9):
+            ge = matrix_field(np.random.default_rng(7200 + d), 128, d)
+            start = linalg_calls["svd"]
+            rep = harness.check_equivalences(ge, 0.0, np.linspace(0.1, 0.9, count) * sup_norm(ge))
+            calls.append(linalg_calls["svd"] - start)
+            assert all(c.holds for c in rep.cond2)
+        assert calls[0] == calls[1], calls
 
 
 def test_one_owner_per_algorithm():

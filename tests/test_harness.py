@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cstarreg import gallery, gridalg, opcore
-from cstarreg.errors import NoWitness
+from cstarreg.errors import NoWitness, SpectralCollision
 from cstarreg.gridalg import (
     ExtensionReport,
     GridElement,
@@ -201,7 +201,7 @@ def _bounds(ge, delta, w):
         u, s, _ = ge.spectrum()
         top = _scalar_ramps(u[:, 0, 0], s[:, 0], np.array([delta]), w.reshape(1, -1))[0]
     else:
-        top = _ramp_bounds(ge, delta, w)
+        top = _ramp_bounds(ge, np.array([delta]), w[None])[0]
     shape, n = (RAMP_SLOPES.size, RAMP_PLATEAUS.size), RAMP_SLOPES.size * RAMP_PLATEAUS.size
     return (top[:n].reshape(shape), top[n + 1:-1].reshape(shape)), (top[n], top[-1])
 
@@ -770,6 +770,86 @@ class TestScalarLevelAxisMatchesPerLevel:
         assert [c.detail["path"] for c in rep.cond4] == ["witness", "witness", "decision",
                                                          "decision"]
         assert all("cut_residual" not in c.detail for c in rep.cond3[2:])
+
+
+class TestMatrixLevelAxisMatchesPerLevel:
+    """check_equivalences on d > 1 interval elements, decided over a level
+    axis, against `_reference_report`, which decides each level alone by
+    the public calls on fresh copies, byte for byte."""
+
+    def _check(self, ge, deltas, tol=None):
+        deltas = [float(d) for d in deltas]
+        tol = 2.0 * ge.domain.max_spacing() if tol is None else tol
+        got = check_equivalences(ge, 0.0, deltas, tol_bisect=tol)
+        assert _report_bytes(got) == _report_bytes(_reference_report(ge, 0.0, deltas, tol))
+        return got
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rank_drops(self, d):
+        """`matrix_field` at d = 2, 3, 4 at nine levels: for d = 4 some cut
+        leaves r >= 3 free directions at a partial node, and some partial
+        node's kept count differs from that of the partial node before it."""
+        r3 = changes = 0
+        for seed in range(6):
+            ge = matrix_field(np.random.default_rng(9100 + 10 * d + seed), 96, d)
+            rep = self._check(ge, np.linspace(0.1, 0.9, 9) * sup_norm(ge), tol=0.005)
+            for c in rep.cond2:
+                kept = (ge.singular_values() > decide_extension(ge, c.delta).delta).sum(axis=1)
+                part = (kept > 0) & (kept < d)
+                r3 += np.count_nonzero(part & (kept <= d - 3))
+                changes += np.count_nonzero(part[1:] & part[:-1] & (kept[1:] != kept[:-1]))
+        assert d < 4 or (r3 > 0 and changes > 0), (r3, changes)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nudged_and_above_the_sup_norm(self, d):
+        """Levels on a singular value, which are moved off it, and above the
+        sup-norm, where no node keeps a direction."""
+        nudged = 0
+        for seed in range(4):
+            ge = matrix_field(np.random.default_rng(9200 + 10 * d + seed), 128, d)
+            s = ge.singular_values()
+            deltas = [float(s[20 + 9 * seed, d - 1]), float(s[77, 0]), 1.5 * sup_norm(ge)]
+            rep = self._check(ge, deltas, tol=0.005)
+            nudged += sum(decide_extension(ge, x).delta > x for x in rep.delta_grid)
+            assert rep.cond2[-1].holds and rep.cond2[-1].detail["modulus"] == 0.0
+        assert nudged >= 8
+
+    def test_duplicate_and_no_levels(self):
+        ge = matrix_field(np.random.default_rng(9300), 128, 3)
+        top = sup_norm(ge)
+        rep = self._check(ge, [0.5 * top, 0.25 * top, 0.5 * top, 0.25 * top])
+        assert rep.cond2[0].detail == rep.cond2[1].detail and rep.cond3[2] == rep.cond3[3]
+        rep = self._check(ge, [])
+        assert rep.cond2 == rep.cond3 == rep.cond4 == []
+
+    def test_failing_witness(self):
+        """diag(exp(3i sin 2 pi t), 1): s = (1, 1) at every node, so, as for
+        the scalar field, the witness fails its bound at 0.95 and 0.99, and
+        (3) and (4) decide without it there."""
+        vals = np.zeros((128, 2, 2), dtype=complex)
+        vals[:, 0, 0] = _unimodular().values[:, 0, 0]
+        vals[:, 1, 1] = 1.0
+        rep = self._check(GridElement(interval_domain(128), vals), [0.5, 0.9, 0.95, 0.99])
+        assert [c.holds for c in rep.cond2] == [True, True, False, False]
+        assert [c.detail["path"] for c in rep.cond4] == ["witness", "witness", "decision",
+                                                         "decision"]
+
+    def test_level_that_cannot_be_cleared(self):
+        """diag(1, s_k) with s_k spaced 1.5 guard bands apart: a level among
+        them collides at every nudge, and both reports raise the same
+        SpectralCollision."""
+        eta = opcore.eta_sep(1.0)
+        vals = np.zeros((128, 2, 2), dtype=complex)
+        vals[:, 0, 0] = 1.0
+        vals[:, 1, 1] = 0.3 + 1.5 * eta * np.arange(128)
+        ge = GridElement(interval_domain(128), vals)
+        assert gridalg.guard_band(ge) == eta
+        deltas = [0.2, 0.3 + 10.0 * eta]
+        with pytest.raises(SpectralCollision) as got:
+            check_equivalences(ge, 0.0, deltas)
+        with pytest.raises(SpectralCollision) as ref:
+            _reference_report(ge, 0.0, deltas, 2.0 * ge.domain.max_spacing())
+        assert str(got.value) == str(ref.value)
 
 
 class TestRegularApproximant:

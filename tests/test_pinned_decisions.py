@@ -32,6 +32,8 @@ from cstarreg.gridalg import (
     sup_norm,
 )
 
+from conftest import matrix_field
+
 PINNED = Path(__file__).resolve().parent / "data" / "pinned_decisions.json"
 RTOL = 1e-12
 
@@ -141,7 +143,38 @@ def pinned_records() -> dict:
     mags = np.abs(ge.values[:, 0, 0])
     records["interval 128 seed 3001 nudged and above the sup-norm"] = _report(
         ge, 0.0, [float(mags[40]), float(mags[90]), 1.5 * float(mags.max())])
+    # matrix interval reports: the CI files g2, g3 and g4 at theorem's default
+    # levels (g4 also at the duplicate and above-the-sup-norm levels of its CI
+    # run), and `matrix_field` at d = 2, 3 at the benchmark's fractions, at a
+    # level on a singular value (nudged) and above the sup-norm
+    for name, ge in _ci_matrix_files().items():
+        top = sup_norm(ge)
+        records[f"{name} 128"] = _report(
+            ge, 0.0, list(np.linspace(0.05 * top, 0.95 * top, 4)), tol_bisect=1e-3)
+    records["g4 128 at 0.2, 0.4, 0.4, 0.6, 10"] = _report(
+        _ci_matrix_files()["g4"], 0.0, [0.2, 0.4, 0.4, 0.6, 10.0], tol_bisect=1e-3)
+    for d in (2, 3):
+        ge = matrix_field(np.random.default_rng(3100 + d), 128, d)
+        top = sup_norm(ge)
+        records[f"matrix_field d = {d} 128 seed {3100 + d}"] = _report(
+            ge, 0.0, [0.25 * top, 0.5 * top, 0.75 * top,
+                      float(ge.singular_values()[40, d - 1]), 1.5 * top], tol_bisect=0.005)
     return records
+
+
+def _ci_matrix_files() -> dict:
+    """The seeded d = 2, 3, 4 interval files of the CI report step."""
+    t = np.linspace(0.0, 1.0, 128)[:, None, None]
+    files = {}
+    for d in (2, 3, 4):
+        rng = np.random.default_rng(5 if d == 2 else d)
+        a, b = 0.3 * (rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
+        vals = 0.5 * np.eye(d) + np.cos(np.pi * t) * a + np.sin(np.pi * t) * b
+        if d == 2:  # with a rank drop planted at t = 0.4
+            p = np.array([0.6, 0.8j])
+            vals = vals @ (np.eye(2) + (t - 1.4) * np.outer(p, p.conj()))
+        files[f"g{d}"] = GridElement(interval_domain(128), vals)
+    return files
 
 
 def test_decisions_match_the_pinned_file():
