@@ -281,6 +281,7 @@ def _bridge(theta: np.ndarray, support: np.ndarray) -> np.ndarray:
     the nearest ring that has some, the inner one on a tie."""
     nr, nt = support.shape
     theta = theta.reshape(nr, nt)
+    # its own flanks: levels._flanks of the ring taken twice cost +1.7% on disk-winding
     # the supported column at or before, and at or after, each column of
     # the ring taken twice round, so that every run has both flanks
     col = np.arange(2 * nt)

@@ -9,9 +9,9 @@ transports a unitary frame along the interval in the interval module
 `levels`, for every d. A single decision holds its witness
 (`_frame_witness`) to the modulus bound here, as on the disk; a harness
 report decides all its levels of an interval element in one pass over a
-level axis (`_line_reports`): `levels.decide` for d = 1, and for d > 1
-`levels.decide_frames`, one transport and one batch of moduli for the L
-witnesses and the L cut-downs. The modulus of an element reads its jumps as
+level axis (`_line_reports`): `levels.decide`, one entry for every d, with
+one transport and, for d > 1, one batch of moduli for the L witnesses and
+the L cut-downs. The modulus of an element reads its jumps as
 slices of the layout for d = 1; for d > 1 it screens them by cheap norm
 bounds and factorizes only those that can hold the maximum
 (`levels.moduli`, which takes a stack of elements). The 2-D scalar procedure
@@ -58,10 +58,9 @@ from . import levels, opcore
 from .disk import _aliasing, _blocked_windings, _disk_phase, _DiskPhase, _principal
 from .disk import _phase_witness as _disk_witness
 from .errors import PhaseUnwrapAliasing, SpectralCollision
+from .levels import MODULUS_BOUND_FACTOR
 
 TOP_HEADROOM = 10.0  # guard bands above the sup-norm where dist_to_regular starts
-# witness modulus allowed per unit of cut-down modulus over spectral spread
-MODULUS_BOUND_FACTOR = 10.0
 # the largest modulus a witness can have: every witness is unitary (or zero)
 # at every node, so adjacent nodes differ by at most |w_i| + |w_j| = 2, give
 # or take a few ulps, far below MODULUS_SLACK; at a bound at least this
@@ -225,6 +224,7 @@ def _modulus(dom: GridDomain, values: np.ndarray) -> float:
         f = values[:, 0, 0]
         if dom.kind == "interval-1d":
             return float(levels.jumps(f))
+        # slices: an edge_arrays gather cost +0.9% on disk-winding
         g = f.reshape(dom.n_radial, dom.n_angular)
         return float(np.max([np.abs(g[:, 1:] - g[:, :-1]).max(),
                              np.abs(g[:, 0] - g[:, -1]).max(), np.abs(g[1:] - g[:-1]).max()]))
@@ -240,13 +240,11 @@ def _scalar_spectrum(values: np.ndarray, s: np.ndarray):
 @dataclass
 class _Hold:
     """What a hold (`_holding`) keeps of its element while it runs: the
-    flat singular values s, their guard band, the smallest node norm
-    min_k s_k0 (for `_path_bound`), and the levels already found clear of s
-    (each one the result of opcore.clear_of)."""
+    flat singular values s, their guard band, and the levels already found
+    clear of s (each one the result of opcore.clear_of)."""
 
     s: np.ndarray
     band: float
-    low: float
     clear: set = field(default_factory=set)
 
 
@@ -261,7 +259,7 @@ def _holding(ge: GridElement):
         yield ge._hold
         return
     s = ge.singular_values().ravel()
-    ge._hold = _Hold(s, _band(s), _low(ge, s))
+    ge._hold = _Hold(s, _band(s))
     if ge.is_scalar:
         ge._svd = _scalar_spectrum(ge.values, s)
     try:
@@ -279,11 +277,6 @@ def _read(ge: GridElement):
         return ge._hold.s, ge._hold.band
     s = ge.singular_values().ravel()
     return s, _band(s)
-
-
-def _low(ge: GridElement, s: np.ndarray) -> float:
-    """min_k s_k0, the smallest node norm, off the flat singular values s."""
-    return float(s.reshape(len(ge.values), -1)[:, 0].min())
 
 
 def _clear(ge: GridElement, level: float, s: np.ndarray, band: float) -> float:
@@ -391,6 +384,7 @@ def uniform_gap_regular(ge: GridElement, gap_min: float | None = None):
     return gap >= gap_min, gap
 
 
+# levels.modulus_bounds in place of this scalar pair cost +1.4% on disk-winding
 def _spread(delta: float, s: np.ndarray) -> float:
     """The distance from delta to the nearest of the values s below it (to 0 if none is)."""
     return delta - float(s[s < delta].max(initial=0.0))
@@ -410,7 +404,7 @@ def _path_bound(ge: GridElement, delta: float, s: np.ndarray, band: float) -> fl
     cut-down, with band the guard band of s:
     MODULUS_BOUND_FACTOR (max c - min c) / (2 D max(spread, band)), with
     c_k = (s_k0 - delta)_+ the cut-down's norm at node k and D the domain's
-    `diameter`.
+    `diameter`, and min c read off min_k s_k0, the smallest node norm.
 
     Proof. A path of at most D edges joins the node of largest c to that of
     smallest, and a jump's norm is at least the difference of the norms at
@@ -422,7 +416,7 @@ def _path_bound(ge: GridElement, delta: float, s: np.ndarray, band: float) -> fl
     max c - min c >= 0.4 D band >= 4e-9 D (1 + ||a||), so that rounding is
     below 1e-6 of max c - min c, and the factor 2 covers it many times
     over."""
-    low = ge._hold.low if ge._hold is not None else _low(ge, s)
+    low = float(s.reshape(len(ge.values), -1)[:, 0].min())
     rise = max(float(s.max()) - delta, 0.0) - max(low - delta, 0.0)
     spread = max(_spread(delta, s), band)
     return MODULUS_BOUND_FACTOR * rise / (2.0 * ge.domain.diameter() * spread)
@@ -441,15 +435,15 @@ def polar_extension_1d(ge: GridElement, delta: float) -> ExtensionReport:
     """
     if ge.domain.kind != "interval-1d":
         raise ValueError("polar_extension_1d needs an interval domain")
-    return _report(ge, delta, "frame-transport")
+    return _report(ge, delta)
 
 
-def _report(ge: GridElement, delta: float, kind: str) -> ExtensionReport:
+def _report(ge: GridElement, delta: float) -> ExtensionReport:
     """The report of both extension procedures at delta, off one read of
     the singular values: the collision test (not again for a level the
     element's hold cleared), then the `_decide_at` step and a winding
-    obstruction or the witness held to the modulus bound, whose failure is
-    an obstruction of `kind`; an empty disk support gives the zero witness."""
+    obstruction or the witness held to the modulus bound
+    (`_held_to_bound`); an empty disk support gives the zero witness."""
     s, band = _read(ge)
     if ge._hold is None or delta not in ge._hold.clear:
         opcore.check_clear(delta, s, band)
@@ -461,40 +455,32 @@ def _report(ge: GridElement, delta: float, kind: str) -> ExtensionReport:
             obstruction={"kind": "winding", "windings": windings},
             witness_modulus=math.inf, modulus_bound=bound, delta=delta)
     witness = build() if build else GridElement(ge.domain, np.zeros_like(ge.values))
-    return _held_to_bound(witness, bound, delta, kind)
+    return _held_to_bound(witness, bound, delta)
 
 
 def _frame_witness(ge: GridElement, delta: float) -> GridElement:
     u, s, vh = ge.spectrum()
-    keeps = s > delta
-    w = (levels.witnesses(u[:, 0, 0], keeps.T) if ge.is_scalar
-         else levels._transport(u, vh, keeps[None])[0])
-    return GridElement(ge.domain, w.reshape(ge.values.shape))
+    return GridElement(ge.domain, levels.frames(u, vh, (s > delta)[None])[0])
 
 
 def _line_reports(ge: GridElement, delta: list):
     """polar_extension_1d's reports at the levels delta, clear of the
-    spectrum, from one pass over a level axis (`levels.decide` for d = 1,
-    `levels.decide_frames` for d > 1), and the witnesses, shape (L, n, d, d)."""
-    s, _ = _read(ge)
-    cuts = np.reshape(delta, (-1, 1))
-    if ge.is_scalar:
-        bounds, mods, w = levels.decide(_unit_of(ge, s), s, cuts, MODULUS_BOUND_FACTOR)
-    else:
-        bounds, mods, w = levels.decide_frames(*ge.spectrum(), s, cuts, MODULUS_BOUND_FACTOR,
-                                               ge.domain.edge_arrays())
-    w = w.reshape(len(delta), *ge.values.shape)
-    return [_held_to_bound(GridElement(ge.domain, x), bound, level, "frame-transport", mod)
+    spectrum, from one pass over a level axis (`levels.decide`, for every
+    d), and the witnesses, shape (L, n, d, d)."""
+    bounds, mods, w = levels.decide(*ge.spectrum(), np.reshape(delta, (-1, 1)),
+                                    ge.domain.edge_arrays())
+    return [_held_to_bound(GridElement(ge.domain, x), bound, level, mod)
             for x, bound, level, mod in zip(w, bounds, delta, mods)], w
 
 
-def _held_to_bound(witness: GridElement, bound: float, delta: float, kind: str,
+def _held_to_bound(witness: GridElement, bound: float, delta: float,
                    mod: float | None = None) -> ExtensionReport:
     """The report on a witness held to its modulus bound: it exists when its
     modulus (mod, if known) is within bound + MODULUS_SLACK, else it is an
-    obstruction of `kind`."""
+    obstruction of its domain's kind: "frame-transport", or "modulus" (disk)."""
     mod = witness.modulus() if mod is None else mod
     exists = mod <= bound + opcore.MODULUS_SLACK
+    kind = "frame-transport" if witness.domain.kind == "interval-1d" else "modulus"
     obstruction = None if exists else {"kind": kind, "modulus": mod}
     return ExtensionReport(exists=exists, witness=witness if exists else None,
                            obstruction=obstruction, witness_modulus=mod,
@@ -524,7 +510,7 @@ def polar_extension_2d_scalar(ge: GridElement, delta: float) -> ExtensionReport:
     """
     if ge.domain.kind != "disk-2d-polar" or not ge.is_scalar:
         raise ValueError(NOT_SCALAR_DISK)
-    return _report(ge, delta, "modulus")
+    return _report(ge, delta)
 
 
 def _phase_witness(ge: GridElement, s: np.ndarray, support: np.ndarray) -> GridElement:
@@ -597,8 +583,7 @@ def _extends(ge: GridElement, delta: float) -> bool:
     if _path_bound(ge, delta, s, band) >= WITNESS_MODULUS_MAX:
         return True
     bound = _modulus_bound(ge, delta, s)
-    kind = "frame-transport" if windings is None else "modulus"
-    return bound >= WITNESS_MODULUS_MAX or _held_to_bound(build(), bound, delta, kind).exists
+    return bound >= WITNESS_MODULUS_MAX or _held_to_bound(build(), bound, delta).exists
 
 
 def dist_to_regular(ge: GridElement, tol_bisect: float):

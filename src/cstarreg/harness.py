@@ -17,9 +17,10 @@ above/below bracket" checks against the distance.
 
 `check_equivalences` holds its element (`gridalg._holding`), so every
 decision shares one read of the singular values, and reads (2)-(4) for an
-interval element of any d at all probed levels in one pass over a level
-axis (`gridalg._line_reports`, then `_scalar_ramps` for d = 1 and
-`_ramp_bounds` for d > 1); disk elements go level by level."""
+interval element of any d at all probed levels, cleared by
+`opcore.clear_all`, in one pass over a level axis (`gridalg._line_reports`,
+then `_scalar_ramps` for d = 1 and `_ramp_bounds` for d > 1); disk
+elements go level by level."""
 
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from .errors import NoWitness
 from .gridalg import (
     ExtensionReport,
     GridElement,
-    _clear,
     _holding,
     _line_reports,
     decide_extension,
@@ -261,17 +261,6 @@ def check_condition4(ge: GridElement, delta: float,
     return ConditionResult(delta=delta, holds=rep.exists, detail=detail)
 
 
-def _cleared_levels(ge: GridElement, levels: list, hold) -> list:
-    """`gridalg._clear` of each of the levels, in order, in ge's hold: every
-    level is checked (opcore.check_level) first, then one (L, n) test with
-    `_collides`' comparison finds those that collide with s, and only they
-    go through `_clear`; the others are clear as they are."""
-    for level in levels:
-        opcore.check_level(level)
-    collides = (np.abs(hold.s - np.array(levels)[:, None]) <= hold.band).any(axis=1).tolist()
-    return [_clear(ge, x, hold.s, hold.band) if hit else x for x, hit in zip(levels, collides)]
-
-
 def check_equivalences(ge: GridElement, gamma: float, delta_grid,
                        tol_bisect: float | None = None,
                        element_name: str = "element") -> EquivalenceReport:
@@ -280,7 +269,7 @@ def check_equivalences(ge: GridElement, gamma: float, delta_grid,
     ValueError when gamma or a level is not finite or a level is within the
     guard band above gamma; SpectralCollision when a level cannot be cleared
     of the singular values. An interval element, of any d, has its levels
-    cleared in turn (`_cleared_levels`), then (2)-(4) read at all of them
+    cleared in turn (`opcore.clear_all`), then (2)-(4) read at all of them
     from one pass over a level axis (`gridalg._line_reports` and
     `_witness_ramps`), but for a level where (2) fails, which decides (3)
     and (4) on its own. A disk element is decided level by level."""
@@ -299,7 +288,7 @@ def check_equivalences(ge: GridElement, gamma: float, delta_grid,
 
         line = ge.domain.kind == "interval-1d"
         if line:
-            reps, w = _line_reports(ge, _cleared_levels(ge, delta_grid, hold))
+            reps, w = _line_reports(ge, opcore.clear_all(delta_grid, hold.s, eta))
             c3s = _condition3(delta_grid, True, _witness_ramps(ge, np.array(delta_grid), w))
         cond2, cond3, cond4 = [], [], []
         inconsistencies = []

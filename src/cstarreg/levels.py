@@ -1,16 +1,10 @@
 """The interval module: the frame transport of `gridalg.polar_extension_1d`
-for every d, and its decisions at L cut levels in one pass; it does not
-import `gridalg`. For d = 1 `decide` works over (L, n) arrays, each step
-elementwise or an exact maximum with no sum over the level axis. For d > 1
-`decide_frames` runs `_transport`, which carries a unitary frame in the
-coordinates of the pointwise SVD, at every level from one set of
-adjacent-node overlaps and one run of the free-block recurrence, and
-`moduli`, which screens each element's jumps and factorizes the kept ones
-of all of them in one SVD call; every frame and jump is formed from the
-same matrices in the same order as at its level alone. So each level has
-the bits of a decision at it alone, and a single decision is the case
-L = 1. Both transports fill free nodes from `_flanks`. `moduli` takes any
-edge list, so it is the d > 1 modulus on the disk too."""
+for every d (`frames`), and its decisions at L cut levels in one pass
+(`decide`, the one entry for every d); it does not import `gridalg`. Every
+frame and jump is formed from the same matrices in the same order as at its
+level alone, so each level has the bits of a decision at it alone, and a
+single decision is the case L = 1. `moduli` takes any edge list, so it is
+the d > 1 modulus on the disk too."""
 
 import math
 
@@ -21,6 +15,8 @@ from .opcore import TAU_NONZERO
 # |det m| / ||m||_F^2 (about s2/s1) at or below which det m is rounding of
 # zero and the 2 x 2 polar factor comes from the SVD
 POLAR2_DET_FLOOR = TAU_NONZERO
+# witness modulus allowed per unit of cut-down modulus over spectral spread
+MODULUS_BOUND_FACTOR = 10.0
 # relative margin by which a jump's upper bound on its norm may fall short of
 # another jump's lower bound before `moduli` drops it unfactorized
 MODULUS_SCREEN = 1e-8
@@ -60,25 +56,32 @@ def witnesses(u: np.ndarray, supported: np.ndarray) -> np.ndarray:
     return w
 
 
-def decide(u: np.ndarray, s: np.ndarray, delta: np.ndarray, factor: float):
+def frames(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
+    """The witness frames, shape (L, n, d, d), off the pointwise SVD's u and
+    vh, shapes (n, d, d), with keeps, shape (L, n, d), the directions each
+    level keeps at each node: `witnesses` for d = 1, `_transport` for d > 1."""
+    if u.shape[-1] == 1:
+        return witnesses(u[:, 0, 0], keeps[..., 0])[..., None, None]
+    return _transport(u, vh, keeps)
+
+
+def decide(u: np.ndarray, s: np.ndarray, vh: np.ndarray, delta: np.ndarray, edges: tuple):
     """(bounds, moduli, w) at the levels delta, shape (L, 1), clear of the
-    flat moduli s: the modulus bounds of the cut-downs' jumps (`modulus_bounds`),
-    the witnesses' moduli, both lists, and the witnesses."""
-    w = witnesses(u, s > delta)
-    cut = jumps(u * np.maximum(s - delta, 0.0) + 0.0).tolist()
-    return modulus_bounds(cut, s, delta, factor), jumps(w).tolist(), w
-
-
-def decide_frames(u: np.ndarray, s: np.ndarray, vh: np.ndarray, flat: np.ndarray,
-                  delta: np.ndarray, factor: float, edges: tuple):
-    """`decide` for d > 1, off the pointwise SVD (u, s, vh) and its flat
-    singular values `flat`: the frames from one `_transport`, and the moduli of the
-    L witnesses and of the L cut-downs u (s - delta)_+ vh (`gridalg.from_svd`'s
-    einsum with a level axis) from one `moduli` over the edges (left, right)."""
-    w = _transport(u, vh, s > delta[..., None])
-    cut = np.einsum("kij,akj,kjl->akil", u, np.maximum(s - delta[..., None], 0.0), vh)
-    mods = moduli(np.concatenate([w, cut]), *edges)
-    return modulus_bounds(mods[len(w):], flat, delta, factor), mods[:len(w)], w
+    pointwise SVD (u, s, vh): the modulus bounds of the cut-downs
+    (`modulus_bounds`) and the witnesses' moduli, both lists, and the
+    witnesses (`frames`), shape (L, n, d, d). The moduli of the cut-downs
+    u (s - delta)_+ vh (`gridalg.from_svd` with a level axis) and of the
+    witnesses are maxima of |jumps| for d = 1, and for d > 1 come from one
+    `moduli` over the edges (left, right)."""
+    w = frames(u, vh, s > delta[..., None])
+    if s.shape[1] == 1:
+        cut = jumps(u[:, 0, 0] * np.maximum(s[:, 0] - delta, 0.0) + 0.0).tolist()
+        mods = jumps(w[..., 0, 0]).tolist()
+    else:
+        cut = np.einsum("kij,akj,kjl->akil", u, np.maximum(s - delta[..., None], 0.0), vh)
+        mods = moduli(np.concatenate([w, cut]), *edges)
+        cut, mods = mods[len(w):], mods[:len(w)]
+    return modulus_bounds(cut, s.ravel(), delta), mods, w
 
 
 def moduli(values: np.ndarray, left: np.ndarray, right: np.ndarray) -> list:
@@ -112,12 +115,12 @@ def moduli(values: np.ndarray, left: np.ndarray, right: np.ndarray) -> list:
     return top.tolist()
 
 
-def modulus_bounds(cut: list, s: np.ndarray, delta: np.ndarray, factor: float) -> list:
-    """The modulus bounds factor cut / spread at the levels delta, shape
+def modulus_bounds(cut: list, s: np.ndarray, delta: np.ndarray) -> list:
+    """The modulus bounds MODULUS_BOUND_FACTOR cut / spread at the levels delta, shape
     (L, 1), with cut the cut-downs' moduli and spread the distance to the
     nearest of the flat singular values s below (0 if none; inf at spread 0)."""
     spread = (delta[:, 0] - np.where(s < delta, s, 0.0).max(axis=1)).tolist()
-    return [factor * c / gap if gap > 0 else math.inf for c, gap in zip(cut, spread)]
+    return [MODULUS_BOUND_FACTOR * c / gap if gap > 0 else math.inf for c, gap in zip(cut, spread)]
 
 
 def _polar_block(m: list) -> list:
@@ -206,6 +209,7 @@ def _transport(u: np.ndarray, vh: np.ndarray, keeps: np.ndarray) -> np.ndarray:
     if part.size:
         prev = left[rows, part - 1]
         uh = u.conj().transpose(0, 2, 1)
+        # adjacent overlaps: products per partial node cost +2.9% on interval-matrix
         ts = (uh[1:] @ u[:-1])[part - 1]
         # S transposed, so that row j is column j of S
         ss = (vh[1:].conj() @ vh[:-1].transpose(0, 2, 1))[part - 1]

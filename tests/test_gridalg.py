@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import math
 import signal
@@ -795,6 +796,26 @@ def test_one_owner_per_algorithm():
     calls = {node.func.id for node in ast.walk(ast.parse(inspect.getsource(gridalg._report)))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert "_line_reports" not in calls and "_decide_at" in calls
+
+
+def test_one_level_axis_entry_and_no_constant_parameters():
+    """The level axis has one entry for every d (`levels.decide`, with
+    `levels.frames` picking the transport), the modulus bound factor has one
+    home in `levels`, the collision rule of a report lives in `opcore`, and
+    no parameter or hold field carries only a constant or the choice of d."""
+    assert not hasattr(levels, "decide_frames")
+    for name, fn in vars(levels).items():
+        if inspect.isfunction(fn) and fn.__module__ == levels.__name__:
+            params = set(inspect.signature(fn).parameters)
+            assert not params & {"factor", "flat"}, (name, params)
+    assert gridalg.MODULUS_BOUND_FACTOR is levels.MODULUS_BOUND_FACTOR
+    for fn in (gridalg._line_reports, gridalg._frame_witness):
+        names = {node.attr if isinstance(node, ast.Attribute) else node.id
+                 for node in ast.walk(ast.parse(inspect.getsource(fn)))
+                 if isinstance(node, (ast.Attribute, ast.Name))}
+        assert "is_scalar" not in names, fn.__name__
+    assert not hasattr(harness, "_cleared_levels") and not hasattr(harness, "_clear")
+    assert "low" not in {f.name for f in dataclasses.fields(gridalg._Hold)}
 
 
 def _winding_oracle(ge, delta):

@@ -179,6 +179,47 @@ class TestClearOf:
         assert clear_of(0.5, np.array([0.5]), self.ETA, below=0.5 + 3.0 * self.ETA) > 0.5
 
 
+class TestClearAll:
+    ETA = 1e-3
+    S = np.array([0.2, 0.5, 0.5 + 2e-3, 0.9])
+
+    def test_matches_clear_of_level_by_level(self):
+        # clear, colliding (once and twice stepped), duplicate, and above every value
+        mix = [0.3, 0.5, 0.2, 0.5, 0.3, 0.9 + 5e-4, 1.5]
+        for levels in (mix, []):
+            assert opcore.clear_all(levels, self.S, self.ETA) == [
+                clear_of(x, self.S, self.ETA) for x in levels]
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1])
+    def test_bad_level_raises_before_any_step(self, monkeypatch, bad):
+        stepped = []
+        monkeypatch.setattr(opcore, "clear_of", lambda *args: stepped.append(args))
+        with pytest.raises(ValueError):
+            opcore.clear_all([0.5, 0.3, bad], self.S, self.ETA)
+        assert stepped == []
+
+    def test_uncleared_level_raises_spectral_collision(self):
+        s = 0.5 + 2.0 * self.ETA * np.arange(MAX_NUDGES)  # one value on each level tried
+        with pytest.raises(SpectralCollision):
+            opcore.clear_all([0.3, 0.5], s, self.ETA)
+
+    def test_collides_runs_only_for_colliding_levels(self, monkeypatch):
+        calls = []
+        orig = opcore._collides
+
+        def counted(level, s, eta):
+            calls.append(level)
+            return orig(level, s, eta)
+
+        monkeypatch.setattr(opcore, "_collides", counted)
+        assert opcore.clear_all([0.3, 0.7, 1.5], self.S, self.ETA) == [0.3, 0.7, 1.5]
+        assert calls == []
+        # 0.2 collides once, then is clear one step up: two calls; 0.3 makes none
+        got = opcore.clear_all([0.2, 0.3], self.S, self.ETA)
+        assert got == [0.2 + 2.0 * self.ETA, 0.3]
+        assert calls == [0.2, 0.2 + 2.0 * self.ETA]
+
+
 class TestCutdown:
     def test_above_norm(self, rng):
         a = random_complex(rng, 3)

@@ -98,7 +98,7 @@ def pinned_records() -> dict:
                                             winding=winding)
         records[f"criterion-8 disk {seed}"] = _report(ge, 0.0, [0.5 * sup_norm(ge)])
     # the winding-2 disk file of the CI report step, at theorem's default levels
-    ge = gallery.random_scalar_field_2d(32, 128, np.random.default_rng(3), winding=2)
+    ge = _ci_disk_files()["d2"]
     top = sup_norm(ge)
     records["winding-2 32 x 128"] = _report(
         ge, 0.0, list(np.linspace(0.05 * top, 0.95 * top, 4)), tol_bisect=1e-3)
@@ -121,20 +121,17 @@ def pinned_records() -> dict:
             ge, fractions=(0.002, 0.01, 0.03, 0.1, 0.25, 0.5))
     # brackets bisected to float resolution on the CI disk files: winding 2
     # (d2.json), and winding 2 with two seeded zeros off the centre (dz.json)
-    ge = gallery.random_scalar_field_2d(32, 128, np.random.default_rng(3), winding=2)
+    ge = _ci_disk_files()["d2"]
     records["winding-2 32 x 128 bracket at 1e-9"] = {"exact": [],
                                                      "close": list(dist_to_regular(ge, 1e-9))}
-    rng = np.random.default_rng(2902)
-    ge = _with_zeros(gallery.random_scalar_field_2d(32, 128, rng, winding=2), rng)
+    ge = _ci_disk_files()["dz"]
     records["disk 32 x 128 seed 2902 with zeros bracket at 1e-9"] = {
         "exact": [], "close": list(dist_to_regular(ge, 1e-9))}
-    # scalar interval reports: exp(3i sin 2 pi t), whose witness fails its
-    # bound above 10/11 and whose support is empty above 1, seeded fields at
-    # the benchmark's fractions, and levels on a sample's |f| (nudged) and
-    # above the sup-norm
-    t = np.linspace(0.0, 1.0, 128)
-    ge = GridElement(interval_domain(128), np.exp(3j * np.sin(2.0 * np.pi * t)).reshape(-1, 1, 1))
-    records["exp(3i sin 2 pi t) 128"] = _report(ge, 0.0, [0.5, 0.9, 0.95, 0.99, 1.2])
+    # scalar interval reports: exp(3i sin 2 pi t) (u1.json), whose witness
+    # fails its bound above 10/11 and whose support is empty above 1, seeded
+    # fields at the benchmark's fractions, and levels on a sample's |f|
+    # (nudged) and above the sup-norm
+    records["exp(3i sin 2 pi t) 128"] = _report(_ci_u1(), 0.0, [0.5, 0.9, 0.95, 0.99, 1.2])
     for n in (128, 256, 512):
         ge = gallery.random_scalar_field_1d(n, np.random.default_rng(3000 + n))
         records[f"interval {n} seed {3000 + n}"] = _report(
@@ -175,6 +172,28 @@ def _ci_matrix_files() -> dict:
             vals = vals @ (np.eye(2) + (t - 1.4) * np.outer(p, p.conj()))
         files[f"g{d}"] = GridElement(interval_domain(128), vals)
     return files
+
+
+def _ci_disk_files() -> dict:
+    """The seeded 32 x 128 disk files of the CI report step: d2, of winding
+    2 (seed 3), and dz, of winding 2 times two seeded zeros off the centre
+    (`_with_zeros`, seed 2902)."""
+    rng = np.random.default_rng(2902)
+    return {"d2": gallery.random_scalar_field_2d(32, 128, np.random.default_rng(3), winding=2),
+            "dz": _with_zeros(gallery.random_scalar_field_2d(32, 128, rng, winding=2), rng)}
+
+
+def _ci_u1() -> GridElement:
+    """The 128-node interval file u1 of the CI report step: exp(3i sin 2 pi t)."""
+    t = np.linspace(0.0, 1.0, 128)
+    return GridElement(interval_domain(128), np.exp(3j * np.sin(2.0 * np.pi * t)).reshape(-1, 1, 1))
+
+
+def ci_files() -> dict:
+    """Every seeded grid file of the CI report step, by file stem. CI writes
+    them from here, so its inputs are the elements whose decisions are
+    pinned."""
+    return {**_ci_matrix_files(), **_ci_disk_files(), "u1": _ci_u1()}
 
 
 def test_decisions_match_the_pinned_file():
